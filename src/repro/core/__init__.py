@@ -6,10 +6,12 @@ This package is the reproduction of the paper's contribution (§III):
   merge rule (the relaxation of PWD tracking to state-interval level);
 * :mod:`repro.core.log_store` — sender-based volatile message log with
   CHECKPOINT_ADVANCE garbage collection;
-* :mod:`repro.core.recovery` — the rollback side of Algorithm 1
-  (ROLLBACK / RESPONSE / ordered resend / duplicate-send suppression);
-* :mod:`repro.core.tdi` — the protocol class tying it together
-  (Algorithm 1, lines 8–53);
+* :mod:`repro.core.recovery` — the sender-based-logging spine the whole
+  protocol family stands on, TDI and the PWD baselines alike (send
+  indexing + logging + duplicate-send suppression, checkpoint GC,
+  ROLLBACK / RESPONSE / ordered resend);
+* :mod:`repro.core.tdi` — TDI's difference over that spine: the vector
+  piggyback and the interval gate (Algorithm 1, lines 8–53);
 * :mod:`repro.core.nonblocking` — the buffering/multithreading scheme of
   §III.E that removes send-side blocking (Fig. 4b).
 """

@@ -41,27 +41,19 @@ no per-entry Python loop.  A :class:`TaggedPiggyback` built by
 values so the receiving merge never re-converts the tuple.  Every value
 that leaves this module (indexing, iteration, snapshots, piggyback
 entries) is a plain Python ``int`` — NumPy scalars must not leak into
-checksums, JSON or equality checks.  Without NumPy the same flat-array
-layout falls back to ``array('q')`` with the per-element merge.
+checksums, JSON or equality checks.
 """
 
 from __future__ import annotations
 
-from array import array
-from operator import ne
 from typing import Iterable, Iterator, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain bakes numpy in
-    _np = None
+import numpy as _np
 
 
 def _make_store(values: Iterable[int]):
-    """A flat int64 array of ``values`` (NumPy, or ``array('q')``)."""
-    if _np is not None:
-        return _np.array(list(values), dtype=_np.int64)
-    return array("q", values)
+    """A flat int64 array of ``values``."""
+    return _np.array(list(values), dtype=_np.int64)
 
 
 class TaggedPiggyback(tuple):
@@ -261,12 +253,9 @@ class DependIntervalVector:
         old = len(self._v)
         if nprocs <= old:
             return
-        if _np is not None and isinstance(self._v, _np.ndarray):
-            grown = _np.zeros(nprocs, dtype=_np.int64)
-            grown[:old] = self._v
-            self._v = grown
-        else:
-            self._v.extend([0] * (nprocs - old))
+        grown = _np.zeros(nprocs, dtype=_np.int64)
+        grown[:old] = self._v
+        self._v = grown
         self._e.extend([0] * (nprocs - old))
         self._ekey = tuple(self._e)
         if self._track:
@@ -305,33 +294,21 @@ class DependIntervalVector:
         # per-entry in Python here is measurable across a matrix.  A
         # shorter piggyback (sent before its sender learned of a join)
         # merges onto the prefix: absent entries mean "no dependency".
-        if _np is not None:
-            a = getattr(piggyback, "_arr", None)
-            if a is None:
-                a = _np.asarray(piggyback, dtype=_np.int64)
-                if isinstance(piggyback, TaggedPiggyback):
-                    piggyback._arr = a  # prime the cache for re-merges
-            prefix = v if m == len(v) else v[:m]
-            mask = prefix < a
-            if self.owner < m:
-                mask[self.owner] = False
-            changed = _np.count_nonzero(mask)
-            if changed:
-                _np.copyto(prefix, a, where=mask)
-                if self._track:
-                    self._record(_np.nonzero(mask)[0].tolist())
-            return int(changed)
-        merged = list(map(max, v, piggyback))
+        a = getattr(piggyback, "_arr", None)
+        if a is None:
+            a = _np.asarray(piggyback, dtype=_np.int64)
+            if isinstance(piggyback, TaggedPiggyback):
+                piggyback._arr = a  # prime the cache for re-merges
+        prefix = v if m == len(v) else v[:m]
+        mask = prefix < a
         if self.owner < m:
-            merged[self.owner] = v[self.owner]
-        changed = sum(map(ne, v, merged))
+            mask[self.owner] = False
+        changed = _np.count_nonzero(mask)
         if changed:
+            _np.copyto(prefix, a, where=mask)
             if self._track:
-                self._record(k for k in range(len(merged))
-                             if merged[k] != v[k])
-            for k in range(m):
-                v[k] = merged[k]
-        return changed
+                self._record(_np.nonzero(mask)[0].tolist())
+        return int(changed)
 
     def _merge_tagged(self, piggyback: Sequence[int],
                       pb_epochs: Sequence[int]) -> int:
@@ -386,8 +363,7 @@ class DependIntervalVector:
     def as_piggyback(self) -> TaggedPiggyback:
         """The epoch-tagged piggyback payload of a send."""
         pb = TaggedPiggyback(self._v.tolist(), self._ekey)
-        if _np is not None:
-            pb._arr = self._v.copy()  # snapshot: the vector keeps mutating
+        pb._arr = self._v.copy()  # snapshot: the vector keeps mutating
         return pb
 
     def snapshot(self) -> dict[str, list[int]]:
@@ -395,9 +371,7 @@ class DependIntervalVector:
         return {"v": self._v.tolist(), "e": list(self._e)}
 
     @classmethod
-    def from_snapshot(cls, nprocs: int, owner: int, data) -> "DependIntervalVector":
-        """Inverse of :meth:`snapshot`; also accepts the pre-epoch plain
-        list form (all epochs zero) for old checkpoints and tests."""
-        if isinstance(data, dict):
-            return cls(nprocs, owner, data["v"], data.get("e"))
-        return cls(nprocs, owner, data)
+    def from_snapshot(cls, nprocs: int, owner: int,
+                      data: dict[str, list[int]]) -> "DependIntervalVector":
+        """Inverse of :meth:`snapshot`."""
+        return cls(nprocs, owner, data["v"], data["e"])

@@ -358,8 +358,8 @@ def decode_vector_record(data: bytes, nprocs: int) -> VectorRecord:
     if mode == DELTA and standalone:
         raise ValueError("delta records cannot be standalone")
     if header & FLAG_COUNTED:
-        # the record names its own vector length; ``nprocs`` stays the
-        # legacy fallback for uncounted (pre-membership) records
+        # the record names its own vector length; ``nprocs`` sizes the
+        # ones that carry no count
         nprocs, offset = decode_uvarint(data, offset)
         if nprocs < 1:
             raise ValueError("counted record with zero-length vector")

@@ -193,21 +193,24 @@ class Protocol(abc.ABC):
         self.costs = costs
         self.metrics = metrics
         self.trace = trace
+        # Construction-time service lookups are duck-typed, and only
+        # these: ``benchmarks/e2e/micro.py`` drives protocols through a
+        # services double with no membership methods, and the benchmark
+        # directory is frozen.  Everything a protocol asks of its
+        # services after construction is called directly.
+        #
         # The incarnation epoch this protocol instance lives in.  The
         # endpoint re-creates the protocol on every incarnation, so the
-        # constructor-time read is authoritative; duck-typed so protocol
-        # test doubles without the method default to epoch 0.
+        # constructor-time read is authoritative.
         epoch_fn = getattr(services, "incarnation_epoch", None)
         self.epoch: int = epoch_fn() if callable(epoch_fn) else 0
         #: ship piggybacks in the compressed wire encoding
-        #: (``SimulationConfig.compress_piggybacks``); duck-typed so
-        #: protocol test doubles without the attribute default to raw
+        #: (``SimulationConfig.compress_piggybacks``)
         self.compress: bool = bool(
             getattr(services, "compress_piggybacks", False))
         # Dynamic membership: the ranks this instance currently treats
         # as part of the computation, and the vector horizon (one past
-        # the highest rank that ever joined).  Duck-typed so test
-        # doubles without a membership view default to fixed-n.
+        # the highest rank that ever joined); fixed-n without a view.
         members_fn = getattr(services, "current_members", None)
         if callable(members_fn):
             self.members: set[int] = set(members_fn()) | {self.rank}
@@ -286,12 +289,7 @@ class Protocol(abc.ABC):
         """Hashable snapshot of recovery progress.  The watchdog calls
         this each tick; any change counts as progress and resets its
         stall clock and backoff."""
-        vectors = getattr(self, "vectors", None)
-        return (
-            tuple(vectors.last_deliver_index) if vectors is not None else (),
-            frozenset(getattr(self, "_awaiting_response", ())),
-            bool(getattr(self, "_history_pending", False)),
-        )
+        return ()
 
     def explain_defer(self, frame_meta: dict[str, Any], src: int) -> str | None:
         """Why is this queued frame not deliverable right now?  Used by
@@ -302,11 +300,6 @@ class Protocol(abc.ABC):
     # ------------------------------------------------------------------
     # Compressed piggyback wire layer (repro.protocols.compression)
     # ------------------------------------------------------------------
-    def _on_peer_epoch_advance(self, rank: int) -> None:
-        """A peer announced a strictly newer incarnation epoch: its
-        receiver-side reconstruction state died with it.  Protocols with
-        per-channel delta encoders invalidate the channel here."""
-
     def encode_piggyback_wire(self, dest: int, piggyback: Any,
                               send_index: int) -> Any:
         """Standalone (channel-state-free) wire form of a piggyback, used
@@ -351,13 +344,8 @@ class Protocol(abc.ABC):
         """Checkpointable membership view."""
         return {"members": sorted(self.members), "horizon": self.horizon}
 
-    def restore_membership(self, state: dict[str, Any] | None) -> None:
-        """Adopt a checkpointed membership view.  Legacy fixed-n
-        checkpoints carry none; they mean "everyone, capacity-sized"."""
-        if state is None:
-            self.members = set(range(self.nprocs))
-            self.horizon = max(self.nprocs, self.rank + 1)
-            return
+    def restore_membership(self, state: dict[str, Any]) -> None:
+        """Adopt a checkpointed membership view."""
         self.members = set(state["members"]) | {self.rank}
         horizon = max(int(state["horizon"]), self.rank + 1)
         if horizon > self.horizon:
@@ -366,89 +354,13 @@ class Protocol(abc.ABC):
         else:
             self.horizon = horizon
 
-    def announce_join(self) -> None:
-        """Broadcast this rank's establishment JOIN: a fresh epoch-0
-        incarnation nobody has ever depended on.  The ``ldi`` payload
-        (all zeros on a first-ever join) tells each peer how much of its
-        logged traffic to this rank is already covered, exactly like a
-        ROLLBACK's — peers re-send everything beyond it, which also
-        unblocks senders that were waiting on acks from the deferred
-        slot."""
-        vectors = getattr(self, "vectors", None)
-        ldi = list(vectors.last_deliver_index) if vectors is not None else []
-        payload = {"epoch": self.epoch, "ldi": ldi}
-        self.services.broadcast_control(
-            MEMBER_JOIN, payload, size_bytes=4 * (len(ldi) + 2))
-        self.trace.emit("proto.join_bcast", self.rank, epoch=self.epoch)
-
-    def announce_leave(self) -> None:
-        """Broadcast this rank's graceful departure."""
-        self.services.broadcast_control(
-            MEMBER_LEAVE, {"epoch": self.epoch}, size_bytes=8)
-        self.trace.emit("proto.leave_bcast", self.rank, epoch=self.epoch)
-
     # ------------------------------------------------------------------
     # Zombie fencing (accrual failure detection)
     # ------------------------------------------------------------------
     def fence_peer(self, rank: int, epoch: int) -> None:
         """Condemnation fencing: treat ``rank``'s incarnation ``epoch``
-        as dead right now.  Advancing the locally-known peer epoch past
-        the condemned one primes this instance for the replacement
-        (whose ROLLBACK arrives tagged ``epoch + 1`` and must not look
-        stale) and invalidates any per-channel reconstruction state the
-        condemned incarnation owned — the same bookkeeping a JOIN or
-        ROLLBACK with a newer epoch performs."""
-        vectors = getattr(self, "vectors", None)
-        if vectors is None or rank >= len(vectors.peer_epoch):
-            return
-        prior = vectors.peer_epoch[rank]
-        if vectors.observe_peer_epoch(rank, epoch + 1) and epoch + 1 > prior:
-            self._on_peer_epoch_advance(rank)
-
-    def handle_membership(self, ctl: str, src: int, payload: Any) -> bool:
-        """Apply a JOIN/LEAVE control frame; returns False for other
-        control kinds (the caller dispatches those itself)."""
-        if ctl == MEMBER_JOIN:
-            self.grow_membership(src)
-            epoch = payload.get("epoch", 0) if isinstance(payload, dict) else 0
-            vectors = getattr(self, "vectors", None)
-            if vectors is not None:
-                prior = vectors.peer_epoch[src]
-                if vectors.observe_peer_epoch(src, epoch) and epoch > prior:
-                    self._on_peer_epoch_advance(src)
-            # Re-cover the joiner: resend everything logged for it beyond
-            # what its announced state already delivered.  Receiver FIFO
-            # dedup makes over-resending safe, and the resends' acks
-            # unblock any sender parked on the formerly-absent rank.
-            log = getattr(self, "log", None)
-            if log is not None:
-                covered = 0
-                if isinstance(payload, dict):
-                    ldi = payload.get("ldi") or ()
-                    if self.rank < len(ldi):
-                        covered = ldi[self.rank]
-                # window entries the joiner's state already covers will
-                # never be acked — drop them before resending the rest
-                watermark = getattr(self.services, "peer_watermark", None)
-                if callable(watermark):
-                    watermark(src, covered)
-                items = list(log.items_for(src, after_index=covered))
-                for item in items:
-                    self.services.resend_logged(item)
-                self.metrics.resends += len(items)
-            self.trace.emit("proto.member_join", self.rank, src=src,
-                            epoch=epoch)
-            return True
-        if ctl == MEMBER_LEAVE:
-            self.members.discard(src)
-            awaiting = getattr(self, "_awaiting_response", None)
-            if awaiting is not None and src in awaiting:
-                # a departed rank will never respond; don't wedge recovery
-                awaiting.discard(src)
-                self.services.wake_delivery()
-            self.trace.emit("proto.member_leave", self.rank, src=src)
-            return True
-        return False
+        as dead right now.  A protocol that tracks no peer epochs has
+        nothing to fence."""
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -492,11 +404,10 @@ class VectorState:
         }
 
     def restore(self, data: dict[str, list[int]]) -> None:
-        """Adopt checkpointed index vectors (pre-epoch snapshots carry
-        no ``peer_epoch``; everyone was in incarnation 0 then)."""
+        """Adopt checkpointed index vectors."""
         self.last_send_index = list(data["last_send_index"])
         self.last_deliver_index = list(data["last_deliver_index"])
-        self.peer_epoch = list(data.get("peer_epoch", [0] * self.nprocs))
+        self.peer_epoch = list(data["peer_epoch"])
 
     def observe_peer_epoch(self, rank: int, epoch: int) -> bool:
         """Record a peer's announced incarnation epoch; returns False

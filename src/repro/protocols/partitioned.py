@@ -22,6 +22,9 @@ This protocol implements that hybrid:
 Recovery composes both sources: group peers return the intra-group
 determinants they hold; the logger returns the cross-group history.
 
+The class is literally that composition: TAG's antecedence-graph store
+for a group peer, the shared event-logger client for everyone else.
+
 The interesting comparison against TDI: PART caps the piggyback at the
 group scale but pays synchronous stalls on every boundary crossing,
 while TDI's vector stays O(n) with no stalls — the trade-off the paper
@@ -32,31 +35,17 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.protocols.pwd import DET_IDENTIFIERS, Determinant, PwdCausalProtocol
-from repro.protocols.tel_protocol import (
-    EVLOG,
-    EVLOG_ACK,
-    EVLOG_HISTORY,
-    EVLOG_PRUNE,
-    EVLOG_QUERY,
-)
-
-Key = tuple[int, int]
+from repro.protocols.pwd import Determinant
+from repro.protocols.tag_protocol import TagProtocol
+from repro.protocols.tel_protocol import EventLoggerClient
 
 
-class PartitionedProtocol(PwdCausalProtocol):
+class PartitionedProtocol(EventLoggerClient, TagProtocol):
     """Hybrid causal/pessimistic logging over fixed partitions."""
 
     name = "part"
     #: partition width; override via subclassing or the factory below
     group_size: int = 4
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        #: intra-group antecedence graph
-        self.graph: dict[Key, Determinant] = {}
-        self.by_receiver: dict[int, set[Key]] = {}
-        self.known_by: dict[int, set[Key]] = {}
 
     # ------------------------------------------------------------------
     def group_of(self, rank: int) -> int:
@@ -67,125 +56,24 @@ class PartitionedProtocol(PwdCausalProtocol):
         """True when ``rank`` shares our partition."""
         return self.group_of(rank) == self.group_of(self.rank)
 
-    @property
-    def logger_rank(self) -> int:
-        """The event-logger service node sits just past the app ranks."""
-        return self.nprocs
-
-    def _sync_write_round_trip(self) -> float:
-        det_bytes = DET_IDENTIFIERS * self.costs.identifier_bytes
-        one_way = 100e-6 + det_bytes / 12.5e6 + 50e-6
-        return 2.0 * one_way + self.costs.evlog_latency
-
     # ------------------------------------------------------------------
     def _build_piggyback(self, dest: int) -> tuple[Any, int, float]:
         if not self.same_group(dest):
             # boundary crossing: no causal metadata travels
             return {"dets": ()}, 0, 0.0
-        known = self.known_by.setdefault(dest, set())
-        unknown = self.graph.keys() - known
-        increment = [self.graph[key] for key in unknown]
-        scanned = len(self.graph)
-        self.metrics.graph_nodes_scanned += scanned
-        return (
-            {"dets": tuple(increment)},
-            DET_IDENTIFIERS * len(increment),
-            self.costs.per_graph_node_scan * scanned,
-        )
+        return super()._build_piggyback(dest)
 
     def _on_deliver_hook(self, det: Determinant, piggyback: Any, src: int) -> float:
         if not self.same_group(src):
             # cross-group delivery: synchronous stable write, no graph
-            self.services.send_control(
-                self.logger_rank, EVLOG, det,
-                DET_IDENTIFIERS * self.costs.identifier_bytes,
-            )
+            self._log_determinant(det)
             return self._sync_write_round_trip()
-        self._graph_add(det)
-        known = self.known_by.setdefault(src, set())
-        known.update(self.by_receiver.get(src, set()))
-        merged = 0
-        for d in piggyback["dets"]:
-            if d.key not in self.graph:
-                self._graph_add(d)
-                merged += 1
-            known.add(d.key)
-        return self.costs.identifiers_cost(DET_IDENTIFIERS * merged) + (
-            self.costs.per_graph_node_scan * len(piggyback["dets"])
-        )
+        return super()._on_deliver_hook(det, piggyback, src)
 
-    def _graph_add(self, det: Determinant) -> None:
-        self.graph[det.key] = det
-        self.by_receiver.setdefault(det.receiver, set()).add(det.key)
-
-    # ------------------------------------------------------------------
     def _determinants_for(self, failed: int, after_index: int) -> list[Determinant]:
         if not self.same_group(failed):
             return []  # its cross-group history lives at the logger
-        return sorted(
-            (
-                self.graph[key]
-                for key in self.by_receiver.get(failed, set())
-                if key[1] > after_index
-            ),
-            key=lambda d: d.deliver_index,
-        )
-
-    def _on_checkpoint_advance(self, src: int, stable_upto: int) -> None:
-        dead = {
-            key
-            for key in self.by_receiver.get(src, set())
-            if key[1] <= stable_upto
-        }
-        if not dead:
-            return
-        for key in dead:
-            del self.graph[key]
-        self.by_receiver[src] -= dead
-        for known in self.known_by.values():
-            known -= dead
-
-    def after_checkpoint(self) -> None:
-        super().after_checkpoint()
-        self.services.send_control(
-            self.logger_rank, EVLOG_PRUNE,
-            {"owner": self.rank, "upto": self.deliver_total},
-            2 * self.costs.identifier_bytes,
-        )
-
-    # ------------------------------------------------------------------
-    def _request_history(self) -> None:
-        self._history_pending = True
-        self.services.send_control(
-            self.logger_rank, EVLOG_QUERY, {"after": self.deliver_total},
-            2 * self.costs.identifier_bytes,
-        )
-
-    def handle_control(self, ctl: str, src: int, payload: Any) -> None:
-        if ctl == EVLOG_ACK:
-            return
-        if ctl == EVLOG_HISTORY:
-            for det in payload:
-                self.required_order[det.deliver_index] = (det.sender, det.send_index)
-            self._history_pending = False
-            if not self._recovery_barrier_active():
-                self.services.wake_delivery()
-            return
-        super().handle_control(ctl, src, payload)
-
-    # ------------------------------------------------------------------
-    def _extra_checkpoint_state(self) -> dict[str, Any]:
-        return {
-            "graph": dict(self.graph),
-            "known_by": {k: set(v) for k, v in self.known_by.items()},
-        }
-
-    def _restore_extra(self, state: dict[str, Any]) -> None:
-        self.graph = dict(state["graph"])
-        self.by_receiver = {}
-        for key in self.graph:
-            self.by_receiver.setdefault(key[0], set()).add(key)
-        self.known_by = {k: set(v) for k, v in state["known_by"].items()}
+        return super()._determinants_for(failed, after_index)
 
 
 def partitioned_protocol(group_size: int) -> type[PartitionedProtocol]:

@@ -35,86 +35,25 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.protocols.pwd import DET_IDENTIFIERS, Determinant, PwdCausalProtocol
-from repro.protocols.tel_protocol import EVLOG, EVLOG_ACK, EVLOG_HISTORY, EVLOG_PRUNE, EVLOG_QUERY
+from repro.protocols.pwd import Determinant
+from repro.protocols.tel_protocol import EventLoggerClient
 
 
-class PessimisticProtocol(PwdCausalProtocol):
+class PessimisticProtocol(EventLoggerClient):
     name = "pess"
 
-    @property
-    def logger_rank(self) -> int:
-        return self.nprocs
-
-    # ------------------------------------------------------------------
     def _build_piggyback(self, dest: int) -> tuple[Any, int, float]:
         # nothing but the send index travels with the message
         return None, 0, 0.0
 
-    def _sync_write_round_trip(self) -> float:
-        """Deterministic upper estimate of the logger round trip the
-        blocked application waits out."""
-        det_bytes = DET_IDENTIFIERS * self.costs.identifier_bytes
-        one_way = self._one_way_estimate(det_bytes)
-        return 2.0 * one_way + self.costs.evlog_latency
-
-    def _one_way_estimate(self, size_bytes: int) -> float:
-        # mirrors NetworkConfig defaults; the endpoint's network applies
-        # jitter bounded by half a base latency, which the write latency
-        # absorbs (see the module docstring's safety argument)
-        return 100e-6 + size_bytes / 12.5e6 + 50e-6
-
     def _on_deliver_hook(self, det: Determinant, piggyback: Any, src: int) -> float:
-        self.services.send_control(
-            self.logger_rank,
-            EVLOG,
-            det,
-            DET_IDENTIFIERS * self.costs.identifier_bytes,
-        )
-        # the synchronous stable write: the application stalls here
+        self._log_determinant(det)
+        # the synchronous stable write: the application stalls here (the
+        # logger's ack is informational — the wait is this delivery cost)
         return self._sync_write_round_trip()
 
-    # ------------------------------------------------------------------
     def _determinants_for(self, failed: int, after_index: int) -> list[Determinant]:
         return []  # everything is stable at the logger; nothing to add
 
     def _on_checkpoint_advance(self, src: int, stable_upto: int) -> None:
         pass  # no local determinant storage to prune
-
-    def after_checkpoint(self) -> None:
-        super().after_checkpoint()
-        self.services.send_control(
-            self.logger_rank,
-            EVLOG_PRUNE,
-            {"owner": self.rank, "upto": self.deliver_total},
-            2 * self.costs.identifier_bytes,
-        )
-
-    # ------------------------------------------------------------------
-    def _request_history(self) -> None:
-        self._history_pending = True
-        self.services.send_control(
-            self.logger_rank,
-            EVLOG_QUERY,
-            {"after": self.deliver_total},
-            2 * self.costs.identifier_bytes,
-        )
-
-    def handle_control(self, ctl: str, src: int, payload: Any) -> None:
-        if ctl == EVLOG_ACK:
-            return  # the wait is modelled as delivery cost; ack is informational
-        if ctl == EVLOG_HISTORY:
-            for det in payload:
-                self.required_order[det.deliver_index] = (det.sender, det.send_index)
-            self._history_pending = False
-            if not self._recovery_barrier_active():
-                self.services.wake_delivery()
-            return
-        super().handle_control(ctl, src, payload)
-
-    # ------------------------------------------------------------------
-    def _extra_checkpoint_state(self) -> dict[str, Any]:
-        return {}
-
-    def _restore_extra(self, state: dict[str, Any]) -> None:
-        pass

@@ -26,7 +26,13 @@ Determinants carry no incarnation epochs (unlike TDI's interval
 entries): the PWD recovery barrier rebuilds ``required_order`` from
 post-rollback survivor answers, so a stale determinant can never wedge
 the replay gate — only the ROLLBACK/RESPONSE control frames need epoch
-stamps, and those live in :class:`~repro.protocols.pwd.PwdCausalProtocol`.
+stamps, and those live in the family's shared spine
+(:class:`~repro.core.recovery.SenderLoggingProtocol`).
+
+The graph store (``graph`` / ``by_receiver`` / ``known_by``: add,
+increment, merge, per-receiver slice, prune, snapshot) is this class;
+:class:`~repro.protocols.partitioned.PartitionedProtocol` inherits it to
+run the same scheme inside one partition.
 
 Implementation note: the increment is computed with set differences over
 determinant keys (C-speed) while the modelled CPU cost still charges the
@@ -38,7 +44,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.protocols.pwd import DET_IDENTIFIERS, Determinant, PwdCausalProtocol
+from repro.core.recovery import DET_IDENTIFIERS
+from repro.protocols.pwd import Determinant, PwdCausalProtocol
 
 Key = tuple[int, int]
 
@@ -110,13 +117,14 @@ class TagProtocol(PwdCausalProtocol):
             known -= dead
 
     # ------------------------------------------------------------------
-    def _extra_checkpoint_state(self) -> dict[str, Any]:
-        return {
-            "graph": dict(self.graph),
-            "known_by": [set(s) for s in self.known_by],
-        }
+    def checkpoint_state(self) -> dict[str, Any]:
+        state = super().checkpoint_state()
+        state["graph"] = dict(self.graph)
+        state["known_by"] = [set(s) for s in self.known_by]
+        return state
 
-    def _restore_extra(self, state: dict[str, Any]) -> None:
+    def restore(self, state: dict[str, Any]) -> None:
+        super().restore(state)
         self.graph = dict(state["graph"])
         self.by_receiver = [set() for _ in range(self.nprocs)]
         for key in self.graph:

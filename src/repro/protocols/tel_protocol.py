@@ -19,7 +19,11 @@ observed by nobody and may replay freely).
 As with TAG, determinants are not epoch-tagged: the recovery barrier
 (survivor answers + logger history) is re-run per incarnation, so stale
 replay records cannot wedge the gate; epoch stamping is confined to the
-ROLLBACK/RESPONSE frames of the shared PWD base class.
+ROLLBACK/RESPONSE frames of the family's shared spine.
+
+This module also houses both ends of the event-logger conversation:
+:class:`EventLoggerClient`, the one client TEL, PESS and PART share, and
+:class:`EventLoggerService`, the stable-storage node it talks to.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.metrics.costs import CostModel
-from repro.protocols.pwd import DET_IDENTIFIERS, Determinant, PwdCausalProtocol
+from repro.core.recovery import DET_IDENTIFIERS
+from repro.protocols.pwd import Determinant, PwdCausalProtocol
 from repro.simnet.engine import Engine
 from repro.simnet.network import Frame, Network
 from repro.simnet.trace import Trace
@@ -39,7 +44,73 @@ EVLOG_HISTORY = "EVLOG_HISTORY"
 EVLOG_PRUNE = "EVLOG_PRUNE"
 
 
-class TelProtocol(PwdCausalProtocol):
+class EventLoggerClient(PwdCausalProtocol):
+    """A PWD protocol whose recovery barrier has an event-logger leg:
+    determinants go to the logger node (``EVLOG``), recovery queries its
+    stable history (``EVLOG_QUERY`` → ``EVLOG_HISTORY``), and checkpoints
+    bound its store (``EVLOG_PRUNE``)."""
+
+    @property
+    def logger_rank(self) -> int:
+        """The event-logger service node sits just past the app ranks."""
+        return self.nprocs
+
+    def _log_determinant(self, det: Determinant) -> None:
+        self.services.send_control(
+            self.logger_rank, EVLOG, det,
+            DET_IDENTIFIERS * self.costs.identifier_bytes,
+        )
+
+    def _sync_write_round_trip(self) -> float:
+        """Deterministic upper estimate of the logger round trip a
+        synchronous stable write blocks the application for."""
+        det_bytes = DET_IDENTIFIERS * self.costs.identifier_bytes
+        # mirrors NetworkConfig defaults; the endpoint's network applies
+        # jitter bounded by half a base latency, which the write latency
+        # absorbs (see the pessimistic module docstring's safety argument)
+        one_way = 100e-6 + det_bytes / 12.5e6 + 50e-6
+        return 2.0 * one_way + self.costs.evlog_latency
+
+    def _on_logger_ack(self, stable_upto: int) -> None:
+        """The logger holds our determinants up to ``stable_upto``
+        (informational unless the protocol tracks stability)."""
+
+    def after_checkpoint(self) -> None:
+        super().after_checkpoint()
+        self.services.send_control(
+            self.logger_rank, EVLOG_PRUNE,
+            {"owner": self.rank, "upto": self.deliver_total},
+            2 * self.costs.identifier_bytes,
+        )
+
+    # ------------------------------------------------------------------
+    def _request_history(self) -> None:
+        self._history_pending = True
+        self.services.send_control(
+            self.logger_rank, EVLOG_QUERY, {"after": self.deliver_total},
+            2 * self.costs.identifier_bytes,
+        )
+
+    def begin_recovery(self) -> None:
+        self._request_history()
+        super().begin_recovery()
+
+    def retry_recovery(self, targets: set[int] | None = None) -> None:
+        if self._history_pending:
+            self._request_history()
+        super().retry_recovery(targets)
+
+    def handle_control(self, ctl: str, src: int, payload: Any) -> None:
+        if ctl == EVLOG_ACK:
+            self._on_logger_ack(payload)
+        elif ctl == EVLOG_HISTORY:
+            self._history_pending = False
+            self._note_replay_order(payload)
+        else:
+            super().handle_control(ctl, src, payload)
+
+
+class TelProtocol(EventLoggerClient):
     name = "tel"
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -49,11 +120,6 @@ class TelProtocol(PwdCausalProtocol):
         self.unstable: dict[tuple[int, int], Determinant] = {}
         #: per-rank highest deliver_index known stable at the logger
         self.stable_vector = [0] * self.nprocs
-
-    @property
-    def logger_rank(self) -> int:
-        """The event-logger service node sits just past the app ranks."""
-        return self.nprocs
 
     # ------------------------------------------------------------------
     def _build_piggyback(self, dest: int) -> tuple[Any, int, float]:
@@ -76,12 +142,7 @@ class TelProtocol(PwdCausalProtocol):
                 self.stable_vector[k] = stable
         # our new determinant: unstable until the logger acknowledges
         self.unstable[det.key] = det
-        self.services.send_control(
-            self.logger_rank,
-            EVLOG,
-            det,
-            DET_IDENTIFIERS * self.costs.identifier_bytes,
-        )
+        self._log_determinant(det)
         merged = 0
         for d in piggyback["dets"]:
             if d.deliver_index > self.stable_vector[d.receiver] and d.key not in self.unstable:
@@ -119,47 +180,18 @@ class TelProtocol(PwdCausalProtocol):
             self.stable_vector[src] = stable_upto
         self._prune_unstable()
 
-    def after_checkpoint(self) -> None:
-        super().after_checkpoint()
-        self.services.send_control(
-            self.logger_rank,
-            EVLOG_PRUNE,
-            {"owner": self.rank, "upto": self.deliver_total},
-            2 * self.costs.identifier_bytes,
-        )
+    def _on_logger_ack(self, stable_upto: int) -> None:
+        self._on_checkpoint_advance(self.rank, stable_upto)
 
     # ------------------------------------------------------------------
-    def _request_history(self) -> None:
-        self._history_pending = True
-        self.services.send_control(
-            self.logger_rank,
-            EVLOG_QUERY,
-            {"after": self.deliver_total},
-            2 * self.costs.identifier_bytes,
-        )
+    def checkpoint_state(self) -> dict[str, Any]:
+        state = super().checkpoint_state()
+        state["unstable"] = dict(self.unstable)
+        state["stable_vector"] = list(self.stable_vector)
+        return state
 
-    def handle_control(self, ctl: str, src: int, payload: Any) -> None:
-        if ctl == EVLOG_ACK:
-            if payload > self.stable_vector[self.rank]:
-                self.stable_vector[self.rank] = payload
-            self._prune_unstable()
-        elif ctl == EVLOG_HISTORY:
-            for det in payload:
-                self.required_order[det.deliver_index] = (det.sender, det.send_index)
-            self._history_pending = False
-            if not self._recovery_barrier_active():
-                self.services.wake_delivery()
-        else:
-            super().handle_control(ctl, src, payload)
-
-    # ------------------------------------------------------------------
-    def _extra_checkpoint_state(self) -> dict[str, Any]:
-        return {
-            "unstable": dict(self.unstable),
-            "stable_vector": list(self.stable_vector),
-        }
-
-    def _restore_extra(self, state: dict[str, Any]) -> None:
+    def restore(self, state: dict[str, Any]) -> None:
+        super().restore(state)
         self.unstable = dict(state["unstable"])
         self.stable_vector = list(state["stable_vector"])
 

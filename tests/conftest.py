@@ -44,16 +44,25 @@ from repro.simnet.trace import Trace
 
 
 class MockServices:
-    """Stands in for the endpoint when unit-testing a protocol: records
-    every control send and resend instead of touching a network."""
+    """Stands in for the endpoint when unit-testing a protocol: the
+    whole :class:`~repro.protocols.base.EndpointServices` surface, with
+    every control send, resend and window watermark recorded instead of
+    touching a network."""
 
-    def __init__(self, rank: int = 0, nprocs: int = 4, epoch: int = 0) -> None:
+    def __init__(self, rank: int = 0, nprocs: int = 4, epoch: int = 0,
+                 compress: bool = False) -> None:
         self.rank = rank
         self.nprocs = nprocs
         self.epoch = epoch
+        self.compress_piggybacks = compress
+        #: checkpoints to lag sender-log GC by (settable per test)
+        self.gc_lag = 0
         self.engine = Engine()
         self.controls: list[tuple[int, str, Any, int]] = []
         self.resends: list[Any] = []
+        #: watermarks and resends in call order: ("watermark", peer,
+        #: upto) / ("resend", dest, send_index)
+        self.journal: list[tuple[Any, ...]] = []
         self.wakeups = 0
 
     def now(self) -> float:
@@ -61,6 +70,12 @@ class MockServices:
 
     def incarnation_epoch(self) -> int:
         return self.epoch
+
+    def current_members(self) -> set[int]:
+        return set(range(self.nprocs))
+
+    def membership_horizon(self) -> int:
+        return self.nprocs
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> Any:
         return self.engine.schedule(delay, fn)
@@ -75,9 +90,40 @@ class MockServices:
 
     def resend_logged(self, item: Any) -> None:
         self.resends.append(item)
+        self.journal.append(("resend", item.dest, item.send_index))
+
+    def peer_watermark(self, peer: int, delivered_upto: int) -> None:
+        self.journal.append(("watermark", peer, delivered_upto))
 
     def wake_delivery(self) -> None:
         self.wakeups += 1
+
+    def checkpoint_gc_lag(self) -> int:
+        return self.gc_lag
+
+    def sent(self, ctl: str) -> list[tuple[int, str, Any, int]]:
+        """The recorded control sends of kind ``ctl``."""
+        return [c for c in self.controls if c[1] == ctl]
+
+
+def rollback_payload(proto_name: str, ldi: list[int], epoch: int = 0,
+                     **fields: Any) -> dict[str, Any]:
+    """A ROLLBACK payload shaped like ``proto_name``'s incarnation
+    broadcasts it (TDI carries its restored ``interval``, the PWD family
+    its ``ckpt_deliver_total``)."""
+    own = ({"interval": sum(ldi)} if proto_name == "tdi"
+           else {"ckpt_deliver_total": 0})
+    return {"ldi": list(ldi), "epoch": epoch, **own, **fields}
+
+
+def response_payload(proto_name: str, delivered: int, epoch: int = 0,
+                     for_epoch: int = 0, dets: Any = ()) -> dict[str, Any]:
+    """A RESPONSE payload shaped like a ``proto_name`` survivor sends it
+    (the PWD family adds the determinants it holds)."""
+    payload = {"delivered": delivered, "epoch": epoch, "for_epoch": for_epoch}
+    if proto_name != "tdi":
+        payload["dets"] = list(dets)
+    return payload
 
 
 def make_protocol(name: str, rank: int = 0, nprocs: int = 4,

@@ -43,7 +43,8 @@ class TestControlFanout:
         cluster = make_cluster()
         src, dst = cluster.endpoints[0], cluster.endpoints[1]
         dst.protocol.vectors.last_send_index[0] = 0
-        src.send_control(1, "RESPONSE", 5, 8)
+        src.send_control(
+            1, "RESPONSE", {"delivered": 5, "epoch": 0, "for_epoch": 0}, 8)
         cluster.engine.run()
         assert dst.protocol.rollback_last_send_index[0] == 5
 

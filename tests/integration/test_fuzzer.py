@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from repro.core.recovery import TdiRecoveryMixin
+from repro.core.recovery import SenderLoggingProtocol
 from repro.core.tdi import TdiProtocol
 from repro.core.vectors import DependIntervalVector
 from repro.fuzz.campaign import run_campaign
@@ -37,12 +37,12 @@ def gateless_classify(self, frame_meta, src):
 
 
 def _eager_gc():
-    orig = TdiRecoveryMixin._handle_checkpoint_advance
+    orig = SenderLoggingProtocol._handle_checkpoint_advance
 
     def eager(self, src, upto_send_index):
         return orig(self, src, upto_send_index + 2)
 
-    return mock.patch.object(TdiRecoveryMixin, "_handle_checkpoint_advance",
+    return mock.patch.object(SenderLoggingProtocol, "_handle_checkpoint_advance",
                              eager)
 
 

@@ -22,7 +22,7 @@ and assert the paper's printed numbers.
 import pytest
 
 from repro.protocols.base import DeliveryVerdict
-from tests.conftest import app_meta, make_protocol
+from tests.conftest import app_meta, make_protocol, response_payload
 
 NPROCS = 4
 
@@ -152,7 +152,8 @@ class TestFig3RepetitiveMessage:
         """§III.C.3: once the RESPONSE arrives, P1 knows m3 is repetitive
         and omits sending it."""
         p1, _ = make_protocol("tdi", rank=1, nprocs=NPROCS)
-        p1.handle_control("RESPONSE", src=3, payload=1)
+        p1.handle_control("RESPONSE", src=3,
+                          payload=response_payload("tdi", 1))
         resend = p1.prepare_send(3, 0, "m3", 64)
         assert resend.send_index == 1
         assert resend.transmit is False  # logged but not sent (line 10)

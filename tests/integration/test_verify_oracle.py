@@ -19,7 +19,7 @@ import pytest
 
 from repro import api
 from repro.config import SimulationConfig
-from repro.core.recovery import TdiRecoveryMixin
+from repro.core.recovery import SenderLoggingProtocol
 from repro.core.tdi import TdiProtocol
 from repro.core.vectors import DependIntervalVector
 from repro.protocols.base import DeliveryVerdict
@@ -285,13 +285,13 @@ class TestMonotonicityMutation:
         """The incarnation carve-out must not blind the oracle: lowering
         rollback_last_send_index while no peer incarnated is still a
         monotonicity break."""
-        orig = TdiRecoveryMixin._handle_checkpoint_advance
+        orig = SenderLoggingProtocol._handle_checkpoint_advance
 
         def corrupting(self, src, upto_send_index):
             self.rollback_last_send_index[src] = -1
             return orig(self, src, upto_send_index)
 
-        with mock.patch.object(TdiRecoveryMixin, "_handle_checkpoint_advance",
+        with mock.patch.object(SenderLoggingProtocol, "_handle_checkpoint_advance",
                                corrupting):
             r = api.run_workload("lu", nprocs=4, protocol="tdi", seed=0,
                                  verify=True, checkpoint_interval=0.001)
@@ -302,12 +302,12 @@ class TestMonotonicityMutation:
 
 class TestGcMutation:
     def test_over_eager_release_trips_gc_safety(self):
-        orig = TdiRecoveryMixin._handle_checkpoint_advance
+        orig = SenderLoggingProtocol._handle_checkpoint_advance
 
         def eager(self, src, upto_send_index):
             return orig(self, src, upto_send_index + 2)
 
-        with mock.patch.object(TdiRecoveryMixin, "_handle_checkpoint_advance",
+        with mock.patch.object(SenderLoggingProtocol, "_handle_checkpoint_advance",
                                eager):
             r = api.run_workload("lu", nprocs=4, protocol="tdi", seed=0,
                                  verify=True, checkpoint_interval=0.001)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from tests.conftest import app_meta, make_protocol
+from tests.conftest import app_meta, make_protocol, response_payload
 
 NPROCS = 4
 RANK = 0
@@ -66,7 +66,8 @@ class TdiMachine(RuleBasedStateMachine):
 
     @rule(src=st.sampled_from(PEERS), delivered=st.integers(0, 60))
     def response(self, src: int, delivered: int) -> None:
-        self.proto.handle_control("RESPONSE", src=src, payload=delivered)
+        self.proto.handle_control(
+            "RESPONSE", src=src, payload=response_payload("tdi", delivered))
         self.m_suppress[src] = max(self.m_suppress[src], delivered)
 
     @rule()

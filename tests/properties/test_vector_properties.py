@@ -7,11 +7,8 @@ to the order in which piggybacks are observed — the formal backbone of
 the paper's claim that delivery order may be relaxed.
 """
 
-from unittest import mock
-
 from hypothesis import given, strategies as st
 
-import repro.core.vectors as vectors_mod
 from repro.core.vectors import DependIntervalVector, TaggedPiggyback
 
 N = 5
@@ -167,11 +164,3 @@ def test_as_piggyback_merge_matches_reference(owner, values, epochs,
     assert v.merge(pb) == 0  # idempotent on the now-cached array
 
 
-@given(owners, vectors, epoch_vectors, vectors, epoch_vectors)
-def test_merge_matches_reference_without_numpy(owner, values, epochs,
-                                               pb_values, pb_epochs):
-    # same semantics on the array('q') fallback store
-    with mock.patch.object(vectors_mod, "_np", None):
-        check_merge_matches_reference(owner, values, epochs, pb_values,
-                                      pb_epochs, via_as_piggyback=True)
-        check_merge_matches_reference(owner, values, [0] * N, pb_values, None)

@@ -120,11 +120,6 @@ class TestEpochSnapshots:
         assert v == v2
         assert v2.epochs == (0, 1, 2)
 
-    def test_legacy_plain_list_snapshot_means_epoch_zero(self):
-        v = DependIntervalVector.from_snapshot(3, 0, [1, 2, 3])
-        assert list(v) == [1, 2, 3]
-        assert v.epochs == (0, 0, 0)
-
     def test_as_piggyback_carries_epochs_and_detaches(self):
         v = DependIntervalVector(3, owner=0, epochs=[2, 0, 0])
         pb = v.as_piggyback()

@@ -22,7 +22,8 @@ class TestVectorState:
 
     def test_restore_is_copy(self):
         v = VectorState(2)
-        data = {"last_send_index": [1, 2], "last_deliver_index": [3, 4]}
+        data = {"last_send_index": [1, 2], "last_deliver_index": [3, 4],
+                "peer_epoch": [0, 1]}
         v.restore(data)
         v.last_send_index[0] = 99
         assert data["last_send_index"] == [1, 2]

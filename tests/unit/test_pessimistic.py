@@ -4,7 +4,7 @@ import pytest
 
 from repro.protocols.pwd import Determinant
 from repro.protocols.tel_protocol import EVLOG, EVLOG_ACK, EVLOG_HISTORY, EVLOG_QUERY
-from tests.conftest import app_meta, make_protocol
+from tests.conftest import app_meta, make_protocol, response_payload
 
 
 class TestPessimistic:
@@ -37,7 +37,8 @@ class TestPessimistic:
         p.begin_recovery()
         assert any(c[1] == EVLOG_QUERY for c in svc.controls)
         for src in (1, 2, 3):
-            p.handle_control("RESPONSE", src=src, payload={"delivered": 0, "dets": []})
+            p.handle_control("RESPONSE", src=src,
+                             payload=response_payload("pess", 0))
         assert p.recovery_pending()
         det = Determinant(receiver=0, deliver_index=1, sender=2, send_index=1)
         p.handle_control(EVLOG_HISTORY, src=4, payload=[det])

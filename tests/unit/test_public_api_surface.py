@@ -56,3 +56,19 @@ def test_registry_and_presets_consistent_with_docs():
 
     assert available_protocols() == sorted(available_protocols())
     assert len(set(WORKLOADS)) == len(WORKLOADS)
+
+
+def test_project_version_has_one_source():
+    # pyproject.toml takes the version from repro._version, and an
+    # installed distribution (absent under PYTHONPATH=src) agrees
+    from importlib import metadata
+    from pathlib import Path
+
+    pyproject = Path(repro.__file__).parents[2] / "pyproject.toml"
+    if pyproject.exists():  # a source checkout, not a wheel
+        assert 'version = {attr = "repro._version.__version__"}' in \
+            pyproject.read_text(encoding="utf-8")
+    try:
+        assert metadata.version("repro") == repro.__version__
+    except metadata.PackageNotFoundError:
+        pass

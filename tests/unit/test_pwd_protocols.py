@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.recovery import CHECKPOINT_ADVANCE, RESPONSE, ROLLBACK
 from repro.protocols.base import DeliveryVerdict
-from repro.protocols.pwd import CHECKPOINT_ADVANCE, RESPONSE, ROLLBACK, Determinant
+from repro.protocols.pwd import Determinant
 from repro.protocols.tel_protocol import EVLOG, EVLOG_ACK, EVLOG_HISTORY, EVLOG_QUERY
-from tests.conftest import app_meta, make_protocol
+from tests.conftest import (app_meta, make_protocol, response_payload,
+                            rollback_payload)
 
 
 def tag_pb(*dets):
@@ -86,7 +88,8 @@ class TestTagRecovery:
         meta = app_meta(1, tag_pb())
         assert p.classify(meta, src=1) is DeliveryVerdict.DEFER
         for src in (1, 2, 3):
-            p.handle_control(RESPONSE, src=src, payload={"delivered": 0, "dets": []})
+            p.handle_control(RESPONSE, src=src,
+                             payload=response_payload("tag", 0))
         assert p.classify(meta, src=1) is DeliveryVerdict.DELIVER
 
     def test_required_order_enforced(self):
@@ -94,8 +97,8 @@ class TestTagRecovery:
         p.begin_recovery()
         det = Determinant(receiver=0, deliver_index=1, sender=2, send_index=1)
         for src in (1, 2, 3):
-            p.handle_control(RESPONSE, src=src,
-                             payload={"delivered": 0, "dets": [det] if src == 1 else []})
+            p.handle_control(RESPONSE, src=src, payload=response_payload(
+                "tag", 0, dets=[det] if src == 1 else []))
         # position 1 must be (sender=2, send_index=1)
         assert p.classify(app_meta(1, tag_pb()), src=1) is DeliveryVerdict.DEFER
         assert p.classify(app_meta(1, tag_pb()), src=2) is DeliveryVerdict.DELIVER
@@ -103,26 +106,13 @@ class TestTagRecovery:
         # beyond the recorded horizon: free order again
         assert p.classify(app_meta(1, tag_pb()), src=1) is DeliveryVerdict.DELIVER
 
-    def test_rollback_clamps_stale_suppression(self):
-        # same starvation guard as TDI's: a suppression index learned
-        # from the peer's previous incarnation drops to its new
-        # checkpoint coverage when the next ROLLBACK arrives
-        p, svc = make_protocol("tag", rank=0)
-        for payload in "abcd":
-            p.prepare_send(2, 0, payload, 64)
-        p.rollback_last_send_index[2] = 4
-        p.handle_control(ROLLBACK, src=2,
-                         payload={"ldi": [1, 0, 0, 0], "ckpt_deliver_total": 0})
-        assert p.rollback_last_send_index[2] == 1
-        assert [m.send_index for m in svc.resends] == [2, 3, 4]
-
     def test_rollback_returns_determinants_of_failed(self):
         p, svc = make_protocol("tag", rank=0)
         d_old = Determinant(receiver=2, deliver_index=1, sender=1, send_index=1)
         d_new = Determinant(receiver=2, deliver_index=4, sender=3, send_index=2)
         p.on_deliver(app_meta(1, tag_pb(d_old, d_new)), src=1)
-        p.handle_control(ROLLBACK, src=2,
-                         payload={"ldi": [0, 0, 0, 0], "ckpt_deliver_total": 2})
+        p.handle_control(ROLLBACK, src=2, payload=rollback_payload(
+            "tag", [0, 0, 0, 0], epoch=1, ckpt_deliver_total=2))
         response = [c for c in svc.controls if c[1] == RESPONSE][0]
         assert response[2]["dets"] == [d_new]  # only events past the ckpt
 
@@ -176,7 +166,8 @@ class TestTelProtocol:
         assert len(queries) == 1 and queries[0][0] == 4
         assert p.recovery_pending()
         for src in (1, 2, 3):
-            p.handle_control(RESPONSE, src=src, payload={"delivered": 0, "dets": []})
+            p.handle_control(RESPONSE, src=src,
+                             payload=response_payload("tel", 0))
         assert p.recovery_pending()  # still waiting for the history
         det = Determinant(receiver=0, deliver_index=1, sender=3, send_index=1)
         p.handle_control(EVLOG_HISTORY, src=4, payload=[det])

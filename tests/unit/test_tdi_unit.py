@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.recovery import CHECKPOINT_ADVANCE, RESPONSE, ROLLBACK
 from repro.protocols.base import DeliveryVerdict
-from tests.conftest import app_meta, make_protocol
+from tests.conftest import (app_meta, make_protocol, response_payload,
+                            rollback_payload)
 
 
 class TestSending:
@@ -141,32 +142,19 @@ class TestRecovery:
             p.prepare_send(2, 0, payload, 64)
         p.vectors.last_deliver_index[2] = 7
         # rank 2 rolled back; its checkpoint covered 2 of our messages
-        # (legacy pre-epoch payload shape: the bare last_deliver_index)
-        p.handle_control(ROLLBACK, src=2, payload=[2, 0, 0, 0])
-        responses = [c for c in svc.controls if c[1] == RESPONSE]
-        assert responses == [(
+        p.handle_control(ROLLBACK, src=2,
+                         payload=rollback_payload("tdi", [2, 0, 0, 0], epoch=1))
+        assert svc.sent(RESPONSE) == [(
             2, RESPONSE,
-            {"delivered": 7, "epoch": 0, "for_epoch": None},
+            {"delivered": 7, "epoch": 0, "for_epoch": 1},
             3 * p.costs.identifier_bytes,
         )]
         assert [m.send_index for m in svc.resends] == [3, 4]
 
-    def test_rollback_clamps_stale_suppression(self):
-        # suppression learned from the peer's previous incarnation must
-        # drop to its new checkpoint coverage, or re-executed sends the
-        # twice-rolled-back peer actually lost would be starved
-        p, svc = make_protocol("tdi", rank=0, nprocs=4)
-        for payload in "abcd":
-            p.prepare_send(2, 0, payload, 64)
-        p.rollback_last_send_index[2] = 4
-        p.handle_control(ROLLBACK, src=2, payload=[1, 0, 0, 0])
-        assert p.rollback_last_send_index[2] == 1
-        assert [m.send_index for m in svc.resends] == [2, 3, 4]
-
     def test_response_sets_suppression_and_clears_pending(self):
         p, svc = make_protocol("tdi", rank=0)
         p.begin_recovery()
-        p.handle_control(RESPONSE, src=1, payload=5)
+        p.handle_control(RESPONSE, src=1, payload=response_payload("tdi", 5))
         assert p.rollback_last_send_index[1] == 5
         assert 1 not in p._awaiting_response
         assert svc.wakeups == 1
@@ -174,7 +162,7 @@ class TestRecovery:
     def test_retry_targets_only_unresponsive(self):
         p, svc = make_protocol("tdi", rank=0, nprocs=4)
         p.begin_recovery()
-        p.handle_control(RESPONSE, src=1, payload=0)
+        p.handle_control(RESPONSE, src=1, payload=response_payload("tdi", 0))
         svc.controls.clear()
         p.retry_recovery()
         rollbacks = [c[0] for c in svc.controls if c[1] == ROLLBACK]
@@ -183,7 +171,7 @@ class TestRecovery:
     def test_response_never_lowers_suppression(self):
         p, _ = make_protocol("tdi")
         p.rollback_last_send_index[1] = 9
-        p.handle_control(RESPONSE, src=1, payload=3)
+        p.handle_control(RESPONSE, src=1, payload=response_payload("tdi", 3))
         assert p.rollback_last_send_index[1] == 9
 
     def test_unknown_control_rejected(self):
