@@ -3,11 +3,13 @@
 Not a paper figure — these keep the simulator honest as a tool: event
 throughput of the engine, frame throughput of the network, the
 end-to-end simulation rate (simulated messages per wall second) that the
-figure sweeps depend on, and the cost of the reliable transport layer
-(sequencing + acks + retransmission) at 0% and 1% frame loss.
+figure sweeps depend on, the cost of the reliable transport layer
+(sequencing + acks + retransmission) at 0% and 1% frame loss, and the
+cost of arming the accrual failure detector (n² heartbeat frames per
+interval) over the same plain run.
 
 Run as a module (``python benchmarks/bench_substrate.py``) to append one
-transport-overhead record to ``BENCH_substrate.json``.
+overhead record to ``BENCH_substrate.json``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from pathlib import Path
 
 from repro._version import __version__
 from repro.config import SimulationConfig
+from repro.faults.detector import DetectorConfig
 from repro.mpi.cluster import run_simulation
 from repro.simnet.engine import Engine
 from repro.simnet.network import Frame, Network, NetworkConfig
@@ -80,12 +83,14 @@ def test_end_to_end_simulation_rate(benchmark):
 # Reliable-transport overhead
 # ----------------------------------------------------------------------
 
-def _transport_run(*, transport: bool, drop_prob: float = 0.0):
+def _transport_run(*, transport: bool, drop_prob: float = 0.0,
+                   detector: bool = False):
     """One LU/8-rank/TDI run with the given substrate configuration."""
     config = SimulationConfig(
         nprocs=8, protocol="tdi", seed=1, checkpoint_interval=0.02,
         network=NetworkConfig(drop_prob=drop_prob),
         transport=TransportConfig(enabled=transport),
+        detector=DetectorConfig(enabled=detector),
     )
     return run_simulation(config, workload_factory("lu", scale="paper"))
 
@@ -121,11 +126,19 @@ def _timed(fn, repeats: int = 3):
     return best, result
 
 
+def _armed_run():
+    """The baseline run with the accrual detector armed (no fault: the
+    cost measured is the heartbeat plane's, not a recovery's)."""
+    return _transport_run(transport=False, detector=True)
+
+
 def collect_record() -> dict:
-    """Measure the transport-overhead matrix once and package it."""
+    """Measure the transport and detector overhead matrix once and
+    package it."""
     base_s, base = _timed(lambda: _transport_run(transport=False))
     rt0_s, rt0 = _timed(lambda: _transport_run(transport=True))
     rt1_s, rt1 = _timed(lambda: _transport_run(transport=True, drop_prob=0.01))
+    armed_s, armed = _timed(_armed_run)
     return {
         "date": time.strftime("%Y-%m-%d"),
         "version": __version__,
@@ -146,6 +159,12 @@ def collect_record() -> dict:
         "retransmits_1pct": int(rt1.stats.total("rt_retransmits")),
         "frames_lost_1pct": rt1.network.frames_dropped_impaired,
         "standalone_acks_0pct": int(rt0.stats.total("rt_acks_sent")),
+        "detector_armed_s": round(armed_s, 4),
+        # armed wall over the plain baseline's (a ratio, so it travels
+        # between machines); the two counts are deterministic
+        "detector_armed_x": round(armed_s / base_s, 4),
+        "events_armed": armed.events_fired,
+        "frames_armed": armed.network.frames_sent,
     }
 
 
@@ -156,7 +175,8 @@ def append_record(record: dict, path: Path = ARTIFACT) -> None:
     else:
         data = {"benchmark": "bench_substrate",
                 "description": "reliable-transport overhead over the raw "
-                               "network at 0% and 1% frame loss (LU, 8 "
+                               "network at 0% and 1% frame loss, and "
+                               "armed-detector overhead (LU, 8 "
                                "ranks, TDI, paper preset), one record "
                                "appended per measurement run",
                 "records": []}

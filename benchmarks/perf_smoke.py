@@ -18,6 +18,13 @@ not wall time), so it is pinned against the latest
 regression that silently re-sends full vectors shows up as a 10-20x
 jump, far past the 10% margin.
 
+And it gates the armed failure detector on the same LU-8 run: the
+armed run's ``events_fired`` is deterministic and must equal the latest
+record's ``events_armed`` exactly (a heartbeat path that drops, adds or
+batches an event is a behaviour change, not a speed-up), and its wall
+over the plain baseline's (``detector_armed_x``, a machine-independent
+ratio) must stay under the latest record plus a margin.
+
 Run from the repo root: ``PYTHONPATH=src python benchmarks/perf_smoke.py``.
 """
 
@@ -38,19 +45,31 @@ from benchmarks.bench_fig6_piggyback import (  # noqa: E402
     ARTIFACT as PB_ARTIFACT,
     ring_bytes_per_message,
 )
-from benchmarks.bench_substrate import ARTIFACT, _timed, _transport_run  # noqa: E402
+from benchmarks.bench_substrate import (  # noqa: E402
+    ARTIFACT,
+    _armed_run,
+    _timed,
+    _transport_run,
+)
 
 #: scale point for the deterministic compressed-bytes gate
 PB_GATE_NPROCS = 256
+#: relative margin above the latest recorded ``detector_armed_x``; the
+#: per-frame heartbeat path this guards against read +25%
+ARMED_MARGIN = 0.20
+
+
+def latest_record(path: Path) -> dict:
+    """The newest record of the substrate trajectory."""
+    records = json.loads(path.read_text(encoding="utf-8"))["records"]
+    if not records:
+        raise SystemExit(f"no records in {path}; run bench_substrate.py first")
+    return records[-1]
 
 
 def pinned_ceiling(path: Path, margin: float) -> float:
     """Latest recorded clean-wire overhead plus the noise margin."""
-    data = json.loads(path.read_text(encoding="utf-8"))
-    records = data["records"]
-    if not records:
-        raise SystemExit(f"no records in {path}; run bench_substrate.py first")
-    return records[-1]["overhead_0pct"] + margin
+    return latest_record(path)["overhead_0pct"] + margin
 
 
 def pinned_wire_bytes_ceiling(path: Path, rel_margin: float) -> float:
@@ -90,6 +109,15 @@ def main(argv: list[str] | None = None) -> int:
           f"(ceiling {ceiling:.4f}, baseline {base_s:.3f}s, "
           f"transport {rt0_s:.3f}s, {acks} standalone acks)")
 
+    # armed detector: event count exact, wall ratio against the record
+    pinned = latest_record(args.artifact)
+    armed_ceiling = pinned["detector_armed_x"] * (1.0 + ARMED_MARGIN)
+    armed_s, armed = _timed(_armed_run, args.repeats)
+    armed_x = armed_s / base_s
+    print(f"armed detector: {armed_x:.2f}x the plain run "
+          f"(ceiling {armed_ceiling:.2f}x, {armed_s:.3f}s), "
+          f"{armed.events_fired} events (pinned {pinned['events_armed']})")
+
     # compressed piggyback wire size: deterministic, gated at +10%
     pb_ceiling = pinned_wire_bytes_ceiling(args.pb_artifact, args.pb_margin)
     pb_wire = ring_bytes_per_message(PB_GATE_NPROCS, compress=True)
@@ -105,6 +133,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: clean-wire overhead {overhead:.4f} exceeds the "
               f"pinned ceiling {ceiling:.4f} "
               f"(latest {args.artifact.name} record + {args.margin})")
+        failed = True
+    if armed.events_fired != pinned["events_armed"]:
+        print(f"FAIL: armed run fired {armed.events_fired} events, the "
+              f"latest {args.artifact.name} record pins "
+              f"{pinned['events_armed']} (deterministic: any difference "
+              "is a behaviour change)")
+        failed = True
+    if armed_x > armed_ceiling:
+        print(f"FAIL: armed detector costs {armed_x:.2f}x the plain run, "
+              f"above the pinned ceiling {armed_ceiling:.2f}x (latest "
+              f"{args.artifact.name} record + {ARMED_MARGIN:.0%})")
         failed = True
     if pb_wire > pb_ceiling:
         print(f"FAIL: compressed piggyback {pb_wire:.2f} bytes/msg exceeds "

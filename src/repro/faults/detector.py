@@ -117,16 +117,17 @@ class AccrualEstimator:
     def phi(self, now: float) -> float:
         """Suspicion level for the silence ``now - last_arrival``."""
         silence = now - self.last_arrival
-        if self._gaps:
-            mean = sum(self._gaps) / len(self._gaps)
-            var = sum((g - mean) ** 2 for g in self._gaps) / len(self._gaps)
-            sigma = max(math.sqrt(var), self._floor)
-        else:
-            mean = self._bootstrap_mean
-            sigma = self._floor
-        z = (silence - mean) / sigma
-        if z <= 0:
+        gaps = self._gaps
+        mean = sum(gaps) / len(gaps) if gaps else self._bootstrap_mean
+        if silence <= mean:
+            # z <= 0 whatever sigma is: the every-tick case on a healthy
+            # wire, so the variance pass below is never paid for it
             return 0.0
+        sigma = self._floor
+        if gaps:
+            var = sum((g - mean) ** 2 for g in gaps) / len(gaps)
+            sigma = max(math.sqrt(var), sigma)
+        z = (silence - mean) / sigma
         p_later = 0.5 * math.erfc(z / math.sqrt(2.0))
         return -math.log10(max(p_later, _P_FLOOR))
 
@@ -235,7 +236,9 @@ class FailureDetector:
     def observe_heartbeat(self, observer: int, subject: int,
                           now: float) -> None:
         """``observer`` heard ``subject``'s heartbeat at ``now``."""
-        self._estimator(observer, subject, now).heartbeat(now)
+        est = (self._estimators.get((observer, subject))
+               or self._monitor(observer, subject, now))
+        est.heartbeat(now)
         if self.suspicion.get(subject) == SUSPECT:
             # fresh evidence of life clears suspicion; CONDEMNED is
             # sticky — the verdict already triggered recovery and only
@@ -247,16 +250,18 @@ class FailureDetector:
         config = self.config
         if config is None:
             return
+        suspicion = self.suspicion
+        estimators = self._estimators
         for subject in subjects:
-            if subject == observer:
+            if subject == observer or suspicion.get(subject) == CONDEMNED:
                 continue
-            if self.suspicion.get(subject) == CONDEMNED:
-                continue
-            phi = self._estimator(observer, subject, now).phi(now)
+            est = (estimators.get((observer, subject))
+                   or self._monitor(observer, subject, now))
+            phi = est.phi(now)
             if phi >= config.condemn_phi:
                 self._condemn(subject, observer, now)
             elif phi >= config.suspect_phi:
-                self.suspicion[subject] = SUSPECT
+                suspicion[subject] = SUSPECT
 
     def phi(self, observer: int, subject: int, now: float) -> float:
         """Current suspicion level (0.0 before any monitoring)."""
@@ -282,19 +287,14 @@ class FailureDetector:
         """Record that peers fenced ``rank``'s incarnation ``epoch``."""
         self.fences.append(FenceEvent(rank, now, epoch))
 
-    def _estimator(self, observer: int, subject: int,
-                   now: float) -> AccrualEstimator:
-        est = self._estimators.get((observer, subject))
-        if est is None:
-            config = self.config
-            est = AccrualEstimator(
-                now,
-                window=config.window if config else 20,
-                bootstrap_mean=(config.heartbeat_interval
-                                if config else 5e-4),
-                floor=config.floor if config else 1e-4,
-            )
-            self._estimators[(observer, subject)] = est
+    def _monitor(self, observer: int, subject: int,
+                 now: float) -> AccrualEstimator:
+        """Start ``observer``'s monitoring of ``subject`` at ``now``."""
+        # unarmed (unit tests drive the ledger directly): the defaults
+        config = self.config or DetectorConfig()
+        est = self._estimators[(observer, subject)] = AccrualEstimator(
+            now, window=config.window,
+            bootstrap_mean=config.heartbeat_interval, floor=config.floor)
         return est
 
     def _condemn(self, rank: int, observer: int, now: float) -> None:

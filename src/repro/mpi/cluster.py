@@ -146,10 +146,11 @@ class Cluster:
         #: fenced zombie incarnations: (rank, epoch) pairs condemned
         #: while actually alive — the transmit gate discards their sends
         self._fenced: set[tuple[int, int]] = set()
-        #: armed-run liveness guard state: the last progress signature
-        #: and when it changed (see :meth:`check_liveness`)
+        #: armed-run liveness guard state: the last progress signature,
+        #: when it changed, when it was last folded (:meth:`check_liveness`)
         self._progress_sig: tuple | None = None
         self._progress_at = 0.0
+        self._liveness_checked_at = -1.0
 
     # ------------------------------------------------------------------
     # Failure detection (armed runs only)
@@ -178,11 +179,15 @@ class Cluster:
         """Armed-detection deadlock tripwire.  Heartbeat chains keep the
         engine alive while any application is unfinished, so a genuinely
         deadlocked run would otherwise tick heartbeats until it burns
-        through ``max_events`` with no diagnosis.  Each tick folds the
-        cluster's progress into a signature; if it stops changing for
+        through ``max_events`` with no diagnosis.  The first tick of each
+        instant (the chains tick in phase until a restart shifts one) folds
+        the cluster's progress into a signature; if it stops changing for
         :data:`LIVENESS_STALL_INTERVALS` heartbeat intervals while no
         fault machinery is mid-flight, fail fast and name what every
         rank is blocked on."""
+        if now == self._liveness_checked_at:
+            return
+        self._liveness_checked_at = now
         sig = (
             sum(m.app_delivers for m in self.metrics),
             sum(m.app_sends for m in self.metrics),
@@ -195,7 +200,7 @@ class Cluster:
             self._progress_sig = sig
             self._progress_at = now
             return
-        if any(ep.frozen or ep._incarnating or not ep.node.alive
+        if any(ep.frozen or ep.incarnating or not ep.node.alive
                for ep in self.endpoints):
             # a freeze, restart or kill is mid-flight: progress resumes
             # (or a condemnation fires) once it lands
@@ -239,7 +244,7 @@ class Cluster:
         def restart() -> None:
             # the guard covers a rejoin (or another path) racing the
             # condemnation-initiated restart
-            if endpoint.node.alive or endpoint._incarnating:
+            if endpoint.node.alive or endpoint.incarnating:
                 return
             endpoint.incarnate()
 

@@ -133,16 +133,15 @@ class Endpoint:
         self._frozen_in: list[Frame] = []
         #: outbound frames gated while frozen, flushed at thaw (through
         #: the fence gate: a thaw inside the fence window drops them)
-        self._frozen_out: list[tuple[Frame, bool]] = []
+        self._frozen_out: list[Frame] = []
         #: compute effects stretch by _slow_factor until _slow_until
         self._slow_until = 0.0
         self._slow_factor = 1.0
-        #: mute window: sends toward _mute_targets are delayed (or
-        #: dropped) until _mute_until
+        #: mute window: sends toward _mute_targets carry _mute_stamp (the
+        #: network delays or drops stamped frames) until _mute_until
         self._mute_until = 0.0
         self._mute_targets: frozenset = frozenset()
-        self._mute_delay = 0.0
-        self._mute_drop = False
+        self._mute_stamp: dict[str, Any] = {}
         #: a heartbeat tick chain is scheduled (prevents duplicates)
         self._hb_armed = False
 
@@ -426,39 +425,39 @@ class Endpoint:
     # ------------------------------------------------------------------
     # Transmit gate (freeze / fence / mute), heartbeats, gray failures
     # ------------------------------------------------------------------
-    def _transmit(self, frame: Frame, *, via_network: bool = False) -> None:
-        """Every outbound frame passes here.
+    def _transmit(self, frame: Frame) -> None:
+        """Every outbound frame but a heartbeat passes here.
 
         A frozen rank's sends buffer until the thaw; a fenced (condemned
         zombie) incarnation's sends are discarded and counted — the wire
         behaves as if the rank died at the fence instant; a muted rank's
         sends toward the affected peers are stamped for asymmetric delay
-        or omission.  ``via_network`` routes directly over the raw
-        network, bypassing the reliable transport: heartbeats use it so
-        arming the detector never perturbs transport sequencing.
+        or omission.  :meth:`_hb_tick` applies the same gate once per
+        fan-out.
         """
         now = self.engine.now
         if now < self._freeze_until:
-            self._frozen_out.append((frame, via_network))
+            self._frozen_out.append(frame)
             return
         if self.cluster.fenced(self.rank, self.node.epoch):
-            self.metrics.zombie_frames_dropped += 1
-            self.trace.emit("fence.drop", self.rank, dst=frame.dst,
-                            frame_kind=frame.kind)
+            self._drop_fenced(frame.dst, frame.kind)
             return
         if now < self._mute_until and frame.dst in self._mute_targets:
-            if self._mute_drop:
-                frame.meta["gray_drop"] = True
-            else:
-                frame.meta["gray_delay"] = self._mute_delay
-        if via_network:
-            self.cluster.network.transmit(frame)
-        else:
-            self.fabric.transmit(frame)
+            frame.meta.update(self._mute_stamp)
+        self.fabric.transmit(frame)
+
+    def _drop_fenced(self, dst: int, kind: str) -> None:
+        self.metrics.zombie_frames_dropped += 1
+        self.trace.emit("fence.drop", self.rank, dst=dst, frame_kind=kind)
 
     @property
     def frozen(self) -> bool:
         return self.engine.now < self._freeze_until
+
+    @property
+    def incarnating(self) -> bool:
+        """An incarnation is in flight (checkpoint read scheduled)."""
+        return self._incarnating
 
     def begin_gray(self, spec: "GrayFaultSpec") -> None:
         """A gray fault window opens against this (live) rank."""
@@ -478,8 +477,8 @@ class Endpoint:
                 r for r in range(self.nprocs) if r != self.rank)
             self._mute_targets = frozenset(
                 t for t in targets if t != self.rank)
-            self._mute_delay = spec.delay
-            self._mute_drop = spec.drop
+            self._mute_stamp = ({"gray_drop": True} if spec.drop
+                                else {"gray_delay": spec.delay})
 
     def _begin_stutter(self, spec: "GrayFaultSpec") -> None:
         """Seeded intermittent freezes: alternating frozen/running
@@ -527,10 +526,10 @@ class Endpoint:
         effects, self._frozen_effects = self._frozen_effects, []
         self.trace.emit("gray.thaw", self.rank, sends=len(out),
                         frames=len(inbound))
-        for frame, via_network in out:
+        for frame in out:
             # through the gate again: a thaw *inside* the fence window
             # drops these — the zombie was already condemned
-            self._transmit(frame, via_network=via_network)
+            self._transmit(frame)
         for frame in inbound:
             self._on_frame(frame)
         for task, effect in effects:
@@ -546,7 +545,6 @@ class Endpoint:
         self._slow_factor = 1.0
         self._mute_until = 0.0
         self._mute_targets = frozenset()
-        self._mute_drop = False
 
     # ------------------------------------------------------------------
     # Heartbeats (accrual failure detection)
@@ -580,11 +578,17 @@ class Endpoint:
             if self.rank in members:
                 peers = [r for r in sorted(members) if r != self.rank]
                 epoch = self.node.epoch
-                for dst in peers:
-                    self._transmit(
-                        Frame("hb", self.rank, dst, None, _HB_FRAME_BYTES,
-                              {"epoch": epoch}),
-                        via_network=True)
+                # the transmit gate, once per fan-out: only the mute stamp
+                # is per destination.  Straight onto the raw network, so
+                # arming the detector never perturbs transport sequencing
+                if self.cluster.fenced(self.rank, epoch):
+                    for dst in peers:
+                        self._drop_fenced(dst, "hb")
+                else:
+                    self.cluster.network.transmit_heartbeats(
+                        self.rank, peers, _HB_FRAME_BYTES, epoch,
+                        self._mute_targets if now < self._mute_until else (),
+                        self._mute_stamp)
                 self.cluster.detector.evaluate(self.rank, now, peers)
         # deadlock tripwire: heartbeats keep the engine alive, so a
         # wedged run must be detected here rather than at max_events

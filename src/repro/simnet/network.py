@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, Collection, Sequence
 
 from repro.simnet.engine import Engine
 from repro.simnet.node import NodeSet
@@ -137,7 +138,7 @@ class NetworkConfig:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """One unit on the wire.
 
@@ -281,59 +282,13 @@ class Network:
         """Inject a frame; it arrives after the modelled delay (FIFO per
         channel) unless an impairment claims it or the destination is
         dead at arrival time."""
-        if not (0 <= frame.dst < len(self.nodes)):
-            raise ValueError(f"invalid destination rank {frame.dst}")
-        if frame.frame_id == 0:
-            frame.frame_id = next(self._frame_ids)
-        cfg = self.config
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += frame.size_bytes
-        if frame.kind == "app":
-            self.stats.app_frames += 1
-            self.stats.app_bytes += frame.size_bytes
-        else:
-            self.stats.ctl_frames += 1
-            self.stats.ctl_bytes += frame.size_bytes
-        self.trace.emit("net.transmit", frame.src, dst=frame.dst, frame_kind=frame.kind,
-                        size=frame.size_bytes, frame_id=frame.frame_id)
-
-        if self.config.partitions and self.partitioned(frame.src, frame.dst):
-            self.stats.frames_dropped_partition += 1
-            self.trace.emit("net.impair.partition", frame.src, dst=frame.dst,
-                            frame_kind=frame.kind, frame_id=frame.frame_id)
+        verdict = self._admit(frame)
+        if verdict is None:
             return
-        # a mute gray fault at the *sender* stamps affected frames; the
-        # stamp is consumed here, so a transport retransmission of the
-        # same frame after the mute window travels normally
-        if frame.meta.pop("gray_drop", False):
-            self.stats.frames_dropped_gray += 1
-            self.trace.emit("net.gray.drop", frame.src, dst=frame.dst,
-                            frame_kind=frame.kind, frame_id=frame.frame_id)
-            return
-        gray_delay = frame.meta.pop("gray_delay", 0.0)
-        duplicate = False
-        if self._impair is not None:
-            # always three draws per frame, so one knob's setting never
-            # shifts the draws another knob sees
-            u_drop = float(self._impair.uniform(0.0, 1.0))
-            u_dup = float(self._impair.uniform(0.0, 1.0))
-            u_corrupt = float(self._impair.uniform(0.0, 1.0))
-            if u_drop < cfg.drop_prob:
-                self.stats.frames_dropped_impaired += 1
-                self.trace.emit("net.impair.drop", frame.src, dst=frame.dst,
-                                frame_kind=frame.kind, frame_id=frame.frame_id)
-                return
-            duplicate = u_dup < cfg.dup_prob
-            if u_corrupt < cfg.corrupt_prob:
-                self._corrupt(frame)
-
-        rt_lane = frame.kind == "rt-ack"
-        mship_lane = (frame.kind == "ctl"
-                      and frame.meta.get("ctl") in ("JOIN", "LEAVE"))
-        if rt_lane:
+        if frame.kind == "rt-ack":
             jitter_stream = self._rt_jitter
             channel: tuple = (frame.src, frame.dst, "rt")
-        elif mship_lane:
+        elif frame.kind == "ctl" and frame.meta.get("ctl") in ("JOIN", "LEAVE"):
             jitter_stream = self._mship_jitter
             channel = (frame.src, frame.dst, "mship")
         elif frame.kind == "hb":
@@ -342,34 +297,122 @@ class Network:
         else:
             jitter_stream = self._jitter
             channel = (frame.src, frame.dst)
-        delay = self.delay_for(frame.size_bytes) + gray_delay
-        if cfg.jitter_fraction > 0:
-            delay += float(jitter_stream.uniform(0.0, cfg.jitter_fraction * cfg.base_latency))
+        cfg = self.config
+        jitter = (float(jitter_stream.uniform(0.0, cfg.jitter_fraction * cfg.base_latency))
+                  if cfg.jitter_fraction > 0 else 0.0)
+        self._schedule(frame, channel, jitter, *verdict)
+
+    def transmit_heartbeats(self, src: int, dsts: Sequence[int], size_bytes: int,
+                            epoch: int, muted: Collection[int],
+                            stamp: dict[str, Any]) -> None:
+        """One rank's heartbeat fan-out: ``transmit(Frame("hb", src, dst,
+        None, size_bytes, {"epoch": epoch}))`` for each of ``dsts`` in
+        order, frames toward ``muted`` ranks carrying the mute ``stamp``.
+        Each frame is admitted on its own; the survivors' jitter is one
+        bulk draw, which consumes the generator exactly as that many
+        scalar draws do (the ``hb`` lane owns its substream, so no other
+        draw can fall between them)."""
+        admitted = []
+        for dst in dsts:
+            meta = {"epoch": epoch, **stamp} if dst in muted else {"epoch": epoch}
+            frame = Frame("hb", src, dst, None, size_bytes, meta)
+            verdict = self._admit(frame)
+            if verdict is not None:
+                admitted.append((frame, verdict))
+        cfg = self.config
+        jitters = (self._hb_jitter.uniform(0.0, cfg.jitter_fraction * cfg.base_latency,
+                                           size=len(admitted)).tolist()
+                   if cfg.jitter_fraction > 0 else [0.0] * len(admitted))
+        for (frame, verdict), jitter in zip(admitted, jitters):
+            self._schedule(frame, (src, frame.dst, "hb"), jitter, *verdict)
+
+    def _admit(self, frame: Frame) -> tuple[float, float | None] | None:
+        """Admission half of a transmission: count the frame, then let
+        partition, mute stamp and wire impairments claim it.  Returns
+        ``None`` for a claimed frame, else ``(gray_delay, replay)`` —
+        the mute delay to add and, for a duplicated frame, the extra
+        delay of its replay."""
+        if not (0 <= frame.dst < len(self.nodes.nodes)):
+            raise ValueError(f"invalid destination rank {frame.dst}")
+        if frame.frame_id == 0:
+            frame.frame_id = next(self._frame_ids)
+        cfg = self.config
+        stats = self.stats
+        trace = self.trace
+        stats.frames_sent += 1
+        stats.bytes_sent += frame.size_bytes
+        if frame.kind == "app":
+            stats.app_frames += 1
+            stats.app_bytes += frame.size_bytes
+        else:
+            stats.ctl_frames += 1
+            stats.ctl_bytes += frame.size_bytes
+        if trace.active:
+            trace.emit("net.transmit", frame.src, dst=frame.dst, frame_kind=frame.kind,
+                       size=frame.size_bytes, frame_id=frame.frame_id)
+
+        if cfg.partitions and self.partitioned(frame.src, frame.dst):
+            stats.frames_dropped_partition += 1
+            trace.emit("net.impair.partition", frame.src, dst=frame.dst,
+                       frame_kind=frame.kind, frame_id=frame.frame_id)
+            return None
+        # a mute gray fault at the *sender* stamps affected frames; the
+        # stamp is consumed here, so a transport retransmission of the
+        # same frame after the mute window travels normally
+        if frame.meta.pop("gray_drop", False):
+            stats.frames_dropped_gray += 1
+            trace.emit("net.gray.drop", frame.src, dst=frame.dst,
+                       frame_kind=frame.kind, frame_id=frame.frame_id)
+            return None
+        gray_delay = frame.meta.pop("gray_delay", 0.0)
+        replay = None
+        if self._impair is not None:
+            # always three draws per frame, so one knob's setting never
+            # shifts the draws another knob sees
+            u_drop = float(self._impair.uniform(0.0, 1.0))
+            u_dup = float(self._impair.uniform(0.0, 1.0))
+            u_corrupt = float(self._impair.uniform(0.0, 1.0))
+            if u_drop < cfg.drop_prob:
+                stats.frames_dropped_impaired += 1
+                trace.emit("net.impair.drop", frame.src, dst=frame.dst,
+                           frame_kind=frame.kind, frame_id=frame.frame_id)
+                return None
+            if u_corrupt < cfg.corrupt_prob:
+                self._corrupt(frame)
+            if u_dup < cfg.dup_prob:
+                # the replayed copy takes an independent path: fresh
+                # delay, no FIFO bookkeeping — it may overtake later frames
+                stats.frames_duplicated += 1
+                trace.emit("net.impair.dup", frame.src, dst=frame.dst,
+                           frame_kind=frame.kind, frame_id=frame.frame_id)
+                replay = float(self._impair.uniform(0.0, 2.0 * cfg.base_latency))
+        return gray_delay, replay
+
+    def _schedule(self, frame: Frame, channel: tuple, jitter: float,
+                  gray_delay: float, replay: float | None) -> None:
+        """Scheduling half: modelled delay, FIFO clamp on ``channel``,
+        and the arrival event (plus the replay's, for a duplicate)."""
+        cfg = self.config
+        now = self.engine.now
+        delay = self.delay_for(frame.size_bytes) + gray_delay + jitter
         if cfg.shared_medium:
             # one collision domain: the frame's wire time starts when the
             # medium frees up, so concurrent senders queue behind each
             # other instead of transmitting in parallel
             wire_time = (frame.size_bytes + cfg.header_bytes) / cfg.bandwidth_bytes_per_s
-            start = max(self.engine.now, self._medium_free_at)
+            start = max(now, self._medium_free_at)
             self._medium_free_at = start + wire_time
             arrival = start + delay
         else:
-            arrival = self.engine.now + delay
+            arrival = now + delay
         prev = self._last_arrival.get(channel, -1.0)
         if arrival <= prev:
             arrival = prev + _FIFO_EPSILON
         self._last_arrival[channel] = arrival
-        self.engine.schedule_at(arrival, lambda: self._arrive(frame))
-
-        if duplicate:
-            # the replayed copy takes an independent path: fresh delay,
-            # no FIFO bookkeeping — a duplicate may overtake later frames
-            self.stats.frames_duplicated += 1
-            self.trace.emit("net.impair.dup", frame.src, dst=frame.dst,
-                            frame_kind=frame.kind, frame_id=frame.frame_id)
-            extra = float(self._impair.uniform(0.0, 2.0 * cfg.base_latency))
-            self.engine.schedule_at(arrival + _FIFO_EPSILON + extra,
-                                    lambda: self._arrive(frame))
+        arrive = partial(self._arrive, frame)
+        self.engine.schedule_at(arrival, arrive)
+        if replay is not None:
+            self.engine.schedule_at(arrival + _FIFO_EPSILON + replay, arrive)
 
     # ------------------------------------------------------------------
     def _corrupt(self, frame: Frame) -> None:
@@ -389,13 +432,14 @@ class Network:
             rt["ck"] ^= 0xFFFFFFFF
 
     def _arrive(self, frame: Frame) -> None:
-        node = self.nodes[frame.dst]
+        node = self.nodes.nodes[frame.dst]
         callback = self._receivers.get(frame.dst)
         if not node.alive or callback is None:
             self.stats.frames_dropped_dead += 1
             self.trace.emit("net.drop", frame.dst, src=frame.src,
                             frame_kind=frame.kind, frame_id=frame.frame_id)
             return
-        self.trace.emit("net.arrive", frame.dst, src=frame.src,
-                        frame_kind=frame.kind, frame_id=frame.frame_id)
+        if self.trace.active:
+            self.trace.emit("net.arrive", frame.dst, src=frame.src,
+                            frame_kind=frame.kind, frame_id=frame.frame_id)
         callback(frame)

@@ -48,6 +48,9 @@ class Trace:
         self._clock = clock or (lambda: 0.0)
         self.events: list[TraceEvent] = []
         self._listeners: list[Callable[[TraceEvent], None]] = []
+        #: whether :meth:`emit` does anything (recording, or someone
+        #: listens); hot emit sites test it before building their kwargs
+        self.active = enabled
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach the simulated-time source stamped onto events."""
@@ -56,16 +59,18 @@ class Trace:
     def attach_listener(self, fn: Callable[[TraceEvent], None]) -> None:
         """Invoke ``fn`` on every future event, recording or not."""
         self._listeners.append(fn)
+        self.active = True
 
     def detach_listener(self, fn: Callable[[TraceEvent], None]) -> None:
         """Stop invoking ``fn``; safe if it was never attached."""
         if fn in self._listeners:
             self._listeners.remove(fn)
+            self.active = self.enabled or bool(self._listeners)
 
     def emit(self, kind: str, rank: int, **fields: Any) -> None:
         """Record one event (no-op when tracing is disabled and nobody
         listens)."""
-        if not self.enabled and not self._listeners:
+        if not self.active:
             return
         event = TraceEvent(self._clock(), kind, rank, fields)
         if self.enabled:

@@ -14,10 +14,12 @@ answers, but recovery is condemnation-initiated: the run records a
 measured MTTD instead of the scripted ``detection_delay``.
 """
 
+import hashlib
+
 import pytest
 
 from repro.faults.detector import DetectorConfig
-from repro.faults.injector import FaultSpec
+from repro.faults.injector import FaultSpec, GrayFaultSpec
 from repro.harness.runner import Cell, RunRequest
 
 PROTOCOLS = ("tdi", "tag", "tel")
@@ -113,3 +115,120 @@ def _run_result(protocol, *, detect=False, faults=(), seed=5):
     )
     return api.run_workload("lu", nprocs=4, protocol=protocol, seed=seed,
                             scale="fast", config=config, faults=faults)
+
+
+# ----------------------------------------------------------------------
+# Pinned runs: the heartbeat fan-out path changes no event
+# ----------------------------------------------------------------------
+
+def _trace_digest(trace):
+    """SHA-256 over every recorded event, in order (the fields of these
+    TDI runs are ints, floats, strs, bools, lists and tuples: ``repr``
+    is exact for all of them)."""
+    digest = hashlib.sha256()
+    for ev in trace.events:
+        digest.update(repr((ev.time, ev.kind, ev.rank,
+                            sorted(ev.fields.items()))).encode())
+    return digest.hexdigest()
+
+
+def _pinned_run(seed, fault, *, transport=False, nprocs=16, scale="paper",
+                trace_enabled=True):
+    from repro.config import SimulationConfig
+    from repro.mpi.cluster import Cluster
+    from repro.simnet.transport import TransportConfig
+    from repro.workloads.presets import workload_factory
+    config = SimulationConfig(
+        nprocs=nprocs, protocol="tdi", checkpoint_interval=0.05, seed=seed,
+        trace_enabled=trace_enabled, detector=DetectorConfig(enabled=True),
+        transport=TransportConfig(enabled=transport))
+    return Cluster(config, workload_factory("lu", scale=scale)), [fault]
+
+
+_KILL = FaultSpec(rank=3, at_time=0.02)
+
+#: name -> (seed, fault, reliable transport on)
+PINNED_CASES = {
+    "kill-seed1": (1, _KILL, False),
+    "kill-seed2": (2, _KILL, False),
+    "kill-seed3": (3, _KILL, False),
+    "freeze": (1, GrayFaultSpec(rank=3, at_time=0.02, kind="freeze",
+                                duration=0.004), False),
+    "mute": (1, GrayFaultSpec(rank=3, at_time=0.02, kind="mute",
+                              duration=0.004, drop=True), True),
+}
+
+
+def _pinned_outcome(name):
+    seed, fault, transport = PINNED_CASES[name]
+    cluster, faults = _pinned_run(seed, fault, transport=transport)
+    result = cluster.run(faults)
+    return (
+        result.events_fired,
+        result.network.frames_sent,
+        result.network.frames_dropped_dead,
+        int(result.metrics.total("zombie_frames_dropped")),
+        [(c.rank, c.observer, c.condemned_at)
+         for c in result.detector.condemnations],
+        result.accomplishment_time,
+        _trace_digest(result.trace),
+    )
+
+
+#: ``_pinned_outcome`` at the commit before the fan-out path existed,
+#: when every heartbeat was a ``Frame`` through ``Endpoint._transmit``
+#: and ``Network.transmit``: (events_fired, frames_sent,
+#: frames_dropped_dead, zombie_frames_dropped, condemnations as (rank,
+#: observer, condemned_at), accomplishment_time, trace digest)
+PINNED = {
+    "kill-seed1": (
+        139242, 99112, 113, 0, [(3, 0, 0.021000000000000015)],
+        0.19029667152743,
+        "2f18c02bce6714e2508a3073b0f785b50726b433b7c8debc802b841a1bce9c2b"),
+    "kill-seed2": (
+        139242, 99112, 113, 0, [(3, 0, 0.021000000000000015)],
+        0.19041428476633931,
+        "b20c72d6143cb8f63ef366974e37d42dc27029bbbd6795c5a6e0cc4f163d53db"),
+    "kill-seed3": (
+        139242, 99112, 113, 0, [(3, 0, 0.021000000000000015)],
+        0.19023851462652006,
+        "75cc9119fa7563e88524136a3b9fa3b13fe22ef5655caea7306a5e496ef3169c"),
+    "freeze": (
+        131292, 91650, 68, 0, [(3, 0, 0.021000000000000015)],
+        0.1748007913851682,
+        "e39a9243a471e0ffb882303eb1bc9a1f4844ad917adf08e751b4eae247ded69e"),
+    "mute": (
+        131291, 91680, 68, 15, [(3, 0, 0.021000000000000015)],
+        0.1748007913851682,
+        "b00b721f710710f77f74eebf9257dc334886becfeb691bea070e064694d7d992"),
+}
+
+
+class TestPinnedArmedRuns:
+    """LU, 16 ranks, ``paper`` preset, detector armed — pinned to the
+    per-frame heartbeat path event for event."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CASES))
+    def test_run_is_event_identical(self, name):
+        assert _pinned_outcome(name) == PINNED[name]
+
+    def test_late_listener_sees_every_network_event(self):
+        """The network tests ``Trace.active`` before building an event;
+        a listener attached after construction (the oracle's way in)
+        must flip it, recording or not."""
+        traced, faults = _pinned_run(5, FaultSpec(rank=2, at_time=0.004),
+                                     nprocs=4, scale="fast")
+        recorded = traced.run(faults).trace
+        quiet, faults = _pinned_run(5, FaultSpec(rank=2, at_time=0.004),
+                                    nprocs=4, scale="fast",
+                                    trace_enabled=False)
+        heard = []
+        quiet.trace.attach_listener(
+            lambda ev: heard.append(ev)
+            if ev.kind in ("net.transmit", "net.arrive") else None)
+        result = quiet.run(faults)
+        assert result.trace.events == []
+        assert heard == [ev for ev in recorded.events
+                         if ev.kind in ("net.transmit", "net.arrive")]
+        assert sum(ev.kind == "net.transmit" for ev in heard) \
+            == result.network.frames_sent

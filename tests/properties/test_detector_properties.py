@@ -11,9 +11,11 @@ Two properties carry the detector's whole safety story:
   threshold, so a clean run can never lose a rank to a false positive.
 """
 
-from hypothesis import given, strategies as st
+import math
 
-from repro.faults.detector import AccrualEstimator, DetectorConfig
+from hypothesis import example, given, strategies as st
+
+from repro.faults.detector import _P_FLOOR, AccrualEstimator, DetectorConfig
 
 HB = 5e-4
 FLOOR = 1e-4
@@ -101,3 +103,40 @@ def test_real_silence_still_condemns_after_bounded_jitter(gaps, silence):
         t += gap
         est.heartbeat(t)
     assert est.phi(t + silence) >= cfg.condemn_phi
+
+
+def _reference_phi(gaps, silence, *, bootstrap_mean=HB, floor=FLOOR):
+    """``AccrualEstimator.phi`` as it was before the early exit: sigma is
+    always computed, and ``z <= 0`` is tested after it."""
+    if gaps:
+        mean = sum(gaps) / len(gaps)
+        var = sum((g - mean) ** 2 for g in gaps) / len(gaps)
+        sigma = max(math.sqrt(var), floor)
+    else:
+        mean = bootstrap_mean
+        sigma = floor
+    z = (silence - mean) / sigma
+    if z <= 0:
+        return 0.0
+    p_later = 0.5 * math.erfc(z / math.sqrt(2.0))
+    return -math.log10(max(p_later, _P_FLOOR))
+
+
+@given(gap_histories, silences)
+@example([], HB)                        # empty window, silence == mean
+@example([HB, HB, HB], HB)              # silence == mean, sigma at the floor
+@example([HB, HB, HB], 1.5 * HB)        # sigma at the floor, z > 0
+@example([HB / 2, 2 * HB], 1.25 * HB)   # silence == mean, sigma above it
+@example([HB] * 30, 40 * HB)            # past the window; erfc underflows
+def test_phi_equals_pre_early_exit_formula(gaps, silence):
+    """The early exit is exact: bit-for-bit the old value, not close."""
+    est = AccrualEstimator(0.0, window=20, bootstrap_mean=HB, floor=FLOOR)
+    t = 0.0
+    for gap in gaps:
+        t += gap
+        est.heartbeat(t)
+    now = t + silence
+    # the estimator sees the gaps and the silence as differences of
+    # arrival times, so the reference gets those, not the inputs
+    assert est.phi(now) == _reference_phi(
+        list(est._gaps), now - est.last_arrival)

@@ -47,3 +47,18 @@ class TestRngStreams:
     def test_non_int_seed_rejected(self):
         with pytest.raises(TypeError):
             RngStreams("seed")  # type: ignore[arg-type]
+
+
+@pytest.mark.parametrize("high", [5e-5, 1.0])
+@pytest.mark.parametrize("k", [0, 1, 2, 15, 255])
+def test_bulk_uniform_is_k_scalar_draws(high, k):
+    """``Network.transmit_heartbeats`` draws a tick's jitter with one
+    ``uniform(0.0, high, size=k)`` in place of ``k`` scalar calls.  That
+    only leaves arrival times alone if both consume PCG64 identically —
+    pin it, so a NumPy release that breaks the identity fails here."""
+    bulk_gen = RngStreams(11).stream("net.jitter.hb")
+    scalar_gen = RngStreams(11).stream("net.jitter.hb")
+    bulk = bulk_gen.uniform(0.0, high, size=k).tolist()
+    scalar = [float(scalar_gen.uniform(0.0, high)) for _ in range(k)]
+    assert bulk == scalar
+    assert bulk_gen.bit_generator.state == scalar_gen.bit_generator.state
