@@ -8,15 +8,20 @@ worst on LU (the most communication-intensive benchmark).
 
 Beyond the paper's 32-rank ceiling, the large-scale section sweeps
 n in {64, 256, 1024} on a communication-sparse ring workload to measure
-what ``compress_piggybacks`` does to TDI's O(n) wire cost.  Run as a
-module (``python benchmarks/bench_fig6_piggyback.py``) to append one
-record to ``BENCH_piggyback.json``.
+what ``compress_piggybacks`` does to TDI's O(n) wire cost, and what the
+encoding costs in host time: ``ring_wall_s`` per scale, and
+``compress_x`` — compressed wall over plain wall on the ROADMAP baseline
+cell (LU, 16 ranks, one kill), a ratio that travels between machines.
+Run as a module (``python benchmarks/bench_fig6_piggyback.py``) to
+append one record to ``BENCH_piggyback.json``.
 """
 
 import argparse
+import gc
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -25,6 +30,7 @@ import pytest
 
 from repro._version import __version__
 from repro.config import SimulationConfig
+from repro.faults.injector import FaultSpec
 from repro.harness.config import ExperimentOptions
 from repro.harness.runner import Cell, run_cell
 from repro.mpi.cluster import run_simulation
@@ -36,6 +42,8 @@ SCALES = OPTIONS.scales
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_piggyback.json"
 #: beyond-the-paper scales for the compressed-wire sweep
 LARGE_SCALES = (64, 256, 1024)
+#: ROADMAP "Close the measured gaps" (d): compressed wall / plain wall
+COMPRESS_X_TARGET = 1.25
 
 
 def sweep(workload: str, protocol: str) -> dict[int, float]:
@@ -126,19 +134,55 @@ def ring_run(nprocs: int, *, compress: bool, rounds: int = 6):
 
 def ring_bytes_per_message(nprocs: int, *, compress: bool) -> float:
     """Piggyback bytes per app message actually put on the wire."""
-    run = ring_run(nprocs, compress=compress)
-    sends = run.stats.total("app_sends")
+    return _bytes_per_message(ring_run(nprocs, compress=compress), compress)
+
+
+def _bytes_per_message(run, compress: bool) -> float:
     counter = "piggyback_bytes_wire" if compress else "piggyback_bytes_raw"
-    return run.stats.total(counter) / sends
+    return run.stats.total(counter) / run.stats.total("app_sends")
+
+
+def _wall(fn):
+    """One timed call, garbage collected first: (seconds, result)."""
+    gc.collect()
+    t0 = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - t0, result
 
 
 def ring_sweep() -> dict[int, dict[str, float]]:
     series: dict[int, dict[str, float]] = {}
     for nprocs in LARGE_SCALES:
         raw = ring_bytes_per_message(nprocs, compress=False)
-        wire = ring_bytes_per_message(nprocs, compress=True)
-        series[nprocs] = {"raw": raw, "wire": wire, "ratio": raw / wire}
+        walls = []
+        for _ in range(2):
+            wall, run = _wall(lambda: ring_run(nprocs, compress=True))
+            walls.append(wall)
+        wire = _bytes_per_message(run, True)
+        series[nprocs] = {"raw": raw, "wire": wire, "ratio": raw / wire,
+                          "wall_s": min(walls)}
     return series
+
+
+def lu_kill_run(*, compress: bool):
+    """The ROADMAP baseline cell: LU, 16 ranks, ``paper`` preset,
+    checkpoint interval 0.05, rank 3 killed at t=0.02."""
+    config = SimulationConfig(nprocs=16, protocol="tdi", seed=1,
+                              checkpoint_interval=0.05,
+                              compress_piggybacks=compress)
+    return run_simulation(config, workload_factory("lu", scale="paper"),
+                          [FaultSpec(rank=3, at_time=0.02)])
+
+
+def compress_x(repeats: int = 5) -> float:
+    """Host cost of the compressed wire: compressed wall over plain wall
+    on :func:`lu_kill_run`, each the best of ``repeats`` alternating
+    runs in this process (so host drift lands on both sides)."""
+    plain, compressed = [], []
+    for _ in range(repeats):
+        plain.append(_wall(lambda: lu_kill_run(compress=False))[0])
+        compressed.append(_wall(lambda: lu_kill_run(compress=True))[0])
+    return min(compressed) / min(plain)
 
 
 def test_compressed_ring_scaling(figure_report):
@@ -172,12 +216,30 @@ def test_compressed_ring_same_answer():
 # Trajectory artifact
 # ----------------------------------------------------------------------
 
-def collect_record() -> dict:
-    """Measure the ring sweep once and package it for the trajectory."""
+def _git_sha() -> str:
+    """HEAD of the checkout this file sits in, ``+dirty`` when the
+    working tree differs from it."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=ARTIFACT.parent, check=True,
+                              capture_output=True, text=True).stdout.strip()
+    try:
+        return git("rev-parse", "HEAD") + (
+            "+dirty" if git("status", "--porcelain") else "")
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def collect_record(note: str = "") -> dict:
+    """Measure the ring sweep and the LU compression multiplier once and
+    package them for the trajectory."""
+    ratio = compress_x()  # first: the 1024-rank sweep leaves a big heap
     series = ring_sweep()
     return {
+        "note": note,
         "date": time.strftime("%Y-%m-%d"),
         "version": __version__,
+        "git_sha": _git_sha(),
+        "command": [Path(sys.executable).name, *sys.argv],
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "workload": {"kernel": "synthetic", "pattern": "ring", "rounds": 6,
@@ -189,6 +251,12 @@ def collect_record() -> dict:
                                for n in LARGE_SCALES},
         "compression_ratio": {str(n): round(series[n]["ratio"], 1)
                               for n in LARGE_SCALES},
+        "ring_wall_s": {str(n): round(series[n]["wall_s"], 3)
+                        for n in LARGE_SCALES},
+        # compressed wall over plain wall, LU-16 paper preset, one kill
+        "compress_x": round(ratio, 3),
+        "compress_x_target": COMPRESS_X_TARGET,
+        "compress_x_target_met": ratio <= COMPRESS_X_TARGET,
     }
 
 
@@ -212,8 +280,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=ARTIFACT,
                         help=f"trajectory file (default: {ARTIFACT})")
+    parser.add_argument("--note", default="",
+                        help="free-text label stored in the record")
     args = parser.parse_args(argv)
-    record = collect_record()
+    record = collect_record(args.note)
     append_record(record, args.out)
     print(json.dumps(record, indent=2))
     print(f"appended to {args.out}")

@@ -18,6 +18,12 @@ not wall time), so it is pinned against the latest
 regression that silently re-sends full vectors shows up as a 10-20x
 jump, far past the 10% margin.
 
+The host cost of that encoding is gated next to it: ``compress_x``
+(compressed wall over plain wall on LU-16 with one kill, best-of-k in
+this process — a machine-independent ratio) must stay under the latest
+``BENCH_piggyback.json`` record plus a margin, so a per-value Python
+loop creeping back into the codec trips CI.
+
 And it gates the armed failure detector on the same LU-8 run: the
 armed run's ``events_fired`` is deterministic and must equal the latest
 record's ``events_armed`` exactly (a heartbeat path that drops, adds or
@@ -43,6 +49,7 @@ from benchmarks.bench_harness import (  # noqa: E402
 )
 from benchmarks.bench_fig6_piggyback import (  # noqa: E402
     ARTIFACT as PB_ARTIFACT,
+    compress_x,
     ring_bytes_per_message,
 )
 from benchmarks.bench_substrate import (  # noqa: E402
@@ -57,30 +64,22 @@ PB_GATE_NPROCS = 256
 #: relative margin above the latest recorded ``detector_armed_x``; the
 #: per-frame heartbeat path this guards against read +25%
 ARMED_MARGIN = 0.20
+#: relative margin above the latest recorded ``compress_x``; the
+#: per-value varint loops this guards against read +17% (1.78 vs 1.52)
+COMPRESS_MARGIN = 0.15
 
 
 def latest_record(path: Path) -> dict:
-    """The newest record of the substrate trajectory."""
+    """The newest record of a trajectory file."""
     records = json.loads(path.read_text(encoding="utf-8"))["records"]
     if not records:
-        raise SystemExit(f"no records in {path}; run bench_substrate.py first")
+        raise SystemExit(f"no records in {path}; run its bench_*.py first")
     return records[-1]
 
 
 def pinned_ceiling(path: Path, margin: float) -> float:
     """Latest recorded clean-wire overhead plus the noise margin."""
     return latest_record(path)["overhead_0pct"] + margin
-
-
-def pinned_wire_bytes_ceiling(path: Path, rel_margin: float) -> float:
-    """Latest recorded compressed bytes/msg at n=256, plus a margin."""
-    data = json.loads(path.read_text(encoding="utf-8"))
-    records = data["records"]
-    if not records:
-        raise SystemExit(f"no records in {path}; "
-                         "run bench_fig6_piggyback.py first")
-    return records[-1]["wire_bytes_per_msg"][str(PB_GATE_NPROCS)] \
-        * (1.0 + rel_margin)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,10 +118,18 @@ def main(argv: list[str] | None = None) -> int:
           f"{armed.events_fired} events (pinned {pinned['events_armed']})")
 
     # compressed piggyback wire size: deterministic, gated at +10%
-    pb_ceiling = pinned_wire_bytes_ceiling(args.pb_artifact, args.pb_margin)
+    pb_pinned = latest_record(args.pb_artifact)
+    pb_ceiling = pb_pinned["wire_bytes_per_msg"][str(PB_GATE_NPROCS)] \
+        * (1.0 + args.pb_margin)
     pb_wire = ring_bytes_per_message(PB_GATE_NPROCS, compress=True)
     print(f"compressed piggyback wire: {pb_wire:.2f} bytes/msg at "
           f"n={PB_GATE_NPROCS} (ceiling {pb_ceiling:.2f})")
+
+    # and its host cost: compressed wall over plain wall, LU-16, one kill
+    compress_ceiling = pb_pinned["compress_x"] * (1.0 + COMPRESS_MARGIN)
+    compress_ratio = compress_x(args.repeats)
+    print(f"compressed piggyback host cost: {compress_ratio:.2f}x the plain "
+          f"run (ceiling {compress_ceiling:.2f}x)")
 
     # small-budget micro-benches: exercised, logged, not gated
     print(f"engine: {engine_events_per_second(50_000):,.0f} events/s")
@@ -149,6 +156,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: compressed piggyback {pb_wire:.2f} bytes/msg exceeds "
               f"the pinned ceiling {pb_ceiling:.2f} "
               f"(latest {args.pb_artifact.name} record + {args.pb_margin:.0%})")
+        failed = True
+    if compress_ratio > compress_ceiling:
+        print(f"FAIL: compression costs {compress_ratio:.2f}x the plain run, "
+              f"above the pinned ceiling {compress_ceiling:.2f}x (latest "
+              f"{args.pb_artifact.name} record + {COMPRESS_MARGIN:.0%})")
         failed = True
     if failed:
         return 1

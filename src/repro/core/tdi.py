@@ -279,7 +279,7 @@ class TdiProtocol(SenderLoggingProtocol):
         # resends are standalone full records: they may overtake or
         # duplicate, so they must not touch either side's channel state
         epochs = getattr(piggyback, "epochs", None) or (0,) * len(piggyback)
-        return encode_vector_full(tuple(piggyback), epochs, send_index)
+        return encode_vector_full(piggyback, epochs, send_index)
 
     def decode_piggyback_wire(self, src: int, blob: Any,
                               send_index: int) -> Any:

@@ -1,27 +1,13 @@
-"""Wire formats for the piggyback payloads.
+"""Wire format of the compressed piggybacks.
 
 The simulator ships piggybacks as Python objects and *accounts* their
-wire size as ``identifiers x 4 bytes``.  This module provides the actual
-codecs a native implementation would use, so that accounting is grounded
-rather than asserted:
-
-* TDI: the dependent-interval vector + send index — ``(n + 1)`` unsigned
-  32-bit integers while every entry refers to incarnation 0 (any
-  failure-free run), growing to ``(2n + 1)`` once a rollback has bumped
-  an epoch and the per-entry epoch vector must ride along.  The two
-  forms are distinguished by length, so the lightweight claim the paper
-  makes (and Fig. 6 measures) is preserved exactly when nothing fails;
-* TAG/TEL: a determinant list — 4 identifiers per determinant (receiver,
-  deliver_index, sender, send_index), preceded by a count;
-* TEL additionally carries its n-entry stability vector.
-
-Round-trip tests pin codec length == the protocols' accounted bytes.
-
-Compressed wire layer (``SimulationConfig(compress_piggybacks=True)``)
-----------------------------------------------------------------------
-The fixed-width codecs above are linear in the process count on every
-send and hard-capped at 32-bit counts.  The varint record family below
-removes both limits:
+raw size as ``identifiers x CostModel.identifier_bytes`` — ``n + 1``
+identifiers for a TDI vector plus send index (``2n + 1`` once a rollback
+has bumped an epoch and the epoch vector rides along), 4 per determinant
+for TAG/TEL — which is the quantity Fig. 6 plots.  With
+``SimulationConfig(compress_piggybacks=True)`` the bytes on the wire are
+the varint records below instead, neither linear in the process count
+nor capped at 32-bit counts:
 
 * every integer is an **LEB128 varint** — small counts cost one byte,
   and counts beyond 2^32 (long-running systems) encode fine;
@@ -30,18 +16,19 @@ removes both limits:
   ``FULL_SPARSE`` (only the entries whose value or epoch is nonzero,
   against an implicit all-zero base), and ``DELTA`` (only the entries
   that changed since the previous record on the same channel, against
-  the receiver's reconstructed base).  ``encode_vector_full`` picks
-  dense vs sparse exactly (whichever is shorter); the per-channel
+  the receiver's reconstructed base).  A full record is dense or sparse,
+  whichever is shorter (sparse only when strictly so); the per-channel
   delta-vs-full decision lives in :mod:`repro.protocols.compression`;
-* a **determinant record** is the varint form of the determinant list,
-  with an optional stability-vector record appended for TEL.
+* a **determinant record** (:mod:`repro.protocols.compression`) is a
+  flags byte, the send index and :func:`determinant_fields`, with TEL's
+  stability vector appended.
 
 Record layout (header byte = ``mode | flags``):
 
 ====================  =================================================
-``FULL_DENSE``  (0)   header, [seq], v_0..v_{n-1}, [e_0..e_{n-1}],
-                      send_index
-``FULL_SPARSE`` (1)   header, [seq], count, count × (gap, value,
+``FULL_DENSE``  (0)   header, [n], [seq], v_0..v_{n-1},
+                      [e_0..e_{n-1}], send_index
+``FULL_SPARSE`` (1)   header, [n], [seq], count, count × (gap, value,
                       [epoch]), send_index
 ``DELTA``       (2)   header, seq, count, count × (gap, value,
                       [epoch]), send_index
@@ -49,185 +36,125 @@ Record layout (header byte = ``mode | flags``):
 
 ``FLAG_EPOCHS`` (0x10) marks that per-entry epochs ride along;
 ``FLAG_STANDALONE`` (0x20) marks a record that neither carries a stream
-sequence number nor touches any channel state (log resends).  ``gap``
-is the distance from the previous shipped index (first gap = index), so
-clustered sparse entries cost one byte each.
+sequence number nor touches any channel state (log resends);
+``FLAG_COUNTED`` (0x40) marks that the vector length ``n`` follows the
+header — every full record the encoder writes carries it, since under
+dynamic membership the sender's horizon need not be the receiver's
+capacity.  ``gap`` is the distance from the previous shipped index
+(first gap = index), so clustered sparse entries cost one byte each.
+
+One kernel
+----------
+A record is a flat list of integers first and bytes second: each codec
+lays its fields out in order (header byte included — it is below 128,
+so it is its own varint) and :func:`pack_uvarints` turns the list into
+bytes in one call; :func:`unpack_uvarints` is the inverse, and the
+decoders check the field count against the layout instead of walking
+offsets.  When every field is below 128 — short-lived runs, and a sparse
+ring however wide — each direction is a single C call
+(``bytes(fields)`` / ``list(data)``).  Otherwise the list is taken in
+runs of 64: a run that is all narrow still goes through C, and only a
+run holding a wide field (the vector length of a big cluster, one hot
+entry) takes the per-value LEB128 loop, which exists once per
+direction.  What stays per-entry Python is O(entries shipped): the gap
+arithmetic of sparse and delta entries, and the scatter of a sparse
+record into its vector.
+
+A varint's length is a function of its value alone, so
+:func:`uvarints_size` gives a field list's packed length without the
+encode loop (the field count, when all are narrow).  Both size
+decisions are taken that way, so a full record is packed only when it
+is the one that ships: dense vs sparse in :func:`vector_full_fields`
+(where a count of the nonzero values rules sparse out before any entry
+is laid out), and delta vs full in :mod:`repro.protocols.compression`
+(where the full record is sized against the delta in hand).
 """
 
 from __future__ import annotations
 
-import struct
+from itertools import chain, compress
+from operator import or_
 from typing import NamedTuple, Sequence
 
 from repro.protocols.pwd import Determinant
 
-#: one identifier on the wire (the paper's unit in Fig. 6)
-IDENTIFIER_BYTES = 4
-_U32_MAX = (1 << 32) - 1
-
-
-def _check_u32(values: Sequence[int]) -> None:
-    for v in values:
-        if not (0 <= v <= _U32_MAX):
-            raise ValueError(f"identifier {v} does not fit in 32 bits")
-
 
 # ----------------------------------------------------------------------
-# TDI: vector + send index
+# The LEB128 kernel
 # ----------------------------------------------------------------------
 
-def encode_tdi(vector: Sequence[int], send_index: int,
-               epochs: Sequence[int] | None = None) -> bytes:
-    """Serialise a TDI piggyback.
-
-    ``epochs`` defaults to the vector's own ``epochs`` attribute when it
-    is a :class:`~repro.core.vectors.TaggedPiggyback`.  All-zero epochs
-    (no incarnation past the first anywhere in the entries) use the
-    paper's compact ``n + 1`` form; otherwise the epoch vector is
-    appended before the send index — ``2n + 1`` identifiers.
-    """
-    if epochs is None:
-        epochs = getattr(vector, "epochs", None)
-    values = list(vector)
-    if epochs is not None and any(epochs):
-        if len(epochs) != len(values):
-            raise ValueError(
-                f"epoch vector length {len(epochs)} != vector length "
-                f"{len(values)}")
-        values += list(epochs)
-    values.append(send_index)
-    _check_u32(values)
-    return struct.pack(f"<{len(values)}I", *values)
+#: general-path granularity: a field list longer than this is packed,
+#: sized and unpacked run by run, so a few wide fields (the vector
+#: length, one hot entry) among many narrow ones cost their own runs the
+#: loop and leave the rest on the C path
+_RUN = 64
 
 
-def decode_tdi(data: bytes, nprocs: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Inverse of :func:`encode_tdi`; returns (vector, epochs, send_index).
-
-    The two wire forms are distinguished by length: ``n + 1`` words is
-    the compact epoch-0 form, ``2n + 1`` words carries explicit epochs.
-    """
-    compact = (nprocs + 1) * IDENTIFIER_BYTES
-    tagged = (2 * nprocs + 1) * IDENTIFIER_BYTES
-    if len(data) == compact:
-        values = struct.unpack(f"<{nprocs + 1}I", data)
-        return values[:nprocs], (0,) * nprocs, values[nprocs]
-    if len(data) == tagged:
-        values = struct.unpack(f"<{2 * nprocs + 1}I", data)
-        return values[:nprocs], values[nprocs:2 * nprocs], values[2 * nprocs]
-    raise ValueError(
-        f"TDI piggyback is {len(data)} bytes, expected {compact} (compact) "
-        f"or {tagged} (epoch-tagged)")
+def _runs(values: Sequence[int]) -> list[Sequence[int]]:
+    return [values[i:i + _RUN] for i in range(0, len(values), _RUN)]
 
 
-def tdi_wire_bytes(nprocs: int, tagged: bool = False) -> int:
-    """Encoded size of a TDI piggyback — ``n + 1`` identifiers in the
-    compact form, ``2n + 1`` once epoch tagging is active."""
-    n_identifiers = 2 * nprocs + 1 if tagged else nprocs + 1
-    return n_identifiers * IDENTIFIER_BYTES
-
-
-# ----------------------------------------------------------------------
-# Determinant lists (TAG, TEL, and the event-logger traffic)
-# ----------------------------------------------------------------------
-
-def encode_determinants(dets: Sequence[Determinant]) -> bytes:
-    """Serialise a determinant list: count + 4 u32 per determinant."""
-    flat: list[int] = [len(dets)]
-    for det in dets:
-        flat.extend((det.receiver, det.deliver_index, det.sender, det.send_index))
-    _check_u32(flat)
-    return struct.pack(f"<{len(flat)}I", *flat)
-
-
-def decode_determinants(data: bytes) -> list[Determinant]:
-    """Inverse of :func:`encode_determinants`."""
-    if len(data) < IDENTIFIER_BYTES:
-        raise ValueError("determinant list missing its count header")
-    (count,) = struct.unpack_from("<I", data)
-    expected = (1 + 4 * count) * IDENTIFIER_BYTES
-    if len(data) != expected:
-        raise ValueError(
-            f"determinant list is {len(data)} bytes, expected {expected} for "
-            f"{count} determinants"
-        )
-    values = struct.unpack_from(f"<{4 * count}I", data, IDENTIFIER_BYTES)
-    return [
-        Determinant(*values[4 * i: 4 * i + 4])
-        for i in range(count)
-    ]
-
-
-def determinants_wire_bytes(count: int) -> int:
-    """Encoded size of a determinant list (excl. the count header, which
-    the protocols' accounting folds into the frame header)."""
-    return 4 * count * IDENTIFIER_BYTES
-
-
-# ----------------------------------------------------------------------
-# TEL: determinants + stability vector + send index
-# ----------------------------------------------------------------------
-
-def encode_tel(dets: Sequence[Determinant], stable: Sequence[int],
-               send_index: int) -> bytes:
-    """Serialise a TEL piggyback."""
-    head = encode_determinants(dets)
-    tail_values = list(stable) + [send_index]
-    _check_u32(tail_values)
-    return head + struct.pack(f"<{len(tail_values)}I", *tail_values)
-
-
-def decode_tel(data: bytes, nprocs: int) -> tuple[list[Determinant], tuple[int, ...], int]:
-    """Inverse of :func:`encode_tel`."""
-    (count,) = struct.unpack_from("<I", data)
-    det_bytes = (1 + 4 * count) * IDENTIFIER_BYTES
-    dets = decode_determinants(data[:det_bytes])
-    tail = struct.unpack(f"<{nprocs + 1}I", data[det_bytes:])
-    return dets, tail[:nprocs], tail[nprocs]
-
-
-# ======================================================================
-# Compressed wire layer: varints
-# ======================================================================
-
-def encode_uvarint(value: int) -> bytes:
-    """LEB128: 7 value bits per byte, high bit = continuation."""
-    if value < 0:
-        raise ValueError(f"identifier {value} is negative")
+def pack_uvarints(values: Sequence[int]) -> bytes:
+    """LEB128-encode ``values`` back to back: 7 value bits per byte,
+    high bit = continuation.  A negative anywhere is a ``ValueError``."""
+    try:
+        packed = bytes(values)
+        if packed.isascii():  # every value < 128 is its own encoding
+            return packed
+    except ValueError:  # something is negative or above 255
+        pass
+    if len(values) > _RUN:
+        return b"".join(map(pack_uvarints, _runs(values)))
     out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    append = out.append
+    for value in values:
+        if value < 0:
+            raise ValueError(f"identifier {value} is negative")
+        while value > 0x7F:
+            append(value & 0x7F | 0x80)
+            value >>= 7
+        append(value)
+    return bytes(out)
 
 
-def decode_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Inverse of :func:`encode_uvarint`; returns (value, next_offset)."""
-    value = 0
-    shift = 0
-    while True:
-        if offset >= len(data):
-            raise ValueError("truncated varint")
-        byte = data[offset]
-        offset += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, offset
-        shift += 7
+def unpack_uvarints(data: bytes, offset: int = 0) -> list[int]:
+    """Inverse of :func:`pack_uvarints`: every varint from ``offset`` to
+    the end of ``data``.  A last byte that still has its continuation
+    bit set is a ``ValueError``."""
+    data = data[offset:]
+    if data.isascii():
+        return list(data)
+    out: list[int] = []
+    value = shift = 0
+    for start in range(0, len(data), _RUN):
+        run = data[start:start + _RUN]
+        if not shift and run.isascii():
+            out += run
+            continue
+        for byte in run:
+            if byte & 0x80:
+                value |= (byte & 0x7F) << shift
+                shift += 7
+            else:
+                out.append(value | byte << shift)
+                value = shift = 0
+    if shift:
+        raise ValueError("truncated varint")
+    return out
 
 
-def uvarint_len(value: int) -> int:
-    """Encoded length of one varint, without building it."""
-    if value < 0:
-        raise ValueError(f"identifier {value} is negative")
-    length = 1
-    while value > 0x7F:
-        value >>= 7
-        length += 1
-    return length
+def uvarints_size(values: Sequence[int]) -> int:
+    """``len(pack_uvarints(values))`` without the encode loop (exact for
+    the non-negative values the kernel accepts)."""
+    try:
+        if bytes(values).isascii():
+            return len(values)
+    except ValueError:
+        pass
+    if len(values) > _RUN:
+        return sum(map(uvarints_size, _runs(values)))
+    return len(values) + sum(
+        [(value.bit_length() - 1) // 7 for value in values if value > 0x7F])
 
 
 # ----------------------------------------------------------------------
@@ -264,40 +191,30 @@ class VectorRecord(NamedTuple):
     changes: tuple | None
 
 
-def _encode_entries(out: bytearray, entries: Sequence[tuple[int, int, int]],
-                    with_epochs: bool) -> None:
-    out += encode_uvarint(len(entries))
+def _entry_fields(entries: Sequence[tuple[int, int, int]],
+                  ) -> tuple[list[int], int]:
+    """``count, count x (gap, value, [epoch])`` for ``(index, value,
+    epoch)`` entries in ascending index order, and ``FLAG_EPOCHS`` if
+    the epochs ship (any is nonzero) or 0 if they were left out."""
+    fields = [len(entries)]
     prev = -1
     for index, value, epoch in entries:
-        out += encode_uvarint(index - prev - 1 if prev >= 0 else index)
-        out += encode_uvarint(value)
-        if with_epochs:
-            out += encode_uvarint(epoch)
+        fields += (index - prev - 1, value, epoch)
         prev = index
+    if any(fields[3::3]):
+        return fields, FLAG_EPOCHS
+    del fields[3::3]
+    return fields, 0
 
 
-def _decode_entries(data: bytes, offset: int, with_epochs: bool,
-                    ) -> tuple[list[tuple[int, int, int]], int]:
-    count, offset = decode_uvarint(data, offset)
-    entries: list[tuple[int, int, int]] = []
-    index = -1
-    for _ in range(count):
-        gap, offset = decode_uvarint(data, offset)
-        index = index + gap + 1 if index >= 0 else gap
-        value, offset = decode_uvarint(data, offset)
-        epoch = 0
-        if with_epochs:
-            epoch, offset = decode_uvarint(data, offset)
-        entries.append((index, value, epoch))
-    return entries, offset
+def vector_full_fields(values: Sequence[int], epochs: Sequence[int],
+                       send_index: int, seq: int | None = None,
+                       ) -> tuple[list[int], int]:
+    """The fields of a self-contained vector record and their packed
+    size: dense or sparse, whichever is shorter (exact — both bodies are
+    sized, only the winner is laid out, nothing is packed).
 
-
-def encode_vector_full(values: Sequence[int], epochs: Sequence[int],
-                       send_index: int, *, seq: int | None = None) -> bytes:
-    """A self-contained vector record: dense or sparse, whichever is
-    shorter (exact — both bodies are built and the minimum wins).
-
-    ``seq=None`` produces a standalone record (``FLAG_STANDALONE``) that
+    ``seq=None`` gives a standalone record (``FLAG_STANDALONE``) that
     receivers decode without consulting or updating channel state — the
     form every log resend uses.
     """
@@ -305,29 +222,32 @@ def encode_vector_full(values: Sequence[int], epochs: Sequence[int],
     if len(epochs) != n:
         raise ValueError(f"epoch vector length {len(epochs)} != {n}")
     with_epochs = any(epochs)
-    flags = FLAG_COUNTED | (FLAG_EPOCHS if with_epochs else 0) | (
+    mode = FULL_DENSE | FLAG_COUNTED | (FLAG_EPOCHS if with_epochs else 0) | (
         FLAG_STANDALONE if seq is None else 0)
-    head = bytearray(encode_uvarint(n))
-    if seq is not None:
-        head += encode_uvarint(seq)
-    tail = encode_uvarint(send_index)
+    head = (n,) if seq is None else (n, seq)
+    body = [*values, *epochs] if with_epochs else values
+    size = uvarints_size(body)
+    # a sparse entry is at least (gap, value) after a count byte, so that
+    # many nonzero values rule sparse out before any entry is laid out
+    if 1 + 2 * (n - values.count(0)) < size:
+        hot = list(map(or_, values, epochs)) if with_epochs else values
+        sparse, _ = _entry_fields(list(zip(
+            compress(range(n), hot), compress(values, hot),
+            compress(epochs, hot))))
+        sparse_size = uvarints_size(sparse)
+        if sparse_size < size:
+            mode |= FULL_SPARSE
+            body = sparse
+            size = sparse_size
+    return ([mode, *head, *body, send_index],
+            1 + uvarints_size((*head, send_index)) + size)
 
-    dense = bytearray([FULL_DENSE | flags])
-    dense += head
-    for v in values:
-        dense += encode_uvarint(v)
-    if with_epochs:
-        for e in epochs:
-            dense += encode_uvarint(e)
-    dense += tail
 
-    sparse = bytearray([FULL_SPARSE | flags])
-    sparse += head
-    entries = [(i, int(values[i]), int(epochs[i]))
-               for i in range(n) if values[i] or epochs[i]]
-    _encode_entries(sparse, entries, with_epochs)
-    sparse += tail
-    return bytes(sparse) if len(sparse) < len(dense) else bytes(dense)
+def encode_vector_full(values: Sequence[int], epochs: Sequence[int],
+                       send_index: int, *, seq: int | None = None) -> bytes:
+    """:func:`vector_full_fields`, packed."""
+    return pack_uvarints(
+        vector_full_fields(values, epochs, send_index, seq)[0])
 
 
 def encode_vector_delta(changes: Sequence[tuple[int, int, int]],
@@ -335,17 +255,15 @@ def encode_vector_delta(changes: Sequence[tuple[int, int, int]],
     """A delta record against the receiver's per-channel base: only the
     ``(index, value, epoch)`` entries that changed since the previous
     record on this channel, O(changed) to build."""
-    with_epochs = any(epoch for _, _, epoch in changes)
-    out = bytearray([DELTA | (FLAG_EPOCHS if with_epochs else 0)])
-    out += encode_uvarint(seq)
-    _encode_entries(out, changes, with_epochs)
-    out += encode_uvarint(send_index)
-    return bytes(out)
+    entries, flag = _entry_fields(changes)
+    return pack_uvarints([DELTA | flag, seq, *entries, send_index])
 
 
 def decode_vector_record(data: bytes, nprocs: int) -> VectorRecord:
-    """Parse one vector record (any mode).  Raises ``ValueError`` on a
-    malformed record; reconstruction against channel state happens in
+    """Parse one vector record (any mode).  ``nprocs`` is the receiver's
+    capacity: it sizes a record that carries no count and bounds one
+    that does.  Raises ``ValueError`` on a malformed record;
+    reconstruction against channel state happens in
     :mod:`repro.protocols.compression`."""
     if not data:
         raise ValueError("empty vector record")
@@ -353,88 +271,74 @@ def decode_vector_record(data: bytes, nprocs: int) -> VectorRecord:
     mode = header & _MODE_MASK
     with_epochs = bool(header & FLAG_EPOCHS)
     standalone = bool(header & FLAG_STANDALONE)
-    offset = 1
-    seq = None
     if mode == DELTA and standalone:
         raise ValueError("delta records cannot be standalone")
-    if header & FLAG_COUNTED:
-        # the record names its own vector length; ``nprocs`` sizes the
-        # ones that carry no count
-        nprocs, offset = decode_uvarint(data, offset)
-        if nprocs < 1:
-            raise ValueError("counted record with zero-length vector")
-    if not standalone:
-        seq, offset = decode_uvarint(data, offset)
+    fields = unpack_uvarints(data, 1)
+    counted = bool(header & FLAG_COUNTED)
+    start = counted + (not standalone)
+    if len(fields) <= start:
+        raise ValueError("truncated vector record")
+    if counted:
+        if not 1 <= fields[0] <= nprocs:
+            raise ValueError(f"counted vector length {fields[0]} outside "
+                             f"1..{nprocs}")
+        nprocs = fields[0]
+    seq = None if standalone else fields[start - 1]
+    send_index = fields[-1]
+    body = fields[start:-1]
     if mode == FULL_DENSE:
-        values = []
-        for _ in range(nprocs):
-            v, offset = decode_uvarint(data, offset)
-            values.append(v)
-        epochs = [0] * nprocs
-        if with_epochs:
-            epochs = []
-            for _ in range(nprocs):
-                e, offset = decode_uvarint(data, offset)
-                epochs.append(e)
-        send_index, offset = decode_uvarint(data, offset)
-        if offset != len(data):
-            raise ValueError(f"{len(data) - offset} trailing bytes")
-        return VectorRecord(mode, standalone, seq, send_index,
-                            tuple(values), tuple(epochs), None)
-    if mode == FULL_SPARSE:
-        entries, offset = _decode_entries(data, offset, with_epochs)
-        send_index, offset = decode_uvarint(data, offset)
-        if offset != len(data):
-            raise ValueError(f"{len(data) - offset} trailing bytes")
-        values = [0] * nprocs
-        epochs = [0] * nprocs
-        for index, value, epoch in entries:
-            if index >= nprocs:
-                raise ValueError(f"sparse index {index} >= nprocs {nprocs}")
-            values[index] = value
-            epochs[index] = epoch
-        return VectorRecord(mode, standalone, seq, send_index,
-                            tuple(values), tuple(epochs), None)
+        if len(body) != (2 if with_epochs else 1) * nprocs:
+            raise ValueError(f"dense body of {len(body)} fields for a "
+                             f"vector of {nprocs}")
+        return VectorRecord(
+            mode, standalone, seq, send_index, tuple(body[:nprocs]),
+            tuple(body[nprocs:]) if with_epochs else (0,) * nprocs, None)
+    if mode not in (FULL_SPARSE, DELTA):
+        raise ValueError(f"unknown vector-record mode {mode}")
+    stride = 3 if with_epochs else 2
+    if not body or len(body) != 1 + stride * body[0]:
+        raise ValueError(f"{len(body)} entry fields do not hold the "
+                         f"count they open with")
+    entries = []
+    index = -1
+    for at in range(1, len(body), stride):
+        index += body[at] + 1
+        entries.append(
+            (index, body[at + 1], body[at + 2] if with_epochs else 0))
+    if index >= nprocs:
+        raise ValueError(f"entry index {index} >= nprocs {nprocs}")
     if mode == DELTA:
-        entries, offset = _decode_entries(data, offset, with_epochs)
-        send_index, offset = decode_uvarint(data, offset)
-        if offset != len(data):
-            raise ValueError(f"{len(data) - offset} trailing bytes")
-        for index, _, _ in entries:
-            if index >= nprocs:
-                raise ValueError(f"delta index {index} >= nprocs {nprocs}")
-        return VectorRecord(mode, standalone, seq, send_index,
-                            None, None, tuple(entries))
-    raise ValueError(f"unknown vector-record mode {mode}")
+        return VectorRecord(mode, standalone, seq, send_index, None, None,
+                            tuple(entries))
+    values = [0] * nprocs
+    epochs = [0] * nprocs
+    for index, value, epoch in entries:
+        values[index] = value
+        epochs[index] = epoch
+    return VectorRecord(mode, standalone, seq, send_index,
+                        tuple(values), tuple(epochs), None)
 
 
 # ----------------------------------------------------------------------
-# Determinant records (TAG / TEL / PART compressed piggybacks)
+# Determinant lists (TAG / TEL / PART compressed piggybacks)
 # ----------------------------------------------------------------------
 
-def encode_determinants_varint(dets: Sequence[Determinant]) -> bytes:
-    """Varint determinant list: count + 4 varints per determinant.  No
-    32-bit ceiling, and small indexes (the common case) cost one byte."""
-    out = bytearray()
-    out += encode_uvarint(len(dets))
-    for det in dets:
-        out += encode_uvarint(det.receiver)
-        out += encode_uvarint(det.deliver_index)
-        out += encode_uvarint(det.sender)
-        out += encode_uvarint(det.send_index)
-    return bytes(out)
+def determinant_fields(dets: Sequence[Determinant]) -> list[int]:
+    """``count, count x (receiver, deliver_index, sender, send_index)``:
+    no 32-bit ceiling, and small indexes (the common case) pack into one
+    byte each."""
+    return [len(dets), *chain.from_iterable(dets)]
 
 
-def decode_determinants_varint(data: bytes, offset: int = 0,
-                               ) -> tuple[list[Determinant], int]:
-    """Inverse of :func:`encode_determinants_varint`; returns
-    (determinants, next_offset)."""
-    count, offset = decode_uvarint(data, offset)
-    dets: list[Determinant] = []
-    for _ in range(count):
-        receiver, offset = decode_uvarint(data, offset)
-        deliver_index, offset = decode_uvarint(data, offset)
-        sender, offset = decode_uvarint(data, offset)
-        send_index, offset = decode_uvarint(data, offset)
-        dets.append(Determinant(receiver, deliver_index, sender, send_index))
-    return dets, offset
+def take_determinants(fields: list[int], start: int,
+                      ) -> tuple[list[Determinant], int]:
+    """Inverse of :func:`determinant_fields` on the list that begins at
+    ``fields[start]``; returns (determinants, next_start)."""
+    if start >= len(fields):
+        raise ValueError("truncated determinant list")
+    end = start + 1 + 4 * fields[start]
+    if end > len(fields):
+        raise ValueError(f"{len(fields) - start - 1} fields for "
+                         f"{fields[start]} determinants")
+    columns = [fields[start + k:end:4] for k in range(1, 5)]
+    return list(map(Determinant, *columns)), end

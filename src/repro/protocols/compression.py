@@ -12,8 +12,9 @@ instance, one channel per destination:
   channel's *watermark* — the vector's mutation clock at the previous
   record — built in O(changed) from the vector's dirty-entry log;
 * a DELTA that would not beat the full form falls back to a stream FULL
-  (exact: the comparison encodes both once the delta is big enough to
-  possibly lose);
+  (exact: once the delta is big enough to possibly lose, the full
+  record's size is computed from its fields, and it is packed only if
+  it wins);
 * :meth:`VectorDeltaEncoder.invalidate` drops a channel when its peer
   enters a new incarnation epoch (the peer's decoder state died with
   it), so the next send re-establishes with a FULL.
@@ -105,31 +106,31 @@ class VectorDeltaEncoder:
         size comparison).
         """
         clock = self.vector.change_clock
-        n = len(piggyback)
+        epochs = piggyback.epochs
         chan = self._channels.get(dest)
         if chan is None:
-            blob = wire.encode_vector_full(
-                tuple(piggyback), piggyback.epochs, send_index, seq=0)
+            blob = wire.encode_vector_full(piggyback, epochs, send_index,
+                                           seq=0)
             self._channels[dest] = [clock, 0]
             fell_back = dest in self._ever
             self._ever.add(dest)
             return blob, fell_back
         watermark, seq = chan
         seq += 1
-        changed = self.vector.delta_since(watermark)
-        changes = tuple(
-            (k, piggyback[k], piggyback.epochs[k]) for k in changed)
-        blob = wire.encode_vector_delta(changes, send_index, seq)
+        blob = wire.encode_vector_delta(
+            [(k, piggyback[k], epochs[k])
+             for k in self.vector.delta_since(watermark)], send_index, seq)
         fell_back = False
         # Exact fallback: any record shorter than n + 3 bytes is provably
         # no larger than the dense full form (header + seq + n values +
         # send_index, one byte minimum each) — only past that can a full
-        # record win, and then the comparison is done for real.
-        if len(blob) >= n + 3:
-            full = wire.encode_vector_full(
-                tuple(piggyback), piggyback.epochs, send_index, seq=seq)
-            if len(full) <= len(blob):
-                blob = full
+        # record win, and then it is sized from its fields and packed
+        # only if it does.
+        if len(blob) >= len(piggyback) + 3:
+            full, size = wire.vector_full_fields(
+                piggyback, epochs, send_index, seq)
+            if size <= len(blob):
+                blob = wire.pack_uvarints(full)
                 fell_back = True
         chan[0] = clock
         chan[1] = seq
@@ -194,31 +195,24 @@ def encode_pwd_piggyback(piggyback: Any, send_index: int) -> bytes | None:
     if piggyback is None:
         return None
     stable = piggyback.get("stable")
-    out = bytearray([PWD_FLAG_STABLE if stable is not None else 0])
-    out += wire.encode_uvarint(send_index)
-    out += wire.encode_determinants_varint(piggyback["dets"])
-    if stable is not None:
-        for entry in stable:
-            out += wire.encode_uvarint(entry)
-    return bytes(out)
+    return wire.pack_uvarints([
+        0 if stable is None else PWD_FLAG_STABLE, send_index,
+        *wire.determinant_fields(piggyback["dets"]), *(stable or ())])
 
 
 def decode_pwd_piggyback(blob: bytes, nprocs: int) -> tuple[dict, int]:
     """Inverse of :func:`encode_pwd_piggyback`; returns the piggyback
     dict and the embedded send index."""
     try:
-        flags = blob[0]
-        send_index, offset = wire.decode_uvarint(blob, 1)
-        dets, offset = wire.decode_determinants_varint(blob, offset)
-        piggyback: dict[str, Any] = {"dets": tuple(dets)}
-        if flags & PWD_FLAG_STABLE:
-            stable = []
-            for _ in range(nprocs):
-                entry, offset = wire.decode_uvarint(blob, offset)
-                stable.append(entry)
-            piggyback["stable"] = tuple(stable)
-        if offset != len(blob):
-            raise ValueError(f"{len(blob) - offset} trailing bytes")
-    except (ValueError, IndexError) as exc:
+        fields = wire.unpack_uvarints(blob, 1)
+        dets, end = wire.take_determinants(fields, 1)
+        with_stable = blob[0] & PWD_FLAG_STABLE
+        stable = fields[end:]
+        if len(stable) != (nprocs if with_stable else 0):
+            raise ValueError(f"{len(stable)} fields after the determinants")
+    except ValueError as exc:
         raise UndecodablePiggyback(f"malformed record: {exc}") from exc
-    return piggyback, send_index
+    piggyback: dict[str, Any] = {"dets": tuple(dets)}
+    if with_stable:
+        piggyback["stable"] = tuple(stable)
+    return piggyback, fields[0]

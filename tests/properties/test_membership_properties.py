@@ -10,10 +10,11 @@ so a channel watermark taken before a growth step can never miss them.
 
 The wire property pins the ``FLAG_COUNTED`` record form: a full vector
 record names its own length, so decoding with *any* caller capacity
-(the receiver's, which may be larger) reproduces the sender's exact
-vector.
+that holds it (the receiver's, which may be larger) reproduces the
+sender's exact vector.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import wire
@@ -145,14 +146,16 @@ class TestCountedWireRecords:
         tagged=st.booleans(),
         send_index=st.integers(0, 1 << 20),
         seq=st.one_of(st.none(), st.integers(0, 1 << 16)),
-        caller_nprocs=st.integers(1, 64),
+        headroom=st.integers(0, 52),
         data=st.data(),
     )
     def test_full_record_roundtrip_at_any_caller_capacity(
-            self, values, tagged, send_index, seq, caller_nprocs, data):
-        """A counted FULL record reproduces the sender's exact vector no
-        matter what capacity the decoding side believes in."""
+            self, values, tagged, send_index, seq, headroom, data):
+        """A counted FULL record reproduces the sender's exact vector at
+        whatever capacity the decoding side has room for it in — and is
+        malformed, not an allocation, at any capacity below its length."""
         n = len(values)
+        caller_nprocs = n + headroom
         epochs = (data.draw(st.lists(st.integers(0, 7), min_size=n,
                                      max_size=n), label="epochs")
                   if tagged else [0] * n)
@@ -163,3 +166,5 @@ class TestCountedWireRecords:
         assert record.send_index == send_index
         assert record.standalone == (seq is None)
         assert record.seq == seq
+        with pytest.raises(ValueError, match="counted vector length"):
+            wire.decode_vector_record(blob, n - 1)
