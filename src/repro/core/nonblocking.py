@@ -17,68 +17,61 @@ matching message is delivered).
 time concurrently with the application — the paper's point is precisely
 that computing, sending and receiving proceed in parallel — so the
 tracking cost is paid on the pump's clock, not the application's.
+It presents the same surface as
+:class:`repro.core.blocking.BlockingSender`, so the endpoint picks one
+at construction and never asks which it holds.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any
 
-from repro.simnet.engine import Engine
-
-
-@dataclass
-class SendRequest:
-    """One application-level send parked in queue A."""
-
-    dest: int
-    tag: int
-    payload: Any
-    size_bytes: int
-    #: invoked when the pump has handed the frame to the transport
-    #: (used by tests; the application does NOT wait for it)
-    on_sent: Callable[[], None] | None = None
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.simnet.primitives import SendOp
+    from repro.simnet.proc import Task
 
 
 class SendPump:
     """Queue A plus the sending thread.
 
-    ``process_send`` is supplied by the endpoint and performs the actual
-    protocol work for one request, returning the simulated CPU time the
-    sending thread spends on it.
+    ``host`` is the endpoint: ``prepare(op)`` runs the protocol's send
+    hook for one queue-A entry and ``ship(op, prepared, wire)`` puts the
+    frame through the transmit gate; the prepared send's ``cost`` is the
+    simulated CPU time the sending thread spends on it.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        process_send: Callable[[SendRequest], float],
-    ) -> None:
-        self.engine = engine
-        self.process_send = process_send
-        self._queue: deque[SendRequest] = deque()
+    def __init__(self, host: Any) -> None:
+        self.host = host
+        self.engine = host.engine
+        #: queue-A append: the application's entire cost (Fig. 4b)
+        self._submit_cost = host.config.costs.per_send_base
+        self._queue: deque["SendOp"] = deque()
         self._busy = False
-        self._dead = False
+        #: bumped by :meth:`reset`; a callback scheduled under an older
+        #: generation finds nothing to do
+        self._generation = 0
         self.submitted = 0
         self.peak_depth = 0
 
     # ------------------------------------------------------------------
-    def submit(self, request: SendRequest) -> None:
-        """Append to queue A and return immediately (the application
-        thread's entire involvement)."""
-        if self._dead:
-            return
-        self._queue.append(request)
+    def submit(self, task: "Task", op: "SendOp") -> None:
+        """Append to queue A and let the application go on (the
+        application thread's entire involvement)."""
+        self._queue.append(op)
         self.submitted += 1
         self.peak_depth = max(self.peak_depth, len(self._queue))
         if not self._busy:
             self._busy = True
-            self.engine.schedule(0.0, self._drain_head)
+            generation = self._generation
+            self.engine.schedule(0.0, lambda: self._drain_head(generation))
+        task.resume(None, delay=self._submit_cost)
 
-    def kill(self) -> None:
-        """The hosting process failed: queue A is volatile state."""
-        self._dead = True
+    def reset(self) -> None:
+        """The incarnation ended: queue A is volatile state."""
+        self._generation += 1
         self._queue.clear()
+        self._busy = False
 
     @property
     def depth(self) -> int:
@@ -88,22 +81,37 @@ class SendPump:
     def idle(self) -> bool:
         return not self._busy and not self._queue
 
+    # Fig. 4b never waits on the transport: no acknowledgements are
+    # requested, no window is kept, the application is never stalled
+    def ack_mode(self, size_bytes: int) -> None:
+        """No frame asks for an acknowledgement."""
+        return None
+
+    def on_ack(self, peer: int, send_index: int) -> None:
+        """Nothing waits on an acknowledgement."""
+
+    def peer_watermark(self, peer: int, delivered_upto: int) -> None:
+        """No window holds entries a restarted peer could strand."""
+
+    def describe_wait(self) -> list[str]:
+        """The application never stalls on a send."""
+        return []
+
     # ------------------------------------------------------------------
-    def _drain_head(self) -> None:
-        if self._dead:
+    def _drain_head(self, generation: int) -> None:
+        if generation != self._generation:
             return
         if not self._queue:
             self._busy = False
             return
-        request = self._queue[0]
-        cost = self.process_send(request)
-        self.engine.schedule(cost, lambda: self._finish(request))
+        op = self._queue[0]
+        prepared = self.host.prepare(op)
+        if prepared.transmit:
+            self.host.ship(op, prepared, prepared.wire)
+        self.engine.schedule(prepared.cost, lambda: self._finish(generation))
 
-    def _finish(self, request: SendRequest) -> None:
-        if self._dead:
+    def _finish(self, generation: int) -> None:
+        if generation != self._generation:
             return
-        if self._queue and self._queue[0] is request:
-            self._queue.popleft()
-        if request.on_sent is not None:
-            request.on_sent()
-        self._drain_head()
+        self._queue.popleft()
+        self._drain_head(generation)

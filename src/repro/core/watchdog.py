@@ -161,10 +161,7 @@ class RecoveryWatchdog:
                 if why:
                     lines.append(f"  {why}")
         # a wedged recovery often *is* a wedged channel: fold in the
-        # reliable transport's in-flight backlog when one is present
-        fabric = getattr(ep.cluster, "fabric", None)
-        describe = getattr(fabric, "describe_pending", None)
-        if describe is not None:
-            for line in describe():
-                lines.append(f"  {line}")
+        # fabric's in-flight backlog (empty on the raw network)
+        for line in ep.cluster.fabric.describe_pending():
+            lines.append(f"  {line}")
         return "\n".join(lines)

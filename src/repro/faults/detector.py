@@ -7,9 +7,9 @@ endpoints produce, so experiments can reason about downtime windows
 without scraping the trace — is preserved unchanged below.
 
 Armed (``DetectorConfig.enabled``), it additionally becomes the live
-in-band detection subsystem: every member endpoint emits periodic
-heartbeats on a dedicated RNG substream and FIFO lane, and every member
-runs a phi-accrual-style suspicion estimator (Hayashibara et al.) over
+in-band detection subsystem: every member rank's :class:`HeartbeatChain`
+emits periodic heartbeats on a dedicated RNG substream and FIFO lane,
+and every member runs a phi-accrual-style suspicion estimator (Hayashibara et al.) over
 the observed inter-arrival gaps of each peer.  Suspicion is a per-rank
 state machine::
 
@@ -33,7 +33,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.mpi.endpoint import Endpoint
+
+#: a heartbeat carries only the sender's incarnation epoch
+_HB_FRAME_BYTES = 8
 
 #: suspicion states, in escalation order
 ALIVE = "alive"
@@ -383,3 +389,62 @@ class FailureDetector:
                 end = max(self.run_ended_at, start)
             total += end - start
         return total
+
+
+class HeartbeatChain:
+    """One rank's periodic beat-and-judge tick (armed runs only).
+
+    The chain belongs to the rank, not to an incarnation: it ends at the
+    first tick that finds the rank down (or every application finished)
+    and :meth:`Cluster.wake_heartbeats` re-arms it when the rank is back.
+    """
+
+    def __init__(self, endpoint: "Endpoint") -> None:
+        self.endpoint = endpoint
+        self.cluster = cluster = endpoint.cluster
+        self.interval = cluster.config.detector.heartbeat_interval
+        #: a tick is scheduled (prevents duplicate chains)
+        self.armed = False
+
+    def ensure(self) -> None:
+        """Start the chain unless one is already scheduled."""
+        if self.armed:
+            return
+        self.armed = True
+        self.cluster.engine.schedule(self.interval, self._tick)
+
+    def _tick(self) -> None:
+        cluster = self.cluster
+        endpoint = self.endpoint
+        if not cluster.heartbeats_live() or not endpoint.node.alive:
+            # every member application finished — stop ticking so the
+            # engine can drain (armed detection must not keep a finished
+            # run alive) — or this rank is dead, departed or deferred:
+            # the chain ends here and the next incarnation re-arms it
+            self.armed = False
+            return
+        now = cluster.engine.now
+        gray = endpoint.gray
+        if gray is None or now >= gray.freeze_until:
+            # a frozen rank neither beats nor judges — exactly the
+            # silence the accrual estimators turn into suspicion
+            rank = endpoint.rank
+            members = cluster.membership.current_members()
+            if rank in members:
+                peers = [r for r in sorted(members) if r != rank]
+                epoch = endpoint.node.epoch
+                # the transmit gate, once per fan-out: only the mute stamp
+                # is per destination.  Straight onto the raw network, so
+                # arming the detector never perturbs transport sequencing
+                if cluster.fenced(rank, epoch):
+                    for dst in peers:
+                        endpoint.drop_fenced(dst, "hb")
+                else:
+                    muted, stamp = gray.mute() if gray is not None else ((), {})
+                    cluster.network.transmit_heartbeats(
+                        rank, peers, _HB_FRAME_BYTES, epoch, muted, stamp)
+                cluster.detector.evaluate(rank, now, peers)
+        # deadlock tripwire: heartbeats keep the engine alive, so a
+        # wedged run must be detected here rather than at max_events
+        cluster.check_liveness(now)
+        cluster.engine.schedule(self.interval, self._tick)

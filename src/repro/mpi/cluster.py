@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence, TYPE_CHECKING
 
 from repro.config import SimulationConfig
-from repro.faults.detector import FailureDetector
+from repro.faults.detector import FailureDetector, HeartbeatChain
 from repro.faults.injector import EventSpec, FaultInjector
 from repro.metrics.counters import MetricsAggregate, RankMetrics, aggregate
 from repro.mpi.endpoint import Endpoint
@@ -141,6 +141,11 @@ class Cluster:
             Endpoint(self, rank, app_factory(rank, config.nprocs, self.rng))
             for rank in range(config.nprocs)
         ]
+        #: one heartbeat tick chain per rank when detection is in-band
+        #: (see :meth:`wake_heartbeats`)
+        self.heartbeats = (
+            [HeartbeatChain(ep) for ep in self.endpoints]
+            if config.detector.enabled else [])
         self.injector = FaultInjector(self)
         self._started = False
         #: fenced zombie incarnations: (rank, epoch) pairs condemned
@@ -228,9 +233,9 @@ class Cluster:
         ended while their rank was down."""
         if not self.detector.armed:
             return
-        for endpoint in self.endpoints:
-            if endpoint.node.alive:
-                endpoint.ensure_heartbeats()
+        for chain in self.heartbeats:
+            if chain.endpoint.node.alive:
+                chain.ensure()
 
     def _on_condemned(self, rank: int, observer: int, now: float) -> None:
         """A peer's accrual estimator gave up on ``rank`` — the recovery
@@ -265,12 +270,11 @@ class Cluster:
                             observer=observer)
 
             def force_kill() -> None:
-                if node.epoch != epoch or not node.alive:
-                    return  # died on its own inside the fence window
                 endpoint.fail()
                 self.engine.schedule(self.config.restart_delay, restart)
 
-            self.engine.schedule(self.config.detector.fence_delay, force_kill)
+            # dropped if the zombie dies on its own inside the fence window
+            endpoint.later(self.config.detector.fence_delay, force_kill)
         elif node.state is NodeState.DEAD:
             # detected a real death: MTTD already recorded by the
             # detector; allocation + process restart remain

@@ -133,9 +133,6 @@ class EndpointServices(TypingProtocol):
     rank: int
     nprocs: int
 
-    def now(self) -> float:
-        """Current simulated time."""
-
     def incarnation_epoch(self) -> int:
         """The hosting node's incarnation epoch (0 before any failure;
         bumped every time the node revives)."""
@@ -159,9 +156,6 @@ class EndpointServices(TypingProtocol):
         """A restarted/rejoined peer's durable state covers our sends up
         to ``delivered_upto``: unacked window entries at or below it
         will never be acked and must be dropped."""
-
-    def schedule(self, delay: float, fn: Any) -> Any:
-        """Schedule deferred protocol work on the simulation engine."""
 
     def wake_delivery(self) -> None:
         """Ask the endpoint to re-run its delivery scan."""

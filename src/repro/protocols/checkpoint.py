@@ -38,10 +38,15 @@ when nothing readable remains it raises a diagnosed
 sender logs is lagged by ``history - 1`` checkpoints while the store is
 hostile (:attr:`CheckpointStore.gc_lag`) so a fallback recovery always
 finds the log suffix it needs.
+
+The write path's *policy* — snapshot, open the in-flight write, commit
+after its duration, retry a visible failure with capped backoff, skip
+past the retry cap — is :class:`CheckpointWriter`, one per rank.
 """
 
 from __future__ import annotations
 
+import copy
 import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -456,3 +461,96 @@ class CheckpointStore:
     def _emit(self, kind: str, rank: int, **fields: Any) -> None:
         if self.trace is not None:
             self.trace.emit(kind, rank, **fields)
+
+
+class CheckpointWriter:
+    """One rank's checkpointing: snapshot, two-phase write, retry, skip.
+
+    ``host`` is the rank's endpoint, read for its ``app``, its current
+    ``protocol``, ``engine``, ``metrics`` and ``trace``; commits and
+    retries are scheduled through ``host.later``, so a rank killed
+    mid-write simply never commits and the generation stays torn.
+    """
+
+    def __init__(self, store: CheckpointStore, host: Any) -> None:
+        self.store = store
+        self.host = host
+        self.seq = 0
+        #: when the last write ends (or the incarnation started): the
+        #: checkpoint interval counts from here
+        self.last_end = 0.0
+        #: when the last checkpoint *committed* on stable storage — the
+        #: base of the rollback-exposure span a skipped checkpoint widens
+        self.commit_time = 0.0
+
+    def write(self, initial: bool = False) -> float:
+        """Checkpoint the rank now; returns how long the application
+        stalls for the write."""
+        host = self.host
+        now = host.engine.now
+        self.seq += 1
+        app_state = copy.deepcopy(host.app.snapshot())
+        protocol_state = host.protocol.checkpoint_state()
+        size = (
+            host.app.snapshot_size_bytes()
+            + host.protocol.checkpoint_log_bytes()
+            + 3 * host.nprocs * host.config.costs.identifier_bytes
+        )
+        ckpt = Checkpoint(
+            rank=host.rank,
+            taken_at=now,
+            seq=self.seq,
+            app_state=app_state,
+            protocol_state=protocol_state,
+            size_bytes=size,
+            last_deliver_index=list(host.protocol.vectors.last_deliver_index),
+        )
+        if initial:
+            # checkpoint zero is written as part of process launch,
+            # before the rank computes or communicates: atomic and free
+            self.store.write(ckpt)
+            duration = 0.0
+            self.commit_time = now
+        else:
+            # periodic checkpoint: an in-flight write.  The generation
+            # opens uncommitted now and seals after `duration`; a kill in
+            # between leaves it torn and the previous generation untouched.
+            gen, duration = self.store.begin_write(ckpt)
+            host.later(duration, self._finish, gen, 1)
+            host.metrics.checkpoint_time += duration
+        host.metrics.checkpoints_taken += 1
+        host.metrics.checkpoint_bytes += size
+        self.last_end = now + duration
+        host.trace.emit("ckpt.write", host.rank, seq=self.seq, size=size)
+        return duration
+
+    def _finish(self, gen: Generation, attempt: int) -> None:
+        """Commit an in-flight write; on a visible failure, retry the
+        same snapshot in the background with capped backoff, and past
+        the retry cap skip the checkpoint (degraded mode: keep running
+        on the previous generation, recording the widened rollback
+        exposure)."""
+        host = self.host
+        now = host.engine.now
+        if self.store.commit(gen):
+            self.commit_time = now
+            host.protocol.after_checkpoint()
+            return
+        host.metrics.ckpt_write_failures += 1
+        scfg = self.store.config
+        if attempt > scfg.max_write_retries:
+            host.metrics.ckpt_skipped += 1
+            host.metrics.storage_exposure_time += now - self.commit_time
+            host.trace.emit("storage.ckpt_skipped", host.rank,
+                            seq=gen.ckpt.seq, attempts=attempt)
+            return
+        backoff = min(scfg.retry_backoff * (2 ** (attempt - 1)),
+                      scfg.retry_backoff_max)
+        host.metrics.ckpt_write_retries += 1
+        host.trace.emit("storage.ckpt_retry", host.rank, seq=gen.ckpt.seq,
+                        attempt=attempt, backoff=backoff)
+        host.later(backoff, self._retry, gen.ckpt, attempt + 1)
+
+    def _retry(self, ckpt: Checkpoint, attempt: int) -> None:
+        gen, duration = self.store.begin_write(ckpt)
+        self.host.later(duration, self._finish, gen, attempt)

@@ -267,6 +267,17 @@ class Network:
         """Drop the rank's frame handler (its frames now drop)."""
         self._receivers.pop(rank, None)
 
+    def forget_peer(self, rank: int) -> None:
+        """A rank left the computation.  The raw wire keeps no per-peer
+        channel state to forget; the reliable transport (same fabric
+        surface) drops its send channels toward the leaver."""
+
+    def describe_pending(self) -> list[str]:
+        """In-flight backlog lines for a stall diagnosis: the raw wire
+        holds no frames back (the reliable transport names its unacked
+        channels)."""
+        return []
+
     # ------------------------------------------------------------------
     def delay_for(self, size_bytes: int) -> float:
         """Deterministic part of the transit delay for a frame."""

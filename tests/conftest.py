@@ -38,7 +38,9 @@ settings.register_profile(
     print_blob=True,
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+from repro.config import SimulationConfig
 from repro.metrics.counters import RankMetrics
+from repro.protocols.base import PreparedSend
 from repro.simnet.engine import Engine
 from repro.simnet.trace import Trace
 
@@ -57,16 +59,12 @@ class MockServices:
         self.compress_piggybacks = compress
         #: checkpoints to lag sender-log GC by (settable per test)
         self.gc_lag = 0
-        self.engine = Engine()
         self.controls: list[tuple[int, str, Any, int]] = []
         self.resends: list[Any] = []
         #: watermarks and resends in call order: ("watermark", peer,
         #: upto) / ("resend", dest, send_index)
         self.journal: list[tuple[Any, ...]] = []
         self.wakeups = 0
-
-    def now(self) -> float:
-        return self.engine.now
 
     def incarnation_epoch(self) -> int:
         return self.epoch
@@ -76,9 +74,6 @@ class MockServices:
 
     def membership_horizon(self) -> int:
         return self.nprocs
-
-    def schedule(self, delay: float, fn: Callable[[], None]) -> Any:
-        return self.engine.schedule(delay, fn)
 
     def send_control(self, dst: int, ctl: str, payload: Any, size_bytes: int) -> None:
         self.controls.append((dst, ctl, payload, size_bytes))
@@ -104,6 +99,52 @@ class MockServices:
     def sent(self, ctl: str) -> list[tuple[int, str, Any, int]]:
         """The recorded control sends of kind ``ctl``."""
         return [c for c in self.controls if c[1] == ctl]
+
+
+class SenderHost:
+    """Stands in for the endpoint when unit-testing a send architecture
+    (:class:`~repro.core.nonblocking.SendPump`,
+    :class:`~repro.core.blocking.BlockingSender`): ``prepare`` assigns
+    per-destination send indexes at a settable tracking ``cost``,
+    ``ship`` records ``(time, payload, send_index)``, ``later`` drops
+    callbacks once the test flips ``alive`` off."""
+
+    def __init__(self, engine: Engine, cost: float = 0.01, **config: Any) -> None:
+        self.engine = engine
+        self.config = SimulationConfig(**config)
+        self.metrics = RankMetrics(rank=0)
+        self.cost = cost
+        #: payloads the protocol recognises as duplicates (not transmitted)
+        self.suppress: set[Any] = set()
+        self.prepared: list[Any] = []
+        self.shipped: list[tuple[float, Any, int]] = []
+        self.alive = True
+        self._next_index: dict[int, int] = {}
+
+    def prepare(self, op: Any) -> Any:
+        self.prepared.append(op.payload)
+        index = self._next_index[op.dest] = self._next_index.get(op.dest, 0) + 1
+        return PreparedSend(send_index=index, piggyback=(),
+                            piggyback_identifiers=0, cost=self.cost,
+                            transmit=op.payload not in self.suppress)
+
+    def ship(self, op: Any, prepared: Any, wire: Any) -> None:
+        self.shipped.append((self.engine.now, op.payload, prepared.send_index))
+
+    def later(self, delay: float, fn: Callable[..., None], *args: Any) -> Any:
+        return self.engine.schedule(
+            delay, lambda: fn(*args) if self.alive else None)
+
+
+class RecordingTask:
+    """An application task double: records when each send completes."""
+
+    def __init__(self, engine: Engine) -> None:
+        self.engine = engine
+        self.resumed_at: list[float] = []
+
+    def resume(self, value: Any = None, delay: float = 0.0) -> None:
+        self.resumed_at.append(self.engine.now + delay)
 
 
 def rollback_payload(proto_name: str, ldi: list[int], epoch: int = 0,

@@ -103,10 +103,12 @@ class TestPumpBehaviour:
         cfg = SimulationConfig(nprocs=4, protocol="tdi", comm_mode="nonblocking", seed=61)
         cluster = Cluster(cfg, workload_factory("lu", scale="fast"))
         cluster.run()
+        from repro.core.nonblocking import SendPump
+
         for ep in cluster.endpoints:
-            assert ep.pump is not None
-            assert ep.pump.submitted > 0
-            assert ep.pump.idle
+            assert isinstance(ep.sender, SendPump)
+            assert ep.sender.submitted > 0
+            assert ep.sender.idle
 
     def test_blocking_mode_has_no_pump(self):
         from repro.mpi.cluster import Cluster
@@ -115,4 +117,7 @@ class TestPumpBehaviour:
         cfg = SimulationConfig(nprocs=4, protocol="tdi", comm_mode="blocking", seed=61)
         cluster = Cluster(cfg, workload_factory("synthetic", scale="fast"))
         cluster.run()
-        assert all(ep.pump is None for ep in cluster.endpoints)
+        from repro.core.blocking import BlockingSender
+
+        assert all(isinstance(ep.sender, BlockingSender)
+                   for ep in cluster.endpoints)

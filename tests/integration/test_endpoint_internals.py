@@ -18,16 +18,19 @@ def make_cluster(comm_mode="blocking", protocol="tdi", nprocs=4,
 
 
 class TestAckModes:
+    """The endpoint picks its send architecture once; the sender says
+    which acknowledgement a frame asks for."""
+
     def test_blocking_thresholds(self):
-        ep = make_cluster().endpoints[0]
-        assert ep._ack_mode(100) == "arrival"
-        assert ep._ack_mode(8192) == "arrival"     # at the threshold: eager
-        assert ep._ack_mode(8193) == "delivery"    # above: rendezvous
+        sender = make_cluster().endpoints[0].sender
+        assert sender.ack_mode(100) == "arrival"
+        assert sender.ack_mode(8192) == "arrival"     # at the threshold: eager
+        assert sender.ack_mode(8193) == "delivery"    # above: rendezvous
 
     def test_nonblocking_never_acks(self):
-        ep = make_cluster(comm_mode="nonblocking").endpoints[0]
-        assert ep._ack_mode(100) is None
-        assert ep._ack_mode(1 << 20) is None
+        sender = make_cluster(comm_mode="nonblocking").endpoints[0].sender
+        assert sender.ack_mode(100) is None
+        assert sender.ack_mode(1 << 20) is None
 
 
 class TestControlFanout:
@@ -89,19 +92,29 @@ class TestDiagnostics:
     def test_describe_wait_idle(self):
         ep = make_cluster().endpoints[0]
         assert ep.describe_wait() == "idle"
-        assert not ep.blocked
 
     def test_describe_wait_pending_recv(self):
-        from repro.mpi.endpoint import _PendingRecv
+        from repro.simnet.primitives import RecvOp
 
         ep = make_cluster().endpoints[0]
-        ep._pending_recv = _PendingRecv(source=2, tag=9, posted_at=1.5)
+        ep._handle_effect(None, RecvOp(source=2, tag=9))
         out = ep.describe_wait()
         assert "source=2" in out and "tag=9" in out
-        assert ep.blocked
 
     def test_describe_wait_pending_ack(self):
-        ep = make_cluster().endpoints[0]
-        ep._pending_acks[(3, 7)] = 0.0
-        assert "acks" in ep.describe_wait()
-        assert ep.blocked
+        from repro.simnet.primitives import RecvOp, SendOp
+
+        from tests.conftest import RecordingTask
+
+        cluster = make_cluster()
+        ep = cluster.endpoints[0]
+        # a rendezvous-sized send stalls the app until the delivery ack;
+        # nobody on rank 3 is receiving, so the ack never comes
+        ep._handle_effect(RecordingTask(cluster.engine),
+                          SendOp(dest=3, payload=0, size_bytes=1 << 20))
+        cluster.engine.run()
+        assert "awaiting acks [(3, 1)]" in ep.describe_wait()
+        # a receive posted on top is reported after the sender's stall
+        ep._handle_effect(None, RecvOp(source=2, tag=9))
+        assert ep.describe_wait().index("acks") \
+            < ep.describe_wait().index("recv(source=2")

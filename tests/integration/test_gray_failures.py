@@ -219,9 +219,12 @@ class TestLivenessGuard:
         cluster.check_liveness(0.0)
         # a frozen rank explains the silence: the guard must wait for
         # the thaw (or the condemnation) instead of tripping
-        cluster.endpoints[1]._freeze_until = float("inf")
+        victim = cluster.endpoints[1]
+        victim.begin_gray(GrayFaultSpec(rank=1, at_time=0.0, kind="freeze",
+                                        duration=1.0))
+        assert victim.frozen
         cluster.check_liveness(2 * limit)
-        cluster.endpoints[1]._freeze_until = 0.0
+        victim.gray.freeze_until = 0.0
         # clock restarted at 2*limit: half a limit later is still calm
         cluster.check_liveness(2.5 * limit)
 

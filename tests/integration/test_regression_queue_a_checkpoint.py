@@ -92,17 +92,21 @@ def test_minimal_reproducer(victim_time):
 def test_checkpoint_waits_for_pump():
     """Direct check: at every checkpoint write, queue A is empty."""
     cfg = SimulationConfig(nprocs=3, protocol="tdi", seed=7,
-                           comm_mode="nonblocking")
+                           comm_mode="nonblocking",
+                           checkpoint_interval=0.002)
     cluster = Cluster(cfg, workload_factory("lu", scale="fast"))
     writes_with_pending = []
+    writes = []
     for ep in cluster.endpoints:
-        original = ep._write_checkpoint
+        original = ep.checkpointer.write
 
         def spy(initial=False, _ep=ep, _orig=original):
-            if _ep.pump is not None and not _ep.pump.idle:
+            writes.append(_ep.rank)
+            if not _ep.sender.idle:
                 writes_with_pending.append(_ep.rank)
             return _orig(initial)
 
-        ep._write_checkpoint = spy
+        ep.checkpointer.write = spy
     cluster.run()
+    assert len(writes) > len(cluster.endpoints)    # periodic ones too
     assert writes_with_pending == []

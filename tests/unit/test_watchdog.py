@@ -67,9 +67,15 @@ class StubQueue:
         return list(self._frames)
 
 
+class StubFabric:
+    def describe_pending(self):
+        return ["transport 0->2: 3 unacked frame(s)"]
+
+
 class StubCluster:
     def __init__(self, endpoints) -> None:
         self.endpoints = endpoints
+        self.fabric = StubFabric()
 
 
 class StubEndpoint:
@@ -216,6 +222,8 @@ class TestAbort:
         assert "rank 0 [recovering, epoch 1]: recv(source=2, tag=0)" in message
         assert "still awaiting ROLLBACK responses from [2, 3]" in message
         assert "frame from 2 requires interval 12" in message
+        # the fabric's in-flight backlog is folded in, indented
+        assert message.endswith("\n  transport 0->2: 3 unacked frame(s)")
 
     def test_no_abort_when_deadline_disabled(self):
         dog, ep, engine = make_watchdog(abort_after=None)
