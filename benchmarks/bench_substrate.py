@@ -6,7 +6,8 @@ end-to-end simulation rate (simulated messages per wall second) that the
 figure sweeps depend on, the cost of the reliable transport layer
 (sequencing + acks + retransmission) at 0% and 1% frame loss, and the
 cost of arming the accrual failure detector (n² heartbeat frames per
-interval) over the same plain run.
+interval) over the same plain run, and the host cost of the TAG baseline
+over it (the same run under ``protocol="tag"``).
 
 Run as a module (``python benchmarks/bench_substrate.py``) to append one
 overhead record to ``BENCH_substrate.json``.
@@ -22,6 +23,9 @@ import sys
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from benchmarks.bench_fig6_piggyback import _git_sha  # noqa: E402
 from repro._version import __version__
 from repro.config import SimulationConfig
 from repro.faults.detector import DetectorConfig
@@ -84,10 +88,10 @@ def test_end_to_end_simulation_rate(benchmark):
 # ----------------------------------------------------------------------
 
 def _transport_run(*, transport: bool, drop_prob: float = 0.0,
-                   detector: bool = False):
-    """One LU/8-rank/TDI run with the given substrate configuration."""
+                   detector: bool = False, protocol: str = "tdi"):
+    """One LU/8-rank run with the given substrate configuration."""
     config = SimulationConfig(
-        nprocs=8, protocol="tdi", seed=1, checkpoint_interval=0.02,
+        nprocs=8, protocol=protocol, seed=1, checkpoint_interval=0.02,
         network=NetworkConfig(drop_prob=drop_prob),
         transport=TransportConfig(enabled=transport),
         detector=DetectorConfig(enabled=detector),
@@ -132,16 +136,35 @@ def _armed_run():
     return _transport_run(transport=False, detector=True)
 
 
-def collect_record() -> dict:
-    """Measure the transport and detector overhead matrix once and
-    package it."""
-    base_s, base = _timed(lambda: _transport_run(transport=False))
-    rt0_s, rt0 = _timed(lambda: _transport_run(transport=True))
-    rt1_s, rt1 = _timed(lambda: _transport_run(transport=True, drop_prob=0.01))
-    armed_s, armed = _timed(_armed_run)
+def _tag_run():
+    """The baseline run under TAG: every send cuts an increment of the
+    antecedence graph and every delivery merges one."""
+    return _transport_run(transport=False, protocol="tag")
+
+
+def _tag_counts(run) -> dict:
+    """What a TAG run scans and piggybacks (deterministic)."""
     return {
+        "tag_graph_nodes_scanned": int(run.stats.total("graph_nodes_scanned")),
+        "tag_pb_identifiers": int(run.stats.total("piggyback_identifiers")),
+    }
+
+
+def collect_record(note: str = "", repeats: int = 3) -> dict:
+    """Measure the transport, detector and TAG overhead matrix once
+    (each cell best of ``repeats``) and package it."""
+    base_s, base = _timed(lambda: _transport_run(transport=False), repeats)
+    rt0_s, rt0 = _timed(lambda: _transport_run(transport=True), repeats)
+    rt1_s, rt1 = _timed(
+        lambda: _transport_run(transport=True, drop_prob=0.01), repeats)
+    armed_s, armed = _timed(_armed_run, repeats)
+    tag_s, tag = _timed(_tag_run, repeats)
+    return {
+        "note": note,
         "date": time.strftime("%Y-%m-%d"),
         "version": __version__,
+        "git_sha": _git_sha(),
+        "command": [Path(sys.executable).name, *sys.argv],
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "workload": {"kernel": "lu", "preset": "paper", "nprocs": 8,
@@ -165,6 +188,10 @@ def collect_record() -> dict:
         "detector_armed_x": round(armed_s / base_s, 4),
         "events_armed": armed.events_fired,
         "frames_armed": armed.network.frames_sent,
+        # likewise for TAG: a ratio, and what it scans and piggybacks
+        "tag_s": round(tag_s, 4),
+        "tag_x": round(tag_s / base_s, 4),
+        **_tag_counts(tag),
     }
 
 
@@ -189,8 +216,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=ARTIFACT,
                         help=f"trajectory file (default: {ARTIFACT})")
+    parser.add_argument("--note", default="",
+                        help="free-text label stored in the record")
+    parser.add_argument("--repeats", type=int, default=3,
+                        help="best-of repeats per timing (default: 3; "
+                        "more on a noisy host)")
     args = parser.parse_args(argv)
-    record = collect_record()
+    record = collect_record(args.note, args.repeats)
     append_record(record, args.out)
     print(json.dumps(record, indent=2))
     print(f"appended to {args.out}")

@@ -31,6 +31,15 @@ batches an event is a behaviour change, not a speed-up), and its wall
 over the plain baseline's (``detector_armed_x``, a machine-independent
 ratio) must stay under the latest record plus a margin.
 
+The TAG baseline is gated the same way, on the same run under
+``protocol="tag"``: what it scans and piggybacks
+(``tag_graph_nodes_scanned``, ``tag_pb_identifiers``) is deterministic
+and must equal the latest record exactly — any change to what TAG
+piggybacks is a behaviour change — and its wall over the plain
+baseline's (``tag_x``) must stay under the latest record plus a margin,
+so a per-determinant Python loop creeping back into the antecedence
+graph trips CI.
+
 Run from the repo root: ``PYTHONPATH=src python benchmarks/perf_smoke.py``.
 """
 
@@ -55,6 +64,8 @@ from benchmarks.bench_fig6_piggyback import (  # noqa: E402
 from benchmarks.bench_substrate import (  # noqa: E402
     ARTIFACT,
     _armed_run,
+    _tag_counts,
+    _tag_run,
     _timed,
     _transport_run,
 )
@@ -64,6 +75,9 @@ PB_GATE_NPROCS = 256
 #: relative margin above the latest recorded ``detector_armed_x``; the
 #: per-frame heartbeat path this guards against read +25%
 ARMED_MARGIN = 0.20
+#: relative margin above the latest recorded ``tag_x``; the set-based
+#: store this guards against read +400% (5.3x vs 1.0x)
+TAG_MARGIN = 0.25
 #: relative margin above the latest recorded ``compress_x``; the
 #: per-value varint loops this guards against read +17% (1.78 vs 1.52)
 COMPRESS_MARGIN = 0.15
@@ -117,6 +131,14 @@ def main(argv: list[str] | None = None) -> int:
           f"(ceiling {armed_ceiling:.2f}x, {armed_s:.3f}s), "
           f"{armed.events_fired} events (pinned {pinned['events_armed']})")
 
+    # TAG: scan and piggyback counts exact, wall ratio against the record
+    tag_ceiling = pinned["tag_x"] * (1.0 + TAG_MARGIN)
+    tag_s, tag = _timed(_tag_run, args.repeats)
+    tag_x = tag_s / base_s
+    tag_counts = _tag_counts(tag)
+    print(f"TAG: {tag_x:.2f}x the plain run (ceiling {tag_ceiling:.2f}x, "
+          f"{tag_s:.3f}s), {tag_counts}")
+
     # compressed piggyback wire size: deterministic, gated at +10%
     pb_pinned = latest_record(args.pb_artifact)
     pb_ceiling = pb_pinned["wire_bytes_per_msg"][str(PB_GATE_NPROCS)] \
@@ -151,6 +173,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: armed detector costs {armed_x:.2f}x the plain run, "
               f"above the pinned ceiling {armed_ceiling:.2f}x (latest "
               f"{args.artifact.name} record + {ARMED_MARGIN:.0%})")
+        failed = True
+    for name, count in tag_counts.items():
+        if count != pinned[name]:
+            print(f"FAIL: {name} is {count}, the latest "
+                  f"{args.artifact.name} record pins {pinned[name]} "
+                  "(deterministic: any difference is a behaviour change)")
+            failed = True
+    if tag_x > tag_ceiling:
+        print(f"FAIL: TAG costs {tag_x:.2f}x the plain run, above the "
+              f"pinned ceiling {tag_ceiling:.2f}x (latest "
+              f"{args.artifact.name} record + {TAG_MARGIN:.0%})")
         failed = True
     if pb_wire > pb_ceiling:
         print(f"FAIL: compressed piggyback {pb_wire:.2f} bytes/msg exceeds "

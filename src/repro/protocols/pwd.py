@@ -18,7 +18,10 @@ common to the family).  What is PWD's own is shared here:
   survivors (and, for TEL, the event logger) *before* delivering
   anything — replaying blind would risk orphan states.  This barrier,
   and the waits for one specific next message during replay, are the
-  rolling-forward overhead the paper's protocol removes.
+  rolling-forward overhead the paper's protocol removes;
+* :class:`Increment`, the value a determinant piggyback carries when
+  its sender keeps determinants in per-receiver bitsets (TAG, PART): a
+  sequence of determinants that is really a handful of masks.
 
 Incarnation epochs: ROLLBACK/RESPONSE control frames carry them (like
 TDI's) so stale frames from dead incarnations are recognised and
@@ -31,6 +34,7 @@ TDI interval count can — the asymmetry is structural, not an omission.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Any, NamedTuple
 
 from repro.core.recovery import CHECKPOINT_ADVANCE, SenderLoggingProtocol
@@ -48,6 +52,70 @@ class Determinant(NamedTuple):
     @property
     def key(self) -> tuple[int, int]:
         return (self.receiver, self.deliver_index)
+
+
+def set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+#: one receiver's share of an :class:`Increment`: ``(receiver, origin,
+#: mask, table)``, bit ``i`` of ``mask`` standing for ``table[origin + i]``
+Run = tuple[int, int, int, dict[int, Determinant]]
+
+
+class Increment(Sequence):
+    """The determinants one piggyback carries: an immutable
+    ``Sequence[Determinant]`` in ``(receiver, deliver_index)`` order whose
+    native form is ``runs``, one :data:`Run` per receiver in rank order.
+    A run's table is shared with the store it was cut from (and may hold
+    more than the mask selects), so such a table is never mutated
+    destructively."""
+
+    __slots__ = ("runs", "_count")
+
+    def __init__(self, runs: tuple[Run, ...], count: int) -> None:
+        self.runs = runs
+        self._count = count  # of determinants: the bits set in the masks
+
+    @classmethod
+    def lift(cls, dets: Iterable[Determinant]) -> Increment:
+        """``dets`` itself when native, else the same determinants as
+        runs (a repeated key keeps its first determinant)."""
+        if isinstance(dets, cls):
+            return dets
+        tables: dict[int, dict[int, Determinant]] = {}
+        for det in dets:
+            tables.setdefault(det.receiver, {}).setdefault(det.deliver_index, det)
+        runs = []
+        for receiver in sorted(tables):
+            table = tables[receiver]
+            origin, mask = min(table), 0
+            for index in table:
+                mask |= 1 << index - origin
+            runs.append((receiver, origin, mask, table))
+        return cls(tuple(runs), sum(map(len, tables.values())))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Determinant]:
+        for _, origin, mask, table in self.runs:
+            for bit in set_bits(mask):
+                yield table[origin + bit]
+
+    def __getitem__(self, index: Any) -> Any:
+        return tuple(self)[index]
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Sequence) and len(self) == len(other)
+                and tuple(self) == tuple(other))
+
+    def __repr__(self) -> str:
+        return f"Increment({tuple(self)!r})"
 
 
 class PwdCausalProtocol(SenderLoggingProtocol):

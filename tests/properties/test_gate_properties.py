@@ -115,5 +115,5 @@ class TestTagKnowledgeProperties:
         for dest in range(1, N):
             pb, _, _ = p._build_piggyback(dest)
             keys = {det.key for det in pb["dets"]}
-            assert not keys & p.known_by[dest]
-            assert keys == p.graph.keys() - p.known_by[dest]
+            assert not keys & p.known_keys(dest)
+            assert keys == p.held_keys() - p.known_keys(dest)

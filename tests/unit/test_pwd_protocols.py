@@ -40,7 +40,7 @@ class TestTagPiggyback:
         # but a *third* party gets everything, including P1's own event
         # (the paper's "has to piggyback all metadata")
         third = p.prepare_send(3, 0, "x", 64)
-        assert {d.key for d in third.piggyback["dets"]} == set(p.graph)
+        assert {d.key for d in third.piggyback["dets"]} == p.held_keys()
 
     def test_sending_is_not_knowledge(self):
         # conservative TAG: the same determinant is re-piggybacked on a
@@ -71,13 +71,13 @@ class TestTagPiggyback:
             CHECKPOINT_ADVANCE, src=2,
             payload={"from_counts": [0, 0, 0, 0], "stable_upto": 3},
         )
-        assert d1.key not in p.graph and d2.key in p.graph
+        assert d1.key not in p.held_keys() and d2.key in p.held_keys()
 
     def test_own_checkpoint_prunes_own_events(self):
         p, svc = make_protocol("tag", rank=0)
         p.on_deliver(app_meta(1, tag_pb()), src=1)
         p.after_checkpoint()
-        assert not p.graph  # our only event was our own delivery
+        assert not p.held_keys()  # our only event was our own delivery
         assert any(c[1] == CHECKPOINT_ADVANCE for c in svc.controls)
 
 
