@@ -24,12 +24,21 @@ this process — a machine-independent ratio) must stay under the latest
 ``BENCH_piggyback.json`` record plus a margin, so a per-value Python
 loop creeping back into the codec trips CI.
 
-And it gates the armed failure detector on the same LU-8 run: the
-armed run's ``events_fired`` is deterministic and must equal the latest
-record's ``events_armed`` exactly (a heartbeat path that drops, adds or
-batches an event is a behaviour change, not a speed-up), and its wall
-over the plain baseline's (``detector_armed_x``, a machine-independent
-ratio) must stay under the latest record plus a margin.
+And it gates the armed failure detector on the same LU-8 run, on both
+of its arms.  ``events_fired`` is deterministic and must equal the
+latest record exactly: ``events_armed`` for the unobserved run, whose
+heartbeats wait on their lanes, and ``events_armed_traced`` for the same
+run with a listener attached, where every beat is an engine event (a
+heartbeat path that drops or adds an event on either arm, or holds a
+beat somebody is watching, is a behaviour change, not a speed-up).  The
+unobserved run's wall over the plain baseline's (``detector_armed_x``,
+a machine-independent ratio) must stay under the latest record plus a
+margin.
+
+Every wall ratio here — clean-wire, armed, TAG, compression — is taken
+round-robin: the plain run and its variants alternate, seconds apart,
+and the fastest of each side is kept, so a slow minute on a shared
+runner cannot land on one side of a ratio only.
 
 The TAG baseline is gated the same way, on the same run under
 ``protocol="tag"``: what it scans and piggybacks
@@ -63,17 +72,20 @@ from benchmarks.bench_fig6_piggyback import (  # noqa: E402
 )
 from benchmarks.bench_substrate import (  # noqa: E402
     ARTIFACT,
+    _alternating,
     _armed_run,
+    _plain_run,
     _tag_counts,
     _tag_run,
-    _timed,
     _transport_run,
 )
 
 #: scale point for the deterministic compressed-bytes gate
 PB_GATE_NPROCS = 256
-#: relative margin above the latest recorded ``detector_armed_x``; the
-#: per-frame heartbeat path this guards against read +25%
+#: relative margin above the latest recorded ``detector_armed_x``.  An
+#: engine event per heartbeat arrival read +20% (1.44x against 1.20x,
+#: same host, alternating rounds) and is caught exactly by
+#: ``events_armed``; the wall ratio is for per-beat cost creeping back
 ARMED_MARGIN = 0.20
 #: relative margin above the latest recorded ``tag_x``; the set-based
 #: store this guards against read +400% (5.3x vs 1.0x)
@@ -101,8 +113,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--margin", type=float, default=0.10,
                         help="absolute overhead margin above the latest "
                         "record (default: 0.10)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="best-of repeats per timing (default: 3)")
+    parser.add_argument("--repeats", type=int, default=7,
+                        help="round-robin rounds per ratio, the fastest "
+                        "of each side kept (default: 7 — a round is "
+                        "about a second)")
     parser.add_argument("--artifact", type=Path, default=ARTIFACT,
                         help=f"trajectory file (default: {ARTIFACT})")
     parser.add_argument("--pb-margin", type=float, default=0.10,
@@ -114,26 +128,32 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     ceiling = pinned_ceiling(args.artifact, args.margin)
-    base_s, _ = _timed(lambda: _transport_run(transport=False), args.repeats)
-    rt0_s, rt0 = _timed(lambda: _transport_run(transport=True), args.repeats)
+    (base_s, _), (rt0_s, rt0), (armed_s, armed), (tag_s, tag) = _alternating({
+        "base": _plain_run,
+        "rt0": lambda: _transport_run(transport=True),
+        "armed": _armed_run,
+        "tag": _tag_run,
+    }, args.repeats).values()
     overhead = rt0_s / base_s - 1.0
     acks = int(rt0.stats.total("rt_acks_sent"))
     print(f"clean-wire transport overhead: {overhead:+.4f} "
           f"(ceiling {ceiling:.4f}, baseline {base_s:.3f}s, "
           f"transport {rt0_s:.3f}s, {acks} standalone acks)")
 
-    # armed detector: event count exact, wall ratio against the record
+    # armed detector: event counts of both arms exact, wall ratio
+    # against the record
     pinned = latest_record(args.artifact)
     armed_ceiling = pinned["detector_armed_x"] * (1.0 + ARMED_MARGIN)
-    armed_s, armed = _timed(_armed_run, args.repeats)
     armed_x = armed_s / base_s
+    armed_events = {
+        "events_armed": armed.events_fired,
+        "events_armed_traced": _armed_run(observed=True).events_fired,
+    }
     print(f"armed detector: {armed_x:.2f}x the plain run "
-          f"(ceiling {armed_ceiling:.2f}x, {armed_s:.3f}s), "
-          f"{armed.events_fired} events (pinned {pinned['events_armed']})")
+          f"(ceiling {armed_ceiling:.2f}x, {armed_s:.3f}s), {armed_events}")
 
     # TAG: scan and piggyback counts exact, wall ratio against the record
     tag_ceiling = pinned["tag_x"] * (1.0 + TAG_MARGIN)
-    tag_s, tag = _timed(_tag_run, args.repeats)
     tag_x = tag_s / base_s
     tag_counts = _tag_counts(tag)
     print(f"TAG: {tag_x:.2f}x the plain run (ceiling {tag_ceiling:.2f}x, "
@@ -163,18 +183,12 @@ def main(argv: list[str] | None = None) -> int:
               f"pinned ceiling {ceiling:.4f} "
               f"(latest {args.artifact.name} record + {args.margin})")
         failed = True
-    if armed.events_fired != pinned["events_armed"]:
-        print(f"FAIL: armed run fired {armed.events_fired} events, the "
-              f"latest {args.artifact.name} record pins "
-              f"{pinned['events_armed']} (deterministic: any difference "
-              "is a behaviour change)")
-        failed = True
     if armed_x > armed_ceiling:
         print(f"FAIL: armed detector costs {armed_x:.2f}x the plain run, "
               f"above the pinned ceiling {armed_ceiling:.2f}x (latest "
               f"{args.artifact.name} record + {ARMED_MARGIN:.0%})")
         failed = True
-    for name, count in tag_counts.items():
+    for name, count in {**armed_events, **tag_counts}.items():
         if count != pinned[name]:
             print(f"FAIL: {name} is {count}, the latest "
                   f"{args.artifact.name} record pins {pinned[name]} "

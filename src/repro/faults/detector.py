@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.endpoint import Endpoint
+    from repro.simnet.network import Network
 
 #: a heartbeat carries only the sender's incarnation epoch
 _HB_FRAME_BYTES = 8
@@ -198,6 +199,10 @@ class FailureDetector:
         #: global per-subject suspicion state (any observer can escalate;
         #: any fresh heartbeat de-escalates SUSPECT)
         self.suspicion: dict[int, str] = {}
+        #: the network whose held heartbeats this detector reads, and the
+        #: instant of the last sweep that took everything arrived
+        self._wire: "Network | None" = None
+        self._heard_at = -1.0
 
     @property
     def armed(self) -> bool:
@@ -205,16 +210,25 @@ class FailureDetector:
 
     def arm(self, config: DetectorConfig,
             is_alive: Callable[[int], bool],
-            on_condemn: Callable[[int, int, float], None]) -> None:
+            on_condemn: Callable[[int, int, float], None],
+            wire: "Network | None" = None) -> None:
         """Switch on live suspicion tracking.
 
         ``is_alive(rank)`` is consulted at condemnation time to record
         ground truth (a false suspicion vs. a detected death);
-        ``on_condemn(rank, observer, now)`` initiates recovery.
+        ``on_condemn(rank, observer, now)`` initiates recovery.  Given
+        the ``wire``, this detector becomes the reader of the heartbeats
+        it holds (:meth:`Network.hold_heartbeats`): everything that has
+        arrived is heard, at its own arrival time, before any state a
+        beat can touch is read or cleared; without one every beat
+        reaches :meth:`observe_heartbeat` as an event.
         """
         self.config = config
         self._is_alive = is_alive
         self._on_condemn = on_condemn
+        self._wire = wire
+        if wire is not None:
+            wire.hold_heartbeats(self._hear_held)
 
     # ------------------------------------------------------------------
     # Timeline ledger (always on; the original API)
@@ -230,11 +244,13 @@ class FailureDetector:
         # predecessor's verdict and every gap history touching the rank
         # (in both directions — the rank's own view of its peers is
         # equally stale after the death window) are discarded
+        self._catch_up(now)
         self.clear(rank)
 
     def observe_run_end(self, now: float) -> None:
         """Record when the run ended (closes any open windows)."""
         self.run_ended_at = now
+        self._catch_up(now)
 
     # ------------------------------------------------------------------
     # Live suspicion (armed only)
@@ -251,11 +267,32 @@ class FailureDetector:
             # the replacement incarnation resets it
             self.suspicion[subject] = ALIVE
 
+    def _hear_held(self, beats: list[tuple]) -> None:
+        """The wire hands over held heartbeats: each is heard at its own
+        arrival time.  Beats of different channels commute (one
+        estimator each; the ``SUSPECT`` clear is idempotent), so hearing
+        them late is invisible as long as it happens before the next
+        read — which is what :meth:`_catch_up` is called for."""
+        hear = self.observe_heartbeat
+        for beat in beats:
+            hear(beat[2], beat[1], beat[0])
+
+    def _catch_up(self, now: float) -> None:
+        """Hear everything the wire still holds that arrived by ``now``."""
+        if self._wire is not None:
+            self._wire.deliver_heartbeats(now)
+
     def evaluate(self, observer: int, now: float, subjects) -> None:
         """One suspicion sweep: ``observer`` judges each of ``subjects``."""
         config = self.config
         if config is None:
             return
+        if now != self._heard_at:
+            # once per instant, for every observer at once: a SUSPECT
+            # written by this sweep must land after the clear of every
+            # beat that arrived before it, whoever received that beat
+            self._heard_at = now
+            self._catch_up(now)
         suspicion = self.suspicion
         estimators = self._estimators
         for subject in subjects:
@@ -271,6 +308,7 @@ class FailureDetector:
 
     def phi(self, observer: int, subject: int, now: float) -> float:
         """Current suspicion level (0.0 before any monitoring)."""
+        self._catch_up(now)
         est = self._estimators.get((observer, subject))
         return est.phi(now) if est is not None else 0.0
 
@@ -420,8 +458,11 @@ class HeartbeatChain:
             # every member application finished — stop ticking so the
             # engine can drain (armed detection must not keep a finished
             # run alive) — or this rank is dead, departed or deferred:
-            # the chain ends here and the next incarnation re-arms it
+            # the chain ends here and the next incarnation re-arms it.
+            # No reader may tick again, so what is still held goes back
+            # to the engine: the run ends at its last arrival either way
             self.armed = False
+            cluster.network.flush_heartbeats()
             return
         now = cluster.engine.now
         gray = endpoint.gray

@@ -188,8 +188,12 @@ class Cluster:
         instant (the chains tick in phase until a restart shifts one) folds
         the cluster's progress into a signature; if it stops changing for
         :data:`LIVENESS_STALL_INTERVALS` heartbeat intervals while no
-        fault machinery is mid-flight, fail fast and name what every
-        rank is blocked on."""
+        fault machinery is mid-flight and every unfinished rank is
+        blocked in a receive or send wait, fail fast and name what every
+        rank is blocked on.  A rank that is between waits
+        (:attr:`Endpoint.in_flight`: mid-compute, or inside a checkpoint
+        write that outlasts the limit at a short heartbeat interval) is
+        progress already scheduled, not a deadlock."""
         if now == self._liveness_checked_at:
             return
         self._liveness_checked_at = now
@@ -206,9 +210,10 @@ class Cluster:
             self._progress_at = now
             return
         if any(ep.frozen or ep.incarnating or not ep.node.alive
-               for ep in self.endpoints):
-            # a freeze, restart or kill is mid-flight: progress resumes
-            # (or a condemnation fires) once it lands
+               or ep.in_flight for ep in self.endpoints):
+            # a freeze, restart, kill, computation or checkpoint write
+            # is mid-flight: progress resumes (or a condemnation fires)
+            # once it lands
             self._progress_at = now
             return
         stall = now - self._progress_at
@@ -294,6 +299,7 @@ class Cluster:
                 self.config.detector,
                 lambda rank: self.nodes[rank].alive,
                 self._on_condemned,
+                wire=self.network,
             )
         if faults:
             self.injector.schedule(list(faults))

@@ -409,6 +409,8 @@ class Endpoint:
         """A gray fault window opens against this (live) rank."""
         if self.gray is None:
             self.gray = GrayGate(self)
+        # a frozen NIC buffers arrivals and replays them at thaw time
+        self.cluster.network.stop_holding(self.rank)
         self.gray.begin(spec)
 
     def replay_thawed(self, outbound: list[Frame], inbound: list[Frame],
@@ -650,6 +652,16 @@ class Endpoint:
         self._check_rollforward_complete()
 
     # ==================================================================
+    @property
+    def in_flight(self) -> bool:
+        """Whether the application is between waits: started, unfinished
+        and neither posted on a receive nor stalled on a send — it is
+        computing, sleeping or inside a checkpoint write, so the event
+        that moves it on is already scheduled."""
+        return (self.task is not None and not self.app_done
+                and self._pending_recv is None
+                and not self.sender.describe_wait())
+
     def describe_wait(self) -> str:
         """Human-readable stall description for deadlock diagnostics."""
         parts = self.sender.describe_wait()

@@ -33,11 +33,23 @@ draws of an unimpaired run):
   would consume garbage;
 * ``partitions`` — scheduled :class:`PartitionWindow` s during which all
   traffic between two rank sets is silently discarded.
+
+Heartbeats (:meth:`Network.transmit_heartbeats`) are the one traffic
+class whose arrival does nothing but update its reader, the failure
+detector.  On a clean wire a beat's arrival time is settled the moment
+it is sent, so once a reader exists (:meth:`Network.hold_heartbeats`) a
+beat toward an attached, never-grayed receiver is *held* on its lane —
+an ``(arrival, src, dst, ...)`` record handed to the reader by
+:meth:`Network.deliver_heartbeats` — instead of costing an engine event.
+A beat is held only while nothing can change what its arrival does;
+everything that can (receiver turnover, a gray gate, an impaired or
+shared wire, a mute stamp, an observer on the trace, the end of the
+run) turns it back into an ordinary arrival event first.  The table is
+in ``docs/PROTOCOLS.md``, "Held and event beats".
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Collection, Sequence
@@ -248,24 +260,40 @@ class Network:
         self.trace = trace or Trace(enabled=False)
         self.stats = NetworkStats()
         self._receivers: dict[int, ReceiveCallback] = {}
-        self._frame_ids = itertools.count(1)
+        #: the last frame id handed out (ids start at 1)
+        self._frame_ids = 0
         #: last scheduled arrival per channel, for the FIFO guarantee.
         #: Standalone transport acks use a separate ("rt"-suffixed) lane:
         #: they carry only idempotent cumulative-ack state, so ordering
         #: them against data frames would cost determinism for nothing.
         self._last_arrival: dict[tuple, float] = {}
+        #: the same for the ``hb`` lane, per sender and keyed by
+        #: destination: held and event beats clamp against one entry
+        self._hb_last_arrival: list[dict[int, float]] = [{} for _ in nodes.nodes]
         #: shared-medium mode: when the collision domain frees up
         self._medium_free_at: float = 0.0
+        #: who reads held heartbeats (:meth:`hold_heartbeats`)
+        self._hb_reader: Callable[[list[tuple]], None] | None = None
+        #: held heartbeats per receiver, in send order (so FIFO per
+        #: channel): ``(arrival, src, dst, frame_id, epoch, size_bytes)``
+        self._held: list[list[tuple]] = [[] for _ in nodes.nodes]
+        #: receivers a beat may be held for: attached, and not grayed
+        #: since (:meth:`stop_holding`)
+        self._holdable: set[int] = set()
+        # an observer hears every arrival stamped after it attached
+        self.trace.when_activated(self.flush_heartbeats)
 
     # ------------------------------------------------------------------
     def attach(self, rank: int, callback: ReceiveCallback) -> None:
         """Register (or replace, after an incarnation) the frame handler
         for ``rank``."""
         self._receivers[rank] = callback
+        self._holdable.add(rank)
 
     def detach(self, rank: int) -> None:
         """Drop the rank's frame handler (its frames now drop)."""
         self._receivers.pop(rank, None)
+        self.stop_holding(rank)
 
     def forget_peer(self, rank: int) -> None:
         """A rank left the computation.  The raw wire keeps no per-peer
@@ -296,22 +324,23 @@ class Network:
         verdict = self._admit(frame)
         if verdict is None:
             return
+        lane: dict = self._last_arrival
         if frame.kind == "rt-ack":
             jitter_stream = self._rt_jitter
-            channel: tuple = (frame.src, frame.dst, "rt")
+            channel: Any = (frame.src, frame.dst, "rt")
         elif frame.kind == "ctl" and frame.meta.get("ctl") in ("JOIN", "LEAVE"):
             jitter_stream = self._mship_jitter
             channel = (frame.src, frame.dst, "mship")
         elif frame.kind == "hb":
             jitter_stream = self._hb_jitter
-            channel = (frame.src, frame.dst, "hb")
+            lane, channel = self._hb_last_arrival[frame.src], frame.dst
         else:
             jitter_stream = self._jitter
             channel = (frame.src, frame.dst)
         cfg = self.config
         jitter = (float(jitter_stream.uniform(0.0, cfg.jitter_fraction * cfg.base_latency))
                   if cfg.jitter_fraction > 0 else 0.0)
-        self._schedule(frame, channel, jitter, *verdict)
+        self._schedule(frame, lane, channel, jitter, *verdict)
 
     def transmit_heartbeats(self, src: int, dsts: Sequence[int], size_bytes: int,
                             epoch: int, muted: Collection[int],
@@ -319,23 +348,123 @@ class Network:
         """One rank's heartbeat fan-out: ``transmit(Frame("hb", src, dst,
         None, size_bytes, {"epoch": epoch}))`` for each of ``dsts`` in
         order, frames toward ``muted`` ranks carrying the mute ``stamp``.
-        Each frame is admitted on its own; the survivors' jitter is one
-        bulk draw, which consumes the generator exactly as that many
-        scalar draws do (the ``hb`` lane owns its substream, so no other
-        draw can fall between them)."""
-        admitted = []
-        for dst in dsts:
-            meta = {"epoch": epoch, **stamp} if dst in muted else {"epoch": epoch}
-            frame = Frame("hb", src, dst, None, size_bytes, meta)
-            verdict = self._admit(frame)
-            if verdict is not None:
-                admitted.append((frame, verdict))
+        The survivors' jitter is one bulk draw, which consumes the
+        generator exactly as that many scalar draws do (the ``hb`` lane
+        owns its substream, so no other draw can fall between them).
+
+        While partition, mute stamp and wire impairments can claim a
+        frame — or someone observes the trace, or nobody reads held
+        beats — each frame is admitted on its own (:meth:`_admit`) and
+        arrives as an event.  Otherwise none of them applies to any
+        frame of the fan-out: it is counted in bulk (``k`` frames,
+        ``k`` consecutive ids) and each beat waits on its lane for
+        :meth:`deliver_heartbeats`, or is an arrival event when its
+        receiver cannot have beats held (:meth:`stop_holding`)."""
         cfg = self.config
-        jitters = (self._hb_jitter.uniform(0.0, cfg.jitter_fraction * cfg.base_latency,
-                                           size=len(admitted)).tolist()
-                   if cfg.jitter_fraction > 0 else [0.0] * len(admitted))
-        for (frame, verdict), jitter in zip(admitted, jitters):
-            self._schedule(frame, (src, frame.dst, "hb"), jitter, *verdict)
+        lane = self._hb_last_arrival[src]
+        if (muted or self._impair is not None or cfg.shared_medium
+                or self.trace.active or self._hb_reader is None):
+            if muted:
+                # the one case that can meet held beats: an event must
+                # not reach the reader before what its channel holds
+                self.flush_heartbeats()
+            admitted = []
+            for dst in dsts:
+                meta = {"epoch": epoch, **stamp} if dst in muted else {"epoch": epoch}
+                frame = Frame("hb", src, dst, None, size_bytes, meta)
+                verdict = self._admit(frame)
+                if verdict is not None:
+                    admitted.append((frame, verdict))
+            jitters = self._hb_jitters(len(admitted))
+            for (frame, verdict), jitter in zip(admitted, jitters):
+                self._schedule(frame, lane, frame.dst, jitter, *verdict)
+            return
+        count = len(dsts)
+        if count and not (0 <= min(dsts) and max(dsts) < len(self._held)):
+            raise ValueError(f"invalid destination rank in {list(dsts)}")
+        frame_id = self._frame_ids
+        self._frame_ids = frame_id + count
+        stats = self.stats
+        stats.frames_sent += count
+        stats.bytes_sent += count * size_bytes
+        stats.ctl_frames += count
+        stats.ctl_bytes += count * size_bytes
+        now = self.engine.now
+        # _schedule's arithmetic with no mute delay and a private medium
+        base = self.delay_for(size_bytes)
+        held = self._held
+        holdable = self._holdable
+        for dst, jitter in zip(dsts, self._hb_jitters(count)):
+            frame_id += 1
+            arrival = now + (base + jitter)
+            prev = lane.get(dst, -1.0)
+            if arrival <= prev:
+                arrival = prev + _FIFO_EPSILON
+            lane[dst] = arrival
+            beat = (arrival, src, dst, frame_id, epoch, size_bytes)
+            if dst in holdable:
+                held[dst].append(beat)
+            else:
+                self._arrive_later(beat)
+
+    def _hb_jitters(self, count: int) -> list[float]:
+        """``count`` jitter draws from the ``hb`` substream, in one call."""
+        cfg = self.config
+        if cfg.jitter_fraction > 0:
+            return self._hb_jitter.uniform(
+                0.0, cfg.jitter_fraction * cfg.base_latency, size=count).tolist()
+        return [0.0] * count
+
+    # ------------------------------------------------------------------
+    # Held heartbeats
+    # ------------------------------------------------------------------
+    def hold_heartbeats(self, reader: Callable[[list[tuple]], None]) -> None:
+        """From now on a beat whose fate is settled at send time waits
+        on its lane instead of in the engine, and ``reader`` — the armed
+        failure detector — is handed the arrived ones as a list of
+        ``(arrival, src, dst, frame_id, epoch, size_bytes)``, FIFO per
+        channel.  Each arrived at its ``arrival``, not when it is handed
+        over: the reader stamps it so, and asks for what has arrived
+        (:meth:`deliver_heartbeats`) before it reads or clears anything
+        a beat can touch.  Without a reader every beat is an event."""
+        self._hb_reader = reader
+
+    def deliver_heartbeats(self, now: float) -> None:
+        """Hand the reader every held beat that has arrived by ``now``."""
+        arrived = []
+        for queue in self._held:
+            due = [beat for beat in queue if beat[0] <= now]
+            if due:
+                arrived += due
+                queue[:] = [beat for beat in queue if beat[0] > now]
+        if arrived:
+            self._hb_reader(arrived)
+
+    def flush_heartbeats(self, dst: int | None = None) -> None:
+        """Something is about to change what a held beat's arrival does
+        (or to watch it, or the run is ending): the reader is handed
+        what has arrived, and the beats still held toward ``dst`` —
+        toward anyone, by default — become the ordinary arrival events
+        they would have been, at their recorded time with their recorded
+        frame id and epoch."""
+        self.deliver_heartbeats(self.engine.now)
+        for queue in (self._held if dst is None else (self._held[dst],)):
+            for beat in queue:
+                self._arrive_later(beat)
+            queue.clear()
+
+    def stop_holding(self, rank: int) -> None:
+        """``rank`` is turning over (:meth:`detach`) or has a gray gate,
+        which may buffer an arrival and replay it at thaw time: flush the
+        beats held toward it, and hold none until it attaches again."""
+        self._holdable.discard(rank)
+        self.flush_heartbeats(rank)
+
+    def _arrive_later(self, beat: tuple) -> None:
+        """The arrival event of one bulk-counted heartbeat."""
+        arrival, src, dst, frame_id, epoch, size_bytes = beat
+        self.engine.schedule_at(arrival, partial(self._arrive, Frame(
+            "hb", src, dst, None, size_bytes, {"epoch": epoch}, frame_id)))
 
     def _admit(self, frame: Frame) -> tuple[float, float | None] | None:
         """Admission half of a transmission: count the frame, then let
@@ -346,7 +475,7 @@ class Network:
         if not (0 <= frame.dst < len(self.nodes.nodes)):
             raise ValueError(f"invalid destination rank {frame.dst}")
         if frame.frame_id == 0:
-            frame.frame_id = next(self._frame_ids)
+            self._frame_ids = frame.frame_id = self._frame_ids + 1
         cfg = self.config
         stats = self.stats
         trace = self.trace
@@ -399,10 +528,11 @@ class Network:
                 replay = float(self._impair.uniform(0.0, 2.0 * cfg.base_latency))
         return gray_delay, replay
 
-    def _schedule(self, frame: Frame, channel: tuple, jitter: float,
+    def _schedule(self, frame: Frame, lane: dict, channel: Any, jitter: float,
                   gray_delay: float, replay: float | None) -> None:
-        """Scheduling half: modelled delay, FIFO clamp on ``channel``,
-        and the arrival event (plus the replay's, for a duplicate)."""
+        """Scheduling half: modelled delay, FIFO clamp on ``channel`` of
+        ``lane``, and the arrival event (plus the replay's, for a
+        duplicate)."""
         cfg = self.config
         now = self.engine.now
         delay = self.delay_for(frame.size_bytes) + gray_delay + jitter
@@ -416,10 +546,10 @@ class Network:
             arrival = start + delay
         else:
             arrival = now + delay
-        prev = self._last_arrival.get(channel, -1.0)
+        prev = lane.get(channel, -1.0)
         if arrival <= prev:
             arrival = prev + _FIFO_EPSILON
-        self._last_arrival[channel] = arrival
+        lane[channel] = arrival
         arrive = partial(self._arrive, frame)
         self.engine.schedule_at(arrival, arrive)
         if replay is not None:

@@ -51,6 +51,14 @@ class Trace:
         #: whether :meth:`emit` does anything (recording, or someone
         #: listens); hot emit sites test it before building their kwargs
         self.active = enabled
+        #: run when the first listener makes an inactive trace active
+        self._on_activate: list[Callable[[], None]] = []
+
+    def when_activated(self, fn: Callable[[], None]) -> None:
+        """Call ``fn`` whenever a listener makes this trace active — for
+        an emitter that, unobserved, folds events away (the network's
+        held heartbeats) and must unfold them for the newcomer."""
+        self._on_activate.append(fn)
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach the simulated-time source stamped onto events."""
@@ -59,7 +67,10 @@ class Trace:
     def attach_listener(self, fn: Callable[[TraceEvent], None]) -> None:
         """Invoke ``fn`` on every future event, recording or not."""
         self._listeners.append(fn)
-        self.active = True
+        if not self.active:
+            self.active = True
+            for activated in self._on_activate:
+                activated()
 
     def detach_listener(self, fn: Callable[[TraceEvent], None]) -> None:
         """Stop invoking ``fn``; safe if it was never attached."""

@@ -12,8 +12,17 @@ heartbeats themselves are traffic.)
 Under a real kill the armed run must still match the fault-free
 answers, but recovery is condemnation-initiated: the run records a
 measured MTTD instead of the scripted ``detection_delay``.
+
+Unobserved, an armed run holds its heartbeats on their lanes instead of
+scheduling an engine event per arrival (``simnet/network.py``, "Held
+heartbeats").  The pinned runs below are traced, so they pin the
+per-event path; each has an untraced twin that must agree with it on
+everything but the event count, and a slice of
+``tests/tools/heartbeat_equivalence.py`` compares held against event
+runs across every fault shape that can intersect a held beat.
 """
 
+import functools
 import hashlib
 
 import pytest
@@ -21,6 +30,8 @@ import pytest
 from repro.faults.detector import DetectorConfig
 from repro.faults.injector import FaultSpec, GrayFaultSpec
 from repro.harness.runner import Cell, RunRequest
+from tests.tools.heartbeat_equivalence import (TIER1_CELLS, first_difference,
+                                               observation, observe)
 
 PROTOCOLS = ("tdi", "tag", "tel")
 
@@ -159,11 +170,15 @@ PINNED_CASES = {
 }
 
 
-def _pinned_outcome(name):
+@functools.lru_cache(maxsize=None)
+def _pinned_outcome(name, traced=True):
+    """``(pinned tuple, observation for the twin comparison)`` of one
+    pinned case; the trace itself is digested and dropped."""
     seed, fault, transport = PINNED_CASES[name]
-    cluster, faults = _pinned_run(seed, fault, transport=transport)
+    cluster, faults = _pinned_run(seed, fault, transport=transport,
+                                  trace_enabled=traced)
     result = cluster.run(faults)
-    return (
+    pinned = (
         result.events_fired,
         result.network.frames_sent,
         result.network.frames_dropped_dead,
@@ -173,6 +188,7 @@ def _pinned_outcome(name):
         result.accomplishment_time,
         _trace_digest(result.trace),
     )
+    return pinned, observation(cluster, result)
 
 
 #: ``_pinned_outcome`` at the commit before the fan-out path existed,
@@ -210,7 +226,18 @@ class TestPinnedArmedRuns:
 
     @pytest.mark.parametrize("name", sorted(PINNED_CASES))
     def test_run_is_event_identical(self, name):
-        assert _pinned_outcome(name) == PINNED[name]
+        assert _pinned_outcome(name)[0] == PINNED[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CASES))
+    def test_untraced_twin_differs_in_event_count_only(self, name):
+        """Nobody watches the twin, so its heartbeats wait on their
+        lanes: same answers, wire counters, condemnations, times,
+        per-rank metrics, suspicion, estimator histories and RNG
+        substreams from strictly fewer engine events."""
+        traced = _pinned_outcome(name)[1]
+        untraced = _pinned_outcome(name, traced=False)[1]
+        assert first_difference(traced, untraced) is None
+        assert untraced["events_fired"] < traced["events_fired"]
 
     def test_late_listener_sees_every_network_event(self):
         """The network tests ``Trace.active`` before building an event;
@@ -232,3 +259,33 @@ class TestPinnedArmedRuns:
                          if ev.kind in ("net.transmit", "net.arrive")]
         assert sum(ev.kind == "net.transmit" for ev in heard) \
             == result.network.frames_sent
+
+    def test_listener_attached_mid_run_hears_every_later_arrival(self):
+        """Held beats are invisible only while nobody can see them: the
+        first listener turns every beat still in flight back into an
+        arrival event, so it hears exactly what a recording made from
+        the start holds after that instant."""
+        kill = FaultSpec(rank=2, at_time=0.004)
+        traced, faults = _pinned_run(5, kill, nprocs=4, scale="fast")
+        recorded = traced.run(faults).trace
+        quiet, faults = _pinned_run(5, kill, nprocs=4, scale="fast",
+                                    trace_enabled=False)
+        since = 0.00314159
+        heard = []
+        quiet.engine.schedule_at(since, lambda: quiet.trace.attach_listener(
+            lambda ev: heard.append(ev)
+            if ev.kind in ("net.transmit", "net.arrive") else None))
+        quiet.run(faults)
+        assert heard == [ev for ev in recorded.events if ev.time > since
+                         and ev.kind in ("net.transmit", "net.arrive")]
+        assert any(ev.kind == "net.arrive" and ev["frame_kind"] == "hb"
+                   and ev.time < since + 1e-4 for ev in heard)
+
+
+@pytest.mark.parametrize("cell", TIER1_CELLS, ids=lambda cell: cell.name)
+def test_held_run_is_indistinguishable_from_the_event_run(cell):
+    event, held = observe(cell, per_event=True), observe(cell, per_event=False)
+    assert "raised" not in event, event["raised"]
+    assert first_difference(event, held) is None
+    assert held["events_fired"] < event["events_fired"] \
+        or cell.config.network.impaired or cell.config.network.shared_medium

@@ -228,6 +228,55 @@ class TestLivenessGuard:
         # clock restarted at 2*limit: half a limit later is still calm
         cluster.check_liveness(2.5 * limit)
 
+    def test_checkpoint_write_outlasting_the_limit_is_not_a_deadlock(self):
+        """LU-16 ``paper`` writes 10.6 ms checkpoints; at a 0.1 ms
+        heartbeat the stall limit is 10 ms, and around t=0.06 every rank
+        is inside a write at once.  A rank between waits is in flight,
+        not wedged: the run completes with the no-FT answers."""
+        config = api.SimulationConfig(
+            nprocs=16, protocol="tdi", checkpoint_interval=0.05,
+            detector=DetectorConfig(enabled=True, heartbeat_interval=1e-4))
+        run = api.run_workload("lu", scale="paper", config=config)
+        plain = api.run_workload(
+            "lu", scale="paper",
+            config=api.SimulationConfig(nprocs=16, protocol="none"))
+        assert run.results == plain.results
+        assert run.detector.condemnations == []
+        assert run.checkpoint_writes > 16   # past the initial checkpoints
+
+    def test_wedged_run_trips_with_every_wait_named(self):
+        """Every rank posts a receive nobody will ever answer: no rank
+        is in flight, heartbeats keep the engine alive, and the guard
+        names each rank's wait."""
+        from repro.mpi.cluster import Cluster
+        from repro.simnet.engine import SimulationError
+        from repro.workloads.base import Application
+
+        class Wedge(Application):
+            def run(self, ctx):
+                yield ctx.compute(1e-4)
+                yield ctx.recv(source=(self.rank + 1) % self.nprocs, tag=7)
+
+            def snapshot(self):
+                return {}
+
+            def restore(self, state):
+                pass
+
+            def snapshot_size_bytes(self):
+                return 1024
+
+        config = api.SimulationConfig(
+            nprocs=3, protocol="tdi", detector=DetectorConfig(enabled=True))
+        cluster = Cluster(config, lambda rank, nprocs, rng: Wedge(rank, nprocs))
+        with pytest.raises(SimulationError) as wedged:
+            cluster.run()
+        message = str(wedged.value)
+        assert "no application progress for 0.0500s" in message
+        for rank in range(3):
+            assert (f"rank {rank}: recv(source={(rank + 1) % 3}, tag=7)"
+                    in message)
+
 
 class TestGrayAgainstDeadRank:
     def test_gray_against_dead_rank_is_skipped(self):
