@@ -18,11 +18,15 @@ not wall time), so it is pinned against the latest
 regression that silently re-sends full vectors shows up as a 10-20x
 jump, far past the 10% margin.
 
-The host cost of that encoding is gated next to it: ``compress_x``
-(compressed wall over plain wall on LU-16 with one kill, best-of-k in
-this process — a machine-independent ratio) must stay under the latest
-``BENCH_piggyback.json`` record plus a margin, so a per-value Python
-loop creeping back into the codec trips CI.
+The host cost of that encoding is gated next to it, at two scales:
+``compress_x`` (compressed wall over plain wall on LU-16 with one kill)
+and ``ring512_compress_x`` (the same ratio on the ring at 512 ranks)
+must each stay under the latest ``BENCH_piggyback.json`` record plus a
+margin.  Both are medians of per-round ratios — machine-independent,
+and steady where a slow phase of the host outlasts a run — so a
+per-value Python loop creeping back into the codec trips the first, and
+one creeping back into change tracking or decode trips the second, at
+the scale where it shows.
 
 And it gates the armed failure detector on the same LU-8 run, on both
 of its arms.  ``events_fired`` is deterministic and must equal the
@@ -35,10 +39,11 @@ unobserved run's wall over the plain baseline's (``detector_armed_x``,
 a machine-independent ratio) must stay under the latest record plus a
 margin.
 
-Every wall ratio here — clean-wire, armed, TAG, compression — is taken
-round-robin: the plain run and its variants alternate, seconds apart,
-and the fastest of each side is kept, so a slow minute on a shared
-runner cannot land on one side of a ratio only.
+Every wall ratio here is taken round-robin: the plain run and its
+variants alternate, seconds apart, so a slow minute on a shared runner
+cannot land on one side of a ratio only.  Clean-wire, armed and TAG
+keep the fastest of each side; the two compression ratios are medians
+of per-round ratios.
 
 The TAG baseline is gated the same way, on the same run under
 ``protocol="tag"``: what it scans and piggybacks
@@ -68,6 +73,7 @@ from benchmarks.bench_harness import (  # noqa: E402
 from benchmarks.bench_fig6_piggyback import (  # noqa: E402
     ARTIFACT as PB_ARTIFACT,
     compress_x,
+    ring512_compress_x,
     ring_bytes_per_message,
 )
 from benchmarks.bench_substrate import (  # noqa: E402
@@ -93,6 +99,9 @@ TAG_MARGIN = 0.25
 #: relative margin above the latest recorded ``compress_x``; the
 #: per-value varint loops this guards against read +17% (1.78 vs 1.52)
 COMPRESS_MARGIN = 0.15
+#: relative margin above the latest recorded ``ring512_compress_x``; the
+#: per-entry change log this guards against read +27% (2.08 vs 1.64)
+RING512_MARGIN = 0.15
 
 
 def latest_record(path: Path) -> dict:
@@ -114,9 +123,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="absolute overhead margin above the latest "
                         "record (default: 0.10)")
     parser.add_argument("--repeats", type=int, default=7,
-                        help="round-robin rounds per ratio, the fastest "
-                        "of each side kept (default: 7 — a round is "
-                        "about a second)")
+                        help="round-robin rounds per ratio (default: 7 — "
+                        "a round is about a second)")
     parser.add_argument("--artifact", type=Path, default=ARTIFACT,
                         help=f"trajectory file (default: {ARTIFACT})")
     parser.add_argument("--pb-margin", type=float, default=0.10,
@@ -172,6 +180,11 @@ def main(argv: list[str] | None = None) -> int:
     compress_ratio = compress_x(args.repeats)
     print(f"compressed piggyback host cost: {compress_ratio:.2f}x the plain "
           f"run (ceiling {compress_ceiling:.2f}x)")
+    ring512_ceiling = pb_pinned["ring512_compress_x"] * (1.0 + RING512_MARGIN)
+    ring512_ratio = ring512_compress_x(args.repeats)
+    print(f"compressed piggyback host cost, ring at 512 ranks: "
+          f"{ring512_ratio:.2f}x the plain run (ceiling "
+          f"{ring512_ceiling:.2f}x)")
 
     # small-budget micro-benches: exercised, logged, not gated
     print(f"engine: {engine_events_per_second(50_000):,.0f} events/s")
@@ -208,6 +221,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: compression costs {compress_ratio:.2f}x the plain run, "
               f"above the pinned ceiling {compress_ceiling:.2f}x (latest "
               f"{args.pb_artifact.name} record + {COMPRESS_MARGIN:.0%})")
+        failed = True
+    if ring512_ratio > ring512_ceiling:
+        print(f"FAIL: compression costs {ring512_ratio:.2f}x the plain run "
+              f"on the ring at 512 ranks, above the pinned ceiling "
+              f"{ring512_ceiling:.2f}x (latest {args.pb_artifact.name} "
+              f"record + {RING512_MARGIN:.0%})")
         failed = True
     if failed:
         return 1

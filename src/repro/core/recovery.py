@@ -148,9 +148,9 @@ class SenderLoggingProtocol(Protocol):
         """Protocol-specific part of an accepted RESPONSE."""
 
     def _on_peer_epoch_advance(self, rank: int) -> None:
-        """A peer announced a strictly newer incarnation epoch: its
-        receiver-side reconstruction state died with it.  Protocols with
-        per-channel delta encoders invalidate the channel here."""
+        """A peer announced a strictly newer incarnation epoch, or
+        joined: it holds no receiver-side reconstruction state.  Protocols
+        with per-channel delta encoders invalidate the channel here."""
 
     # ------------------------------------------------------------------
     # Sending (lines 8-12)
@@ -472,6 +472,9 @@ class SenderLoggingProtocol(Protocol):
     def _handle_join(self, src: int, payload: dict[str, Any]) -> None:
         self.grow_membership(src)
         self._observe_peer_epoch(src, payload["epoch"])
+        # a joiner holds no reconstruction state whatever its epoch: a
+        # first-ever join announces epoch 0, which is no advance
+        self._on_peer_epoch_advance(src)
         # re-cover the joiner; the resends' acks also unblock any sender
         # parked on the formerly-absent rank
         self._recover_peer(src, payload["ldi"][self.rank])

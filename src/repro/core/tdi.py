@@ -95,6 +95,7 @@ class TdiProtocol(SenderLoggingProtocol):
             dest, piggyback, send_index)
         if fell_back:
             self.metrics.delta_fallback_full_sends += 1
+        piggyback._arr = None  # the receiver decodes its own; ours is logged
         return wire_blob
 
     # ------------------------------------------------------------------

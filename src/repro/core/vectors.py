@@ -36,24 +36,37 @@ Invariants (checked by the property tests):
 Storage is a flat ``int64`` array, and the all-epochs-agree merge (every
 merge of a failure-free run) is a vectorised mask/select: one ``<``
 compare, a ``count_nonzero`` and a masked ``copyto``, all O(n) in C with
-no per-entry Python loop.  A :class:`TaggedPiggyback` built by
-:meth:`DependIntervalVector.as_piggyback` carries a cached array of its
-values so the receiving merge never re-converts the tuple.  Every value
-that leaves this module (indexing, iteration, snapshots, piggyback
+no per-entry Python loop.  A :class:`TaggedPiggyback` carries a cached
+array of its values (primed by whoever built it from one: the sender's
+:meth:`DependIntervalVector.as_piggyback`, the receiver's decoder) so a
+merge never converts a length-n tuple, and a vector or piggyback with no
+post-rollback entry holds *the* all-zero epoch tuple of its length
+(:func:`_zero_epochs`), so "no epoch differs" is an identity test.
+Change tracking for the compressed wire is the mutation clock plus one
+``int64`` stamp array — one masked store to record a batch, one compare
+to read a delta (``docs/PROTOCOLS.md``, "Compressed piggybacks").  Every
+value that leaves this module (indexing, iteration, snapshots, piggyback
 entries) is a plain Python ``int`` — NumPy scalars must not leak into
 checksums, JSON or equality checks.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, Sequence
 
 import numpy as _np
 
 
-def _make_store(values: Iterable[int]):
-    """A flat int64 array of ``values``."""
-    return _np.array(list(values), dtype=_np.int64)
+@functools.lru_cache(maxsize=None)  # one entry per vector length in use
+def _zero_epochs(n: int) -> tuple[int, ...]:
+    """*The* all-zero epoch tuple of length ``n``."""
+    return (0,) * n
+
+
+def _epoch_tuple(epochs: Sequence[int]) -> tuple[int, ...]:
+    """``epochs`` as a tuple — the shared zero tuple when none is set."""
+    return tuple(epochs) if any(epochs) else _zero_epochs(len(epochs))
 
 
 class TaggedPiggyback(tuple):
@@ -63,31 +76,32 @@ class TaggedPiggyback(tuple):
     protocol always shipped (indexing, equality, length), so every
     consumer that only needs the counts — the delivery gate, the oracle,
     the worked-example tests — keeps working; the parallel ``epochs``
-    tuple rides along for the consumers that are epoch-aware.
+    tuple rides along for the consumers that are epoch-aware (it *is*
+    :func:`_zero_epochs` of its length when no entry is set).
 
-    ``_arr`` caches the values as an int64 array so the receiver's merge
-    reads them without re-converting the tuple; it is populated by
-    :meth:`DependIntervalVector.as_piggyback` (or lazily on first merge)
-    and deliberately dropped on pickling/deepcopy — it is a pure cache.
+    ``_arr`` caches the values as an int64 array so a merge reads them
+    without re-converting the tuple; whoever builds the piggyback from
+    an array primes it, a sender on the compressed path drops it once
+    the record is encoded, and it is deliberately dropped on
+    pickling/deepcopy — it is a pure cache.
     """
+
+    _arr = None
 
     def __new__(cls, values: Sequence[int],
                 epochs: Sequence[int] | None = None) -> "TaggedPiggyback":
         self = tuple.__new__(cls, values)
-        eps = tuple(epochs) if epochs is not None else (0,) * len(self)
-        if len(eps) != len(self):
-            raise ValueError(
-                f"epoch vector length {len(eps)} != value length {len(self)}"
-            )
-        self.epochs = eps
-        self._arr = None
+        zero = _zero_epochs(len(self))
+        if epochs is not None and epochs is not zero:
+            epochs = _epoch_tuple(epochs)
+            if len(epochs) != len(self):
+                raise ValueError(f"epoch vector length {len(epochs)} != "
+                                 f"value length {len(self)}")
+        self.epochs = epochs or zero
+        #: True once any entry refers to a post-rollback incarnation; only
+        #: then does the wire form (and the accounting) grow beyond n+1
+        self.tagged = self.epochs is not zero
         return self
-
-    #: True once any entry refers to a post-rollback incarnation; only
-    #: then does the wire form (and the accounting) grow beyond n+1
-    @property
-    def tagged(self) -> bool:
-        return any(self.epochs)
 
     def __reduce__(self):  # pickling / deepcopy, minus the array cache
         return (TaggedPiggyback, (tuple(self), self.epochs))
@@ -99,8 +113,7 @@ class TaggedPiggyback(tuple):
 class DependIntervalVector:
     """A mutable dependency vector with the epoch-aware merge rule."""
 
-    __slots__ = ("owner", "_v", "_e", "_ekey",
-                 "_track", "_clock", "_stamp", "_log", "_log_base")
+    __slots__ = ("owner", "_v", "_e", "_clock", "_stamp")
 
     def __init__(self, nprocs: int, owner: int,
                  values: Sequence[int] | None = None,
@@ -108,32 +121,18 @@ class DependIntervalVector:
         if not (0 <= owner < nprocs):
             raise ValueError(f"owner {owner} out of range for nprocs={nprocs}")
         self.owner = owner
-        # dirty-entry tracking (off unless the compressed wire layer
-        # enables it — every guard below is a single attribute test)
-        self._track = False
+        # change tracking (off unless the compressed wire layer enables
+        # it — every guard below is a single ``is not None`` test)
         self._clock = 0
-        self._stamp: list[int] | None = None
-        self._log: list[tuple[int, int]] | None = None
-        self._log_base = 0
-        if values is None:
-            self._v = _make_store([0] * nprocs)
-        else:
-            if len(values) != nprocs:
+        self._stamp = None
+        for what, given in (("vector", values), ("epoch vector", epochs)):
+            if given is not None and len(given) != nprocs:
                 raise ValueError(
-                    f"vector length {len(values)} != nprocs {nprocs}"
-                )
-            self._v = _make_store(int(x) for x in values)
-        if epochs is None:
-            self._e = [0] * nprocs
-        else:
-            if len(epochs) != nprocs:
-                raise ValueError(
-                    f"epoch vector length {len(epochs)} != nprocs {nprocs}"
-                )
-            self._e = [int(x) for x in epochs]
-        # epoch tuple mirror: lets the merge hot path compare a tagged
-        # piggyback's epochs in one C-level tuple comparison
-        self._ekey = tuple(self._e)
+                    f"{what} length {len(given)} != nprocs {nprocs}")
+        self._v = (_np.zeros(nprocs, dtype=_np.int64) if values is None else
+                   _np.array([int(x) for x in values], dtype=_np.int64))
+        self._e = (_zero_epochs(nprocs) if epochs is None
+                   else _epoch_tuple([int(x) for x in epochs]))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -155,7 +154,7 @@ class DependIntervalVector:
 
     def __repr__(self) -> str:
         return (f"DependIntervalVector(owner={self.owner}, "
-                f"{self._v.tolist()}, epochs={self._e})")
+                f"{self._v.tolist()}, epochs={list(self._e)})")
 
     # ------------------------------------------------------------------
     @property
@@ -165,8 +164,8 @@ class DependIntervalVector:
 
     @property
     def epochs(self) -> tuple[int, ...]:
-        """Per-entry incarnation epochs (read-only view)."""
-        return self._ekey
+        """Per-entry incarnation epochs."""
+        return self._e
 
     @property
     def own_epoch(self) -> int:
@@ -176,75 +175,52 @@ class DependIntervalVector:
     def set_own_epoch(self, epoch: int) -> None:
         """Adopt the owner's current incarnation epoch (on protocol
         construction and after a checkpoint restore)."""
-        if int(epoch) != self._e[self.owner] and self._track:
-            self._record((self.owner,))
-        self._e[self.owner] = int(epoch)
-        self._ekey = tuple(self._e)
+        if int(epoch) != self._e[self.owner]:
+            self._set_epoch(self.owner, int(epoch))
+
+    def _set_epoch(self, k: int, epoch: int) -> None:
+        """Entry ``k`` refers to incarnation ``epoch`` from here on."""
+        epochs = list(self._e)
+        epochs[k] = epoch
+        self._e = _epoch_tuple(epochs)
+        self._touch(k)
 
     # ------------------------------------------------------------------
-    # Dirty-entry tracking for the compressed wire layer
+    # Change tracking for the compressed wire layer
     # ------------------------------------------------------------------
     def enable_change_tracking(self) -> None:
-        """Start recording which entries mutate, so a per-channel delta
-        is O(entries changed) to build instead of O(n).
-
-        The clock ticks once per mutation batch; a change log of
-        ``(clock, index)`` pairs answers :meth:`delta_since` for recent
-        watermarks, and a per-entry last-change stamp covers watermarks
-        that predate the (bounded) log.
-        """
-        if self._track:
-            return
-        self._track = True
-        self._stamp = [0] * len(self._v)
-        self._log = []
-        self._log_base = 0
+        """Start recording which entries mutate.  The clock ticks once
+        per mutation batch and ``_stamp[k]`` is the clock of the last
+        batch that changed entry ``k`` (0: none since tracking began) —
+        the whole tracking state, good for any watermark however old."""
+        if self._stamp is None:
+            self._stamp = _np.zeros(len(self._v), dtype=_np.int64)
 
     @property
     def change_clock(self) -> int:
         """Monotone mutation clock (0 until tracking sees a change)."""
         return self._clock
 
-    def _record(self, indices) -> None:
-        """Stamp a batch of changed entries (tracking enabled only)."""
-        self._clock += 1
-        clock = self._clock
-        log = self._log
-        stamp = self._stamp
-        for k in indices:
-            log.append((clock, k))
-            stamp[k] = clock
-        # Bound the log at 4n entries: drop the oldest half, remembering
-        # the last dropped clock — watermarks at or past it still get
-        # the O(changed) walk, older ones fall back to the stamp scan.
-        limit = 4 * len(self._v)
-        if len(log) > limit:
-            keep = len(log) // 2
-            self._log_base = log[-keep - 1][0]
-            del log[:-keep]
+    def _touch(self, k: int) -> None:
+        """Entry ``k`` changed: a mutation batch of one."""
+        if self._stamp is not None:
+            self._clock += 1
+            self._stamp[k] = self._clock
 
     def delta_since(self, watermark: int) -> tuple[int, ...]:
         """Sorted indices of every entry whose value or epoch changed
         after mutation clock ``watermark``."""
-        if not self._track:
+        if self._stamp is None:
             raise RuntimeError("change tracking is not enabled")
         if watermark >= self._clock:
             return ()
-        if watermark >= self._log_base:
-            seen: set[int] = set()
-            for clock, k in reversed(self._log):
-                if clock <= watermark:
-                    break
-                seen.add(k)
-            return tuple(sorted(seen))
-        stamp = self._stamp
-        return tuple(k for k in range(len(stamp)) if stamp[k] > watermark)
+        return tuple((self._stamp > watermark).nonzero()[0].tolist())
 
     def grow_to(self, nprocs: int) -> None:
         """Grow the vector to ``nprocs`` entries (dynamic membership: a
         rank beyond the current horizon joined).  New entries start at
         value 0, epoch 0 — nobody has ever depended on the newcomer —
-        and are stamped dirty so delta encoders whose watermark predates
+        and are stamped changed so delta encoders whose watermark predates
         the growth ship them; the encoders additionally re-establish
         every channel with a counted FULL record (see
         :meth:`~repro.protocols.compression.VectorDeltaEncoder.grow`).
@@ -256,18 +232,18 @@ class DependIntervalVector:
         grown = _np.zeros(nprocs, dtype=_np.int64)
         grown[:old] = self._v
         self._v = grown
-        self._e.extend([0] * (nprocs - old))
-        self._ekey = tuple(self._e)
-        if self._track:
-            self._stamp.extend([0] * (nprocs - old))
-            self._record(range(old, nprocs))
+        self._e = _epoch_tuple(self._e + (0,) * (nprocs - old))
+        if self._stamp is not None:
+            self._clock += 1
+            stamp = _np.full(nprocs, self._clock, dtype=_np.int64)
+            stamp[:old] = self._stamp
+            self._stamp = stamp
 
     # ------------------------------------------------------------------
     def advance_own(self) -> int:
         """Record one delivery: ``depend_interval[i] += 1`` (line 20)."""
         self._v[self.owner] += 1
-        if self._track:
-            self._record((self.owner,))
+        self._touch(self.owner)
         return int(self._v[self.owner])
 
     def merge(self, piggyback: Sequence[int]) -> int:
@@ -285,8 +261,9 @@ class DependIntervalVector:
         if m > len(v):
             raise ValueError("piggyback length mismatch")
         pb_epochs = getattr(piggyback, "epochs", None)
-        if pb_epochs is not None and pb_epochs != self._ekey[:m] and any(
-                a != b for a, b in zip(pb_epochs, self._e)):
+        # untagged and equal-length (every failure-free merge): identical
+        if (pb_epochs is not None and pb_epochs is not self._e
+                and tuple(pb_epochs) != self._e[:m]):
             return self._merge_tagged(piggyback, pb_epochs)
         # Fast path (every epoch agrees, i.e. almost every merge of a
         # failure-free or single-failure run): one vectorised pass —
@@ -295,10 +272,8 @@ class DependIntervalVector:
         # shorter piggyback (sent before its sender learned of a join)
         # merges onto the prefix: absent entries mean "no dependency".
         a = getattr(piggyback, "_arr", None)
-        if a is None:
+        if a is None:  # a plain sequence, or a hand-built piggyback
             a = _np.asarray(piggyback, dtype=_np.int64)
-            if isinstance(piggyback, TaggedPiggyback):
-                piggyback._arr = a  # prime the cache for re-merges
         prefix = v if m == len(v) else v[:m]
         mask = prefix < a
         if self.owner < m:
@@ -306,33 +281,34 @@ class DependIntervalVector:
         changed = _np.count_nonzero(mask)
         if changed:
             _np.copyto(prefix, a, where=mask)
-            if self._track:
-                self._record(_np.nonzero(mask)[0].tolist())
+            if self._stamp is not None:
+                # the mask is the piggyback's length, not the vector's
+                self._clock += 1
+                _np.copyto(self._stamp[:m], self._clock, where=mask)
         return int(changed)
 
     def _merge_tagged(self, piggyback: Sequence[int],
                       pb_epochs: Sequence[int]) -> int:
         """Slow path: at least one entry's epoch differs from ours."""
-        changed = 0
+        epochs = list(self._e)
         dirty: list[int] = []
-        for k in range(min(len(self._v), len(piggyback))):
+        for k in range(len(piggyback)):
             if k == self.owner:
                 continue
-            pe, le = pb_epochs[k], self._e[k]
+            pe, le = pb_epochs[k], epochs[k]
             if pe > le:
                 self._v[k] = piggyback[k]
-                self._e[k] = pe
-                changed += 1
+                epochs[k] = pe
                 dirty.append(k)
             elif pe == le and piggyback[k] > self._v[k]:
                 self._v[k] = piggyback[k]
-                changed += 1
                 dirty.append(k)
-        if changed:
-            self._ekey = tuple(self._e)
-            if self._track:
-                self._record(dirty)
-        return changed
+        if dirty:
+            self._e = _epoch_tuple(epochs)
+            if self._stamp is not None:
+                self._clock += 1
+                self._stamp[dirty] = self._clock
+        return len(dirty)
 
     def observe_rollback(self, rank: int, interval: int, epoch: int) -> bool:
         """A peer announced a new incarnation: adopt its post-restore
@@ -345,10 +321,7 @@ class DependIntervalVector:
         if rank == self.owner or epoch <= self._e[rank]:
             return False
         self._v[rank] = int(interval)
-        self._e[rank] = int(epoch)
-        self._ekey = tuple(self._e)
-        if self._track:
-            self._record((rank,))
+        self._set_epoch(rank, int(epoch))
         return True
 
     def dominates(self, other: Iterable[int]) -> bool:
@@ -362,7 +335,7 @@ class DependIntervalVector:
 
     def as_piggyback(self) -> TaggedPiggyback:
         """The epoch-tagged piggyback payload of a send."""
-        pb = TaggedPiggyback(self._v.tolist(), self._ekey)
+        pb = TaggedPiggyback(self._v.tolist(), self._e)
         pb._arr = self._v.copy()  # snapshot: the vector keeps mutating
         return pb
 

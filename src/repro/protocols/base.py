@@ -51,31 +51,26 @@ class MembershipView:
     rank's entries stay meaningful in everyone's causal history.
     """
 
-    def __init__(self, nprocs: int, deferred: Any = ()) -> None:
-        self.nprocs = nprocs
-        self._members = set(range(nprocs)) - set(deferred)
-        self._ever = set(self._members)
+    def __init__(self, nprocs: int) -> None:
+        self._members = set(range(nprocs))
+        self.horizon = nprocs
 
     def current_members(self) -> set[int]:
-        """The ranks currently in the computation (crashed ones included)."""
+        """The ranks currently in the computation (crashed ones included),
+        as a copy."""
         return set(self._members)
-
-    @property
-    def horizon(self) -> int:
-        """One past the highest rank that ever joined (monotone)."""
-        return 1 + max(self._ever, default=-1)
 
     def defer(self, rank: int) -> None:
         """Mark a capacity slot that starts empty (its first scheduled
         membership event is a JoinSpec): not a member, not yet counted
-        into the horizon."""
+        into the horizon.  Only before the run starts."""
         self._members.discard(rank)
-        self._ever.discard(rank)
+        self.horizon = 1 + max(self._members, default=-1)
 
     def observe_join(self, rank: int) -> None:
         """Admit ``rank`` (first join or rejoin); extends the horizon."""
         self._members.add(rank)
-        self._ever.add(rank)
+        self.horizon = max(self.horizon, rank + 1)
 
     def observe_leave(self, rank: int) -> None:
         """Record ``rank``'s departure; the horizon stays put."""
@@ -206,10 +201,9 @@ class Protocol(abc.ABC):
         # as part of the computation, and the vector horizon (one past
         # the highest rank that ever joined); fixed-n without a view.
         members_fn = getattr(services, "current_members", None)
-        if callable(members_fn):
-            self.members: set[int] = set(members_fn()) | {self.rank}
-        else:
-            self.members = set(range(nprocs))
+        self.members: set[int] = (members_fn() if callable(members_fn)
+                                  else set(range(nprocs)))
+        self.members.add(self.rank)
         horizon_fn = getattr(services, "membership_horizon", None)
         horizon = horizon_fn() if callable(horizon_fn) else nprocs
         self.horizon: int = max(horizon, self.rank + 1,

@@ -10,7 +10,8 @@ instance, one channel per destination:
   sparse, whichever is smaller) carrying stream sequence number 0;
 * every further record is a DELTA of the entries that changed since the
   channel's *watermark* — the vector's mutation clock at the previous
-  record — built in O(changed) from the vector's dirty-entry log;
+  record — found by one compare of the vector's stamp array against it
+  (:meth:`~repro.core.vectors.DependIntervalVector.delta_since`);
 * a DELTA that would not beat the full form falls back to a stream FULL
   (exact: once the delta is big enough to possibly lose, the full
   record's size is computed from its fields, and it is packed only if
@@ -21,6 +22,9 @@ instance, one channel per destination:
 
 Receiver side (:class:`VectorDeltaDecoder`), one channel per source:
 
+* a channel base is an ``int64`` value array plus an epoch tuple, and
+  every piggyback handed out carries its own array copy of the values,
+  so the merge that follows converts nothing;
 * a stream FULL unconditionally resets the channel base and adopts the
   record's sequence number — which is how a *new sender incarnation*
   (fresh encoder, seq 0) takes over a channel without any explicit
@@ -50,6 +54,8 @@ determinant list, plus TEL's stability vector.
 from __future__ import annotations
 
 from typing import Any
+
+import numpy as _np
 
 from repro.core import wire
 from repro.core.vectors import DependIntervalVector, TaggedPiggyback
@@ -117,21 +123,29 @@ class VectorDeltaEncoder:
             return blob, fell_back
         watermark, seq = chan
         seq += 1
-        blob = wire.encode_vector_delta(
-            [(k, piggyback[k], epochs[k])
-             for k in self.vector.delta_since(watermark)], send_index, seq)
-        fell_back = False
-        # Exact fallback: any record shorter than n + 3 bytes is provably
-        # no larger than the dense full form (header + seq + n values +
-        # send_index, one byte minimum each) — only past that can a full
-        # record win, and then it is sized from its fields and packed
-        # only if it does.
-        if len(blob) >= len(piggyback) + 3:
-            full, size = wire.vector_full_fields(
+        changed = self.vector.delta_since(watermark)
+        # Exact fallback, sized before built.  A record shorter than
+        # n + 3 bytes cannot lose to the dense full form (header + seq +
+        # n values + send_index, a byte each at least) and k entries make
+        # a delta of 2k + 4 bytes at least, so the full record is sized
+        # only once the delta could lose, the delta is laid out only
+        # while it could win, and only the winner is packed.
+        limit = len(piggyback) + 3
+        size, full = 2 * len(changed) + 4, None
+        if size >= limit:
+            full, full_size = wire.vector_full_fields(
                 piggyback, epochs, send_index, seq)
-            if size <= len(blob):
-                blob = wire.pack_uvarints(full)
-                fell_back = True
+        if full is None or full_size > size:
+            blob = wire.encode_vector_delta(
+                [(k, piggyback[k], epochs[k]) for k in changed],
+                send_index, seq)
+            size = len(blob)
+            if full is None and size >= limit:
+                full, full_size = wire.vector_full_fields(
+                    piggyback, epochs, send_index, seq)
+        fell_back = full is not None and full_size <= size
+        if fell_back:
+            blob = wire.pack_uvarints(full)
         chan[0] = clock
         chan[1] = seq
         return blob, fell_back
@@ -142,7 +156,7 @@ class VectorDeltaDecoder:
 
     def __init__(self, nprocs: int) -> None:
         self.nprocs = nprocs
-        #: src -> [next_expected_seq, values, epochs]
+        #: src -> [next_expected_seq, values (int64 array), epochs (tuple)]
         self._channels: dict[int, list[Any]] = {}
 
     def decode(self, src: int, blob: bytes) -> tuple[TaggedPiggyback, int]:
@@ -153,12 +167,15 @@ class VectorDeltaDecoder:
         except ValueError as exc:
             raise UndecodablePiggyback(f"malformed record: {exc}") from exc
         if rec.mode != wire.DELTA:
+            piggyback = TaggedPiggyback(rec.values, rec.epochs)
+            piggyback._arr = _np.fromiter(piggyback, _np.int64, len(piggyback))
             if not rec.standalone:
                 # stream FULL: (re-)establish the channel — a brand-new
                 # sender incarnation resets an existing chain this way
+                # (the base is a copy: it moves while this may be queued)
                 self._channels[src] = [
-                    rec.seq + 1, list(rec.values), list(rec.epochs)]
-            return TaggedPiggyback(rec.values, rec.epochs), rec.send_index
+                    rec.seq + 1, piggyback._arr.copy(), piggyback.epochs]
+            return piggyback, rec.send_index
         chan = self._channels.get(src)
         if chan is None:
             raise UndecodablePiggyback(
@@ -167,18 +184,24 @@ class VectorDeltaDecoder:
             raise UndecodablePiggyback(
                 f"delta from rank {src} has seq {rec.seq}, expected {chan[0]}")
         chan[0] += 1
-        values, epochs = chan[1], chan[2]
+        _, values, epochs = chan
+        if rec.changes and rec.changes[-1][0] >= len(values):
+            # base established before the sender's vector grew (the
+            # encoder re-establishes on growth, but a delta encoded
+            # just before can arrive after): absent entries are zero
+            pad = rec.changes[-1][0] + 1 - len(values)
+            values = chan[1] = _np.pad(values, (0, pad))
+            epochs += (0,) * pad
+        moved = None
         for index, value, epoch in rec.changes:
-            if index >= len(values):
-                # base established before the sender's vector grew (the
-                # encoder re-establishes on growth, but a delta encoded
-                # just before can arrive after): absent entries are zero
-                pad = index + 1 - len(values)
-                values.extend([0] * pad)
-                epochs.extend([0] * pad)
             values[index] = value
-            epochs[index] = epoch
-        return TaggedPiggyback(values, epochs), rec.send_index
+            if epoch != epochs[index]:
+                moved = moved or list(epochs)
+                moved[index] = epoch
+        piggyback = TaggedPiggyback(values.tolist(), moved or epochs)
+        piggyback._arr = values.copy()  # the base moves with later deltas
+        chan[2] = piggyback.epochs
+        return piggyback, rec.send_index
 
 
 # ----------------------------------------------------------------------
