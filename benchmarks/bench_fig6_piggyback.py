@@ -10,7 +10,9 @@ Beyond the paper's 32-rank ceiling, the large-scale section sweeps
 n in {64, 256, 1024} on a communication-sparse ring workload to measure
 what ``compress_piggybacks`` does to TDI's O(n) wire cost, and what the
 encoding costs the host: ``ring_wall_s`` and ``ring_peak_rss_mb`` per
-scale (one child process per scale, so each peak is that scale's own),
+scale (one child process per scale, so each peak is that scale's own;
+a *record* also takes 2048 and 4096 ranks, ``--scales`` to choose, and
+``ring512_peak_rss_mb``, the memory number ``perf_smoke.py`` gates),
 and two ratios that travel between machines — ``compress_x``,
 compressed wall over plain wall on the ROADMAP baseline cell (LU, 16
 ranks, one kill), where a NumPy call's fixed cost shows, and
@@ -48,6 +50,12 @@ SCALES = OPTIONS.scales
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_piggyback.json"
 #: beyond-the-paper scales for the compressed-wire sweep
 LARGE_SCALES = (64, 256, 1024)
+#: what a trajectory record measures: 4096 ranks is 4 GB and three 22 s
+#: runs, too much for a pytest sweep.  10240 does not fit a 16 GB host:
+#: one run allocates 124 B x n^2 (per rank an n-entry tuple per logged
+#: message, decoder bases, the vector, its stamp array and checkpoint
+#: copy) = 13 GB, and ring_point holds one run's result during the next
+RECORD_SCALES = LARGE_SCALES + (2048, 4096)
 #: ROADMAP "Close the measured gaps" (d): compressed wall / plain wall
 COMPRESS_X_TARGET = 1.25
 
@@ -274,10 +282,11 @@ def _git_sha() -> str:
         return "unknown"
 
 
-def collect_record(note: str = "") -> dict:
+def collect_record(note: str = "", scales: tuple = RECORD_SCALES) -> dict:
     """Measure the ring sweep and the LU compression multiplier once and
     package them for the trajectory."""
-    series = {nprocs: ring_point_isolated(nprocs) for nprocs in LARGE_SCALES}
+    series = {nprocs: ring_point_isolated(nprocs) for nprocs in scales}
+    ring512_rss = ring_point_isolated(512)["peak_rss_mb"]
     ratio = compress_x()
     ring_ratio = ring512_compress_x()
     return {
@@ -290,17 +299,20 @@ def collect_record(note: str = "") -> dict:
         "cpu_count": os.cpu_count(),
         "workload": {"kernel": "synthetic", "pattern": "ring", "rounds": 6,
                      "protocol": "tdi", "seed": 1},
-        "scales": list(LARGE_SCALES),
+        "scales": list(scales),
         "raw_bytes_per_msg": {str(n): round(series[n]["raw"], 2)
-                              for n in LARGE_SCALES},
+                              for n in scales},
         "wire_bytes_per_msg": {str(n): round(series[n]["wire"], 2)
-                               for n in LARGE_SCALES},
+                               for n in scales},
         "compression_ratio": {str(n): round(series[n]["ratio"], 1)
-                              for n in LARGE_SCALES},
+                              for n in scales},
         "ring_wall_s": {str(n): round(series[n]["wall_s"], 3)
-                        for n in LARGE_SCALES},
+                        for n in scales},
         "ring_peak_rss_mb": {str(n): round(series[n]["peak_rss_mb"], 1)
-                             for n in LARGE_SCALES},
+                             for n in scales},
+        # the compressed ring at 512 ranks, a child of its own: per-rank
+        # state around the vector is O(touched peers)
+        "ring512_peak_rss_mb": round(ring512_rss, 1),
         # compressed wall over plain wall, LU-16 paper preset, one kill
         "compress_x": round(ratio, 3),
         "compress_x_target": COMPRESS_X_TARGET,
@@ -336,11 +348,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="measure the ring at N ranks in this process "
                         "and print one JSON object (what a record's "
                         "per-scale child runs)")
+    parser.add_argument("--scales", type=lambda text: tuple(
+                            int(n) for n in text.split(",")),
+                        default=RECORD_SCALES, metavar="N,N,...",
+                        help="ring scales the record takes (default: "
+                        f"{','.join(map(str, RECORD_SCALES))})")
     args = parser.parse_args(argv)
     if args.ring_point:
         print(json.dumps(ring_point(args.ring_point)))
         return 0
-    record = collect_record(args.note)
+    record = collect_record(args.note, args.scales)
     append_record(record, args.out)
     print(json.dumps(record, indent=2))
     met = "met" if record["compress_x_target_met"] else "NOT met"

@@ -39,11 +39,19 @@ unobserved run's wall over the plain baseline's (``detector_armed_x``,
 a machine-independent ratio) must stay under the latest record plus a
 margin.
 
-Every wall ratio here is taken round-robin: the plain run and its
-variants alternate, seconds apart, so a slow minute on a shared runner
-cannot land on one side of a ratio only.  Clean-wire, armed and TAG
-keep the fastest of each side; the two compression ratios are medians
-of per-round ratios.
+Every wall ratio here is taken round-robin — the plain run and its
+variants alternate, seconds apart — and is the median of the per-round
+ratios, so a slow minute on a shared runner cannot land on one side of
+a ratio only.
+
+Memory is gated once: the compressed ring at 512 ranks, run in one child
+interpreter, must peak under the latest ``BENCH_piggyback.json``
+record's ``ring512_peak_rss_mb`` plus 10% (the number repeats to ±2.5%
+on one host).  Per-rank state is O(touched peers) apart from the
+depend-interval vector and its stamp array: a member-set copy per rank
+(16 MB at this scale) or four length-n lists per rank (8 MB) trip it; a
+single such list (2 MB) does not, and is what the tier-1 footprint test
+(``tests/integration/test_touched_state.py``) is for.
 
 The TAG baseline is gated the same way, on the same run under
 ``protocol="tag"``: what it scans and piggybacks
@@ -75,12 +83,14 @@ from benchmarks.bench_fig6_piggyback import (  # noqa: E402
     compress_x,
     ring512_compress_x,
     ring_bytes_per_message,
+    ring_point_isolated,
 )
 from benchmarks.bench_substrate import (  # noqa: E402
     ARTIFACT,
     _alternating,
     _armed_run,
     _plain_run,
+    _round_ratio,
     _tag_counts,
     _tag_run,
     _transport_run,
@@ -102,6 +112,10 @@ COMPRESS_MARGIN = 0.15
 #: relative margin above the latest recorded ``ring512_compress_x``; the
 #: per-entry change log this guards against read +27% (2.08 vs 1.64)
 RING512_MARGIN = 0.15
+#: relative margin above the latest recorded ``ring512_peak_rss_mb``;
+#: the per-rank length-n lists and member-set copies this guards
+#: against read +53% (115 MB vs 75 MB)
+RING512_RSS_MARGIN = 0.10
 
 
 def latest_record(path: Path) -> dict:
@@ -136,36 +150,37 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     ceiling = pinned_ceiling(args.artifact, args.margin)
-    (base_s, _), (rt0_s, rt0), (armed_s, armed), (tag_s, tag) = _alternating({
+    (base_w, _), (rt0_w, rt0), (armed_w, armed), (tag_w, tag) = _alternating({
         "base": _plain_run,
         "rt0": lambda: _transport_run(transport=True),
         "armed": _armed_run,
         "tag": _tag_run,
     }, args.repeats).values()
-    overhead = rt0_s / base_s - 1.0
+    overhead = _round_ratio(rt0_w, base_w) - 1.0
     acks = int(rt0.stats.total("rt_acks_sent"))
     print(f"clean-wire transport overhead: {overhead:+.4f} "
-          f"(ceiling {ceiling:.4f}, baseline {base_s:.3f}s, "
-          f"transport {rt0_s:.3f}s, {acks} standalone acks)")
+          f"(ceiling {ceiling:.4f}, baseline {min(base_w):.3f}s, "
+          f"transport {min(rt0_w):.3f}s, {acks} standalone acks)")
 
     # armed detector: event counts of both arms exact, wall ratio
     # against the record
     pinned = latest_record(args.artifact)
     armed_ceiling = pinned["detector_armed_x"] * (1.0 + ARMED_MARGIN)
-    armed_x = armed_s / base_s
+    armed_x = _round_ratio(armed_w, base_w)
     armed_events = {
         "events_armed": armed.events_fired,
         "events_armed_traced": _armed_run(observed=True).events_fired,
     }
     print(f"armed detector: {armed_x:.2f}x the plain run "
-          f"(ceiling {armed_ceiling:.2f}x, {armed_s:.3f}s), {armed_events}")
+          f"(ceiling {armed_ceiling:.2f}x, {min(armed_w):.3f}s), "
+          f"{armed_events}")
 
     # TAG: scan and piggyback counts exact, wall ratio against the record
     tag_ceiling = pinned["tag_x"] * (1.0 + TAG_MARGIN)
-    tag_x = tag_s / base_s
+    tag_x = _round_ratio(tag_w, base_w)
     tag_counts = _tag_counts(tag)
     print(f"TAG: {tag_x:.2f}x the plain run (ceiling {tag_ceiling:.2f}x, "
-          f"{tag_s:.3f}s), {tag_counts}")
+          f"{min(tag_w):.3f}s), {tag_counts}")
 
     # compressed piggyback wire size: deterministic, gated at +10%
     pb_pinned = latest_record(args.pb_artifact)
@@ -185,6 +200,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"compressed piggyback host cost, ring at 512 ranks: "
           f"{ring512_ratio:.2f}x the plain run (ceiling "
           f"{ring512_ceiling:.2f}x)")
+    rss_ceiling = pb_pinned["ring512_peak_rss_mb"] * (1.0 + RING512_RSS_MARGIN)
+    rss = ring_point_isolated(512)["peak_rss_mb"]
+    print(f"compressed ring at 512 ranks: peak RSS {rss:.1f} MB "
+          f"(ceiling {rss_ceiling:.1f} MB)")
 
     # small-budget micro-benches: exercised, logged, not gated
     print(f"engine: {engine_events_per_second(50_000):,.0f} events/s")
@@ -227,6 +246,11 @@ def main(argv: list[str] | None = None) -> int:
               f"on the ring at 512 ranks, above the pinned ceiling "
               f"{ring512_ceiling:.2f}x (latest {args.pb_artifact.name} "
               f"record + {RING512_MARGIN:.0%})")
+        failed = True
+    if rss > rss_ceiling:
+        print(f"FAIL: the compressed ring at 512 ranks peaks at {rss:.1f} "
+              f"MB, above the pinned ceiling {rss_ceiling:.1f} MB (latest "
+              f"{args.pb_artifact.name} record + {RING512_RSS_MARGIN:.0%})")
         failed = True
     if failed:
         return 1

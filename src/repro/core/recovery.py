@@ -59,6 +59,7 @@ from repro.protocols.base import (
     MEMBER_LEAVE,
     DeliveryVerdict,
     LoggedMessage,
+    PeerCounts,
     PreparedSend,
     Protocol,
     VectorState,
@@ -80,12 +81,11 @@ class SenderLoggingProtocol(Protocol):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        n = self.nprocs
-        # Algorithm 1 lines 2-7.  Per-rank lists are capacity-sized so
-        # control payloads and index lookups never need bounds checks.
-        self.log = SenderLog(n, trace=self.trace, owner=self.rank)
-        self.vectors = VectorState(n)
-        self.rollback_last_send_index = [0] * n
+        # Algorithm 1 lines 2-7.  The per-peer indexes are PeerCounts:
+        # absent reads 0, so payloads and lookups need no bounds checks.
+        self.log = SenderLog(self.nprocs, trace=self.trace, owner=self.rank)
+        self.vectors = VectorState()
+        self.rollback_last_send_index = PeerCounts()
         #: peers whose RESPONSE we are still waiting for (empty when not
         #: recovering); drives the rollback retry timer
         self._awaiting_response: set[int] = set()
@@ -163,7 +163,8 @@ class SenderLoggingProtocol(Protocol):
         send_index = self.vectors.last_send_index[dest]
         piggyback, identifiers, extra_cost = self._build_piggyback(dest)
         identifiers += 1  # the send index itself
-        transmit = send_index > self.rollback_last_send_index[dest]
+        # .get: a miss through __missing__ is a Python call, per send here
+        transmit = send_index > self.rollback_last_send_index.get(dest, 0)
         cost = (
             self.costs.per_send_base
             + self.costs.identifiers_cost(identifiers)
@@ -261,7 +262,8 @@ class SenderLoggingProtocol(Protocol):
     def checkpoint_state(self) -> dict[str, Any]:
         return {
             "vectors": self.vectors.snapshot(),
-            "rollback_last_send_index": list(self.rollback_last_send_index),
+            "rollback_last_send_index": PeerCounts(
+                self.rollback_last_send_index),
             "log": self.log.snapshot(),
             "membership": self.membership_snapshot(),
         }
@@ -271,7 +273,8 @@ class SenderLoggingProtocol(Protocol):
 
     def restore(self, state: dict[str, Any]) -> None:
         self.vectors.restore(state["vectors"])
-        self.rollback_last_send_index = list(state["rollback_last_send_index"])
+        self.rollback_last_send_index = PeerCounts(
+            state["rollback_last_send_index"])
         self.log = SenderLog.from_snapshot(
             self.nprocs, copy.copy(state["log"]), trace=self.trace, owner=self.rank
         )
@@ -333,7 +336,7 @@ class SenderLoggingProtocol(Protocol):
         self.retry_recovery(self._peers())
 
     def recovery_signature(self) -> Any:
-        return (tuple(self.vectors.last_deliver_index),
+        return (frozenset(self.vectors.last_deliver_index.items()),
                 frozenset(self._awaiting_response))
 
     def _peers(self) -> set[int]:
@@ -341,7 +344,7 @@ class SenderLoggingProtocol(Protocol):
 
     def _broadcast_rollback(self, targets: set[int]) -> None:
         payload = {
-            "ldi": list(self.vectors.last_deliver_index),
+            "ldi": PeerCounts(self.vectors.last_deliver_index),
             "epoch": self.epoch,
             **self._rollback_fields(),
         }
@@ -448,10 +451,10 @@ class SenderLoggingProtocol(Protocol):
         ROLLBACK's — peers re-send everything beyond it, which also
         unblocks senders that were waiting on acks from the deferred
         slot."""
-        ldi = list(self.vectors.last_deliver_index)
+        ldi = PeerCounts(self.vectors.last_deliver_index)
         self.services.broadcast_control(
             MEMBER_JOIN, {"epoch": self.epoch, "ldi": ldi},
-            size_bytes=4 * (len(ldi) + 2))
+            size_bytes=4 * (self.nprocs + 2))
         self.trace.emit("proto.join_bcast", self.rank, epoch=self.epoch)
 
     def announce_leave(self) -> None:
@@ -482,7 +485,8 @@ class SenderLoggingProtocol(Protocol):
                         epoch=payload["epoch"])
 
     def _handle_leave(self, src: int) -> None:
-        self.members.discard(src)
+        if src in self.members:
+            self.members = self.members - {src}
         if src in self._awaiting_response:
             # a departed rank will never respond; don't wedge recovery
             self._awaiting_response.discard(src)

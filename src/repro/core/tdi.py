@@ -32,7 +32,7 @@ from repro.protocols.compression import (
     VectorDeltaDecoder,
     VectorDeltaEncoder,
 )
-from repro.protocols.base import DeliveryVerdict
+from repro.protocols.base import DeliveryVerdict, PeerCounts
 
 
 class TdiProtocol(SenderLoggingProtocol):
@@ -44,14 +44,13 @@ class TdiProtocol(SenderLoggingProtocol):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        n = self.nprocs
         # The depend-interval vector is sized to the membership
-        # *horizon* (it grows as ranks join); every other per-rank list
-        # stays capacity-sized.
+        # *horizon* (it grows as ranks join); every other per-peer index
+        # is a touched-peer map.
         self.depend_interval = DependIntervalVector(self.horizon,
                                                     owner=self.rank)
         self.depend_interval.set_own_epoch(self.epoch)
-        self.last_ckpt_deliver_index = [0] * n
+        self.last_ckpt_deliver_index = PeerCounts()
         #: own interval covered by the checkpoint this incarnation rose
         #: from — the clamp target for stale-epoch dependencies (startup
         #: state is checkpoint zero)
@@ -64,7 +63,8 @@ class TdiProtocol(SenderLoggingProtocol):
         # per-source reconstruction state in (repro.protocols.compression)
         self._pb_encoder = VectorDeltaEncoder(self.depend_interval) \
             if self.compress else None
-        self._pb_decoder = VectorDeltaDecoder(n) if self.compress else None
+        self._pb_decoder = VectorDeltaDecoder(self.nprocs) \
+            if self.compress else None
 
     # ------------------------------------------------------------------
     # Dynamic membership
@@ -187,20 +187,19 @@ class TdiProtocol(SenderLoggingProtocol):
     def checkpoint_state(self) -> dict[str, Any]:
         state = super().checkpoint_state()
         state["depend_interval"] = self.depend_interval.snapshot()
-        state["last_ckpt_deliver_index"] = list(self.vectors.last_deliver_index)
         return state
 
-    def _advance_cover(self) -> list[int]:
-        return list(self.vectors.last_deliver_index)
+    def _advance_cover(self) -> PeerCounts:
+        return PeerCounts(self.vectors.last_deliver_index)
 
-    def _send_advance(self, cover: list[int]) -> None:
+    def _send_advance(self, cover: PeerCounts) -> None:
         """Tell each sender individually how far our checkpoint covers
         its messages (PWD protocols must broadcast instead)."""
         for k in sorted(self.members):
             if k == self.rank:
                 continue
-            # a lagged cover may predate a joiner: it covers nothing
-            delivered = cover[k] if k < len(cover) else 0
+            # a lagged cover may predate a joiner: it covers nothing (0)
+            delivered = cover[k]
             if delivered > self.last_ckpt_deliver_index[k]:
                 self.services.send_control(
                     k, CHECKPOINT_ADVANCE, delivered, self.costs.identifier_bytes
@@ -227,7 +226,9 @@ class TdiProtocol(SenderLoggingProtocol):
             self._pb_encoder.bind(self.depend_interval)
         super().restore(state)
         self._ckpt_own_interval = self.depend_interval.own_interval
-        self.last_ckpt_deliver_index = list(state["last_ckpt_deliver_index"])
+        # the restored checkpoint's own cover; later ones advance it
+        self.last_ckpt_deliver_index = PeerCounts(
+            state["vectors"]["last_deliver_index"])
 
     def _rollback_fields(self) -> dict[str, Any]:
         return {"interval": self._ckpt_own_interval}

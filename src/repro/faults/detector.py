@@ -72,8 +72,11 @@ class DetectorConfig:
     #: phi at which a peer is CONDEMNED and recovery is initiated
     condemn_phi: float = 8.0
     #: lower bound on the gap standard deviation — a perfectly regular
-    #: heartbeat must not make the estimator infinitely confident
-    floor: float = 1e-4
+    #: heartbeat must not make the estimator infinitely confident.
+    #: Default 0.1 ms, or ``heartbeat_interval / 5`` if larger: the first
+    #: gap sample is the wire delay, so a floor that did not scale would
+    #: condemn every peer at a slow beat's second tick
+    floor: float | None = None
     #: number of recent inter-arrival gaps the estimator keeps
     window: int = 20
     #: a condemned-but-alive (zombie) rank is force-killed this long
@@ -87,6 +90,9 @@ class DetectorConfig:
             raise ValueError("suspect_phi must be > 0")
         if self.condemn_phi < self.suspect_phi:
             raise ValueError("condemn_phi must be >= suspect_phi")
+        if self.floor is None:
+            object.__setattr__(
+                self, "floor", max(1e-4, self.heartbeat_interval / 5))
         if self.floor <= 0:
             raise ValueError("floor must be > 0")
         if self.window < 2:

@@ -226,7 +226,7 @@ class Endpoint:
             if dst != self.rank:
                 self.send_control(dst, ctl, payload, size_bytes)
 
-    def current_members(self) -> set[int]:
+    def current_members(self) -> frozenset[int]:
         """The cluster's live membership view (EndpointServices)."""
         return self.cluster.membership.current_members()
 
@@ -533,7 +533,7 @@ class Endpoint:
             self._check_rollforward_complete()
 
     def _check_rollforward_complete(self) -> None:
-        delivered_total = sum(self.protocol.vectors.last_deliver_index)
+        delivered_total = self.protocol.vectors.last_deliver_index.total()
         if delivered_total >= self._rollforward_target:
             self.recovering = False
             self.metrics.rollforward_time += self.engine.now - self._kill_time
@@ -560,7 +560,7 @@ class Endpoint:
         """Kill this rank: all volatile state is lost (fault injection)."""
         self.node.kill(self.engine.now)    # raises unless the rank is alive
         self._kill_time = self.engine.now
-        self._rollforward_target = sum(self.protocol.vectors.last_deliver_index)
+        self._rollforward_target = self.protocol.vectors.last_deliver_index.total()
         self._drop_volatile()
         self.fabric.detach(self.rank)
         self.trace.emit("fault.kill", self.rank)

@@ -48,33 +48,35 @@ class MembershipView:
     departure); deferred slots and departed ranks are not members.  The
     *horizon* is one past the highest rank that ever joined — the length
     depend-interval vectors must grow to.  It is monotone: a departed
-    rank's entries stay meaningful in everyone's causal history.
+    rank's entries stay meaningful in everyone's causal history.  The
+    member set is one ``frozenset``, shared with every protocol whose own
+    view has not diverged and rebound (never mutated) on a change.
     """
 
     def __init__(self, nprocs: int) -> None:
-        self._members = set(range(nprocs))
+        self._members = frozenset(range(nprocs))
         self.horizon = nprocs
 
-    def current_members(self) -> set[int]:
-        """The ranks currently in the computation (crashed ones included),
-        as a copy."""
-        return set(self._members)
+    def current_members(self) -> frozenset[int]:
+        """The ranks currently in the computation (crashed ones
+        included): the shared immutable set, not a copy."""
+        return self._members
 
     def defer(self, rank: int) -> None:
         """Mark a capacity slot that starts empty (its first scheduled
         membership event is a JoinSpec): not a member, not yet counted
         into the horizon.  Only before the run starts."""
-        self._members.discard(rank)
+        self._members -= {rank}
         self.horizon = 1 + max(self._members, default=-1)
 
     def observe_join(self, rank: int) -> None:
         """Admit ``rank`` (first join or rejoin); extends the horizon."""
-        self._members.add(rank)
+        self._members |= {rank}
         self.horizon = max(self.horizon, rank + 1)
 
     def observe_leave(self, rank: int) -> None:
         """Record ``rank``'s departure; the horizon stays put."""
-        self._members.discard(rank)
+        self._members -= {rank}
 
 
 class DeliveryVerdict(enum.Enum):
@@ -138,7 +140,7 @@ class EndpointServices(TypingProtocol):
     def broadcast_control(self, ctl: str, payload: Any, size_bytes: int) -> None:
         """Transmit a control frame to every other member rank."""
 
-    def current_members(self) -> set[int]:
+    def current_members(self) -> frozenset[int]:
         """The cluster's live membership view (see :class:`MembershipView`)."""
 
     def membership_horizon(self) -> int:
@@ -200,10 +202,10 @@ class Protocol(abc.ABC):
         # Dynamic membership: the ranks this instance currently treats
         # as part of the computation, and the vector horizon (one past
         # the highest rank that ever joined); fixed-n without a view.
+        # ``members`` is the view's own set: rebound, never mutated.
         members_fn = getattr(services, "current_members", None)
-        self.members: set[int] = (members_fn() if callable(members_fn)
-                                  else set(range(nprocs)))
-        self.members.add(self.rank)
+        self.members: frozenset[int] = self._with_self(
+            members_fn() if callable(members_fn) else frozenset(range(nprocs)))
         horizon_fn = getattr(services, "membership_horizon", None)
         horizon = horizon_fn() if callable(horizon_fn) else nprocs
         self.horizon: int = max(horizon, self.rank + 1,
@@ -306,35 +308,40 @@ class Protocol(abc.ABC):
     # ------------------------------------------------------------------
     # Dynamic membership
     # ------------------------------------------------------------------
+    def _with_self(self, members: frozenset[int]) -> frozenset[int]:
+        """``members`` itself (still shared) unless it lacks this rank."""
+        return members if self.rank in members else members | {self.rank}
+
     def _grow_to(self, horizon: int) -> None:
         """Grow horizon-sized structures (depend-interval vectors and
         their delta encoders) to ``horizon`` entries.  Default: nothing
-        is horizon-sized — the index vectors are capacity-sized."""
+        is horizon-sized — the index vectors are touched-peer maps."""
 
     def grow_membership(self, rank: int) -> None:
         """Admit ``rank`` into this instance's membership view (frame
         from an unknown rank, JOIN announcement, or a rejoiner's
         ROLLBACK) and grow any horizon-sized structures to cover it."""
-        self.members.add(rank)
+        if rank not in self.members:
+            self.members = self.members | {rank}
         if rank >= self.horizon:
             self.horizon = rank + 1
             self._grow_to(self.horizon)
 
-    def sync_membership(self, members: set[int], horizon: int) -> None:
+    def sync_membership(self, members: frozenset[int], horizon: int) -> None:
         """Adopt the cluster's live membership view (incarnation startup:
         the checkpointed view may predate joins and leaves)."""
-        self.members = set(members) | {self.rank}
+        self.members = self._with_self(members)
         if horizon > self.horizon:
             self.horizon = horizon
             self._grow_to(self.horizon)
 
     def membership_snapshot(self) -> dict[str, Any]:
-        """Checkpointable membership view."""
-        return {"members": sorted(self.members), "horizon": self.horizon}
+        """Checkpointable membership view: the immutable set itself."""
+        return {"members": self.members, "horizon": self.horizon}
 
     def restore_membership(self, state: dict[str, Any]) -> None:
         """Adopt a checkpointed membership view."""
-        self.members = set(state["members"]) | {self.rank}
+        self.members = self._with_self(frozenset(state["members"]))
         horizon = max(int(state["horizon"]), self.rank + 1)
         if horizon > self.horizon:
             self.horizon = horizon
@@ -360,42 +367,49 @@ class Protocol(abc.ABC):
         self.metrics.piggyback_bytes_raw += pb_bytes
 
 
+class PeerCounts(dict):
+    """One integer per *touched* peer: a peer never written reads 0 and
+    occupies nothing, so a copy, a checkpoint or a control payload costs
+    O(peers talked to), not O(n).  ``__missing__`` does not insert (a
+    read must not grow the map); hits and ``+= 1`` stay C-level."""
+
+    __slots__ = ()
+
+    def __missing__(self, peer: int) -> int:
+        return 0
+
+    def total(self) -> int:
+        """Sum over every peer."""
+        return sum(self.values())
+
+
 @dataclass
 class VectorState:
-    """The three index vectors every sender-based protocol carries
-    (Algorithm 1 lines 3–7).  TAG/TEL reuse the send/deliver counters for
-    lost-message identification even though their dependency tracking
-    differs."""
+    """The three index maps every sender-based protocol carries
+    (Algorithm 1 lines 3–7), each a :class:`PeerCounts`.  TAG/TEL reuse
+    the send/deliver counters for lost-message identification even
+    though their dependency tracking differs."""
 
-    nprocs: int
-    last_send_index: list[int] = field(default_factory=list)
-    last_deliver_index: list[int] = field(default_factory=list)
+    last_send_index: PeerCounts = field(default_factory=PeerCounts)
+    last_deliver_index: PeerCounts = field(default_factory=PeerCounts)
     #: highest incarnation epoch observed per peer (from ROLLBACK /
     #: RESPONSE control frames); stale control frames from a peer's dead
     #: incarnation are recognised and discarded against this
-    peer_epoch: list[int] = field(default_factory=list)
+    peer_epoch: PeerCounts = field(default_factory=PeerCounts)
 
-    def __post_init__(self) -> None:
-        if not self.last_send_index:
-            self.last_send_index = [0] * self.nprocs
-        if not self.last_deliver_index:
-            self.last_deliver_index = [0] * self.nprocs
-        if not self.peer_epoch:
-            self.peer_epoch = [0] * self.nprocs
-
-    def snapshot(self) -> dict[str, list[int]]:
-        """Checkpointable copy of the index vectors."""
+    def snapshot(self) -> dict[str, PeerCounts]:
+        """Checkpointable copy of the index maps."""
         return {
-            "last_send_index": list(self.last_send_index),
-            "last_deliver_index": list(self.last_deliver_index),
-            "peer_epoch": list(self.peer_epoch),
+            "last_send_index": PeerCounts(self.last_send_index),
+            "last_deliver_index": PeerCounts(self.last_deliver_index),
+            "peer_epoch": PeerCounts(self.peer_epoch),
         }
 
-    def restore(self, data: dict[str, list[int]]) -> None:
-        """Adopt checkpointed index vectors."""
-        self.last_send_index = list(data["last_send_index"])
-        self.last_deliver_index = list(data["last_deliver_index"])
-        self.peer_epoch = list(data["peer_epoch"])
+    def restore(self, data: dict[str, PeerCounts]) -> None:
+        """Adopt checkpointed index maps."""
+        self.last_send_index = PeerCounts(data["last_send_index"])
+        self.last_deliver_index = PeerCounts(data["last_deliver_index"])
+        self.peer_epoch = PeerCounts(data["peer_epoch"])
 
     def observe_peer_epoch(self, rank: int, epoch: int) -> bool:
         """Record a peer's announced incarnation epoch; returns False

@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.watchdog import StorageLossError
 from repro.metrics.costs import CostModel
+from repro.protocols.base import PeerCounts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.metrics.counters import RankMetrics
@@ -122,7 +123,7 @@ class Checkpoint:
     size_bytes: int
     #: deliveries completed at checkpoint time, per source rank —
     #: the broadcast content on rollback (lines 46-47)
-    last_deliver_index: list[int] = field(default_factory=list)
+    last_deliver_index: PeerCounts = field(default_factory=PeerCounts)
 
 
 def _checksum(ckpt: Checkpoint) -> int:
@@ -133,8 +134,7 @@ def _checksum(ckpt: Checkpoint) -> int:
     *stored* checksum (the transport's corruption idiom), which a
     recomputation then catches.
     """
-    canon = (ckpt.rank, ckpt.seq, ckpt.size_bytes,
-             tuple(ckpt.last_deliver_index))
+    canon = (ckpt.rank, ckpt.seq, ckpt.size_bytes, ckpt.last_deliver_index)
     return zlib.crc32(repr(canon).encode("utf-8"))
 
 
@@ -503,7 +503,7 @@ class CheckpointWriter:
             app_state=app_state,
             protocol_state=protocol_state,
             size_bytes=size,
-            last_deliver_index=list(host.protocol.vectors.last_deliver_index),
+            last_deliver_index=protocol_state["vectors"]["last_deliver_index"],
         )
         if initial:
             # checkpoint zero is written as part of process launch,

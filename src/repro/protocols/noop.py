@@ -23,7 +23,7 @@ class NoFaultTolerance(Protocol):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self.vectors = VectorState(self.nprocs)
+        self.vectors = VectorState()
 
     def prepare_send(self, dest: int, tag: int, payload: Any, size_bytes: int) -> PreparedSend:
         self.vectors.last_send_index[dest] += 1

@@ -38,7 +38,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from typing import Any, NamedTuple
 
 from repro.core.recovery import CHECKPOINT_ADVANCE, SenderLoggingProtocol
-from repro.protocols.base import DeliveryVerdict
+from repro.protocols.base import DeliveryVerdict, PeerCounts
 
 
 class Determinant(NamedTuple):
@@ -202,7 +202,7 @@ class PwdCausalProtocol(SenderLoggingProtocol):
 
     def _advance_cover(self) -> dict[str, Any]:
         return {
-            "from_counts": list(self.vectors.last_deliver_index),
+            "from_counts": PeerCounts(self.vectors.last_deliver_index),
             "stable_upto": self.deliver_total,
         }
 
@@ -219,11 +219,10 @@ class PwdCausalProtocol(SenderLoggingProtocol):
         self._on_checkpoint_advance(self.rank, cover["stable_upto"])
 
     def _handle_checkpoint_advance(self, src: int, payload: dict[str, Any]) -> None:
-        counts = payload["from_counts"]
         # a lagged payload may predate this rank's join: it covers
-        # nothing of ours
+        # nothing of ours (absent is 0)
         super()._handle_checkpoint_advance(
-            src, counts[self.rank] if self.rank < len(counts) else 0)
+            src, payload["from_counts"][self.rank])
         self._on_checkpoint_advance(src, payload["stable_upto"])
 
     # ------------------------------------------------------------------

@@ -40,7 +40,7 @@ settings.register_profile(
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 from repro.config import SimulationConfig
 from repro.metrics.counters import RankMetrics
-from repro.protocols.base import PreparedSend
+from repro.protocols.base import PeerCounts, PreparedSend
 from repro.simnet.engine import Engine
 from repro.simnet.trace import Trace
 
@@ -69,8 +69,8 @@ class MockServices:
     def incarnation_epoch(self) -> int:
         return self.epoch
 
-    def current_members(self) -> set[int]:
-        return set(range(self.nprocs))
+    def current_members(self) -> frozenset[int]:
+        return frozenset(range(self.nprocs))
 
     def membership_horizon(self) -> int:
         return self.nprocs
@@ -147,6 +147,11 @@ class RecordingTask:
         self.resumed_at.append(self.engine.now + delay)
 
 
+def dense(counts: PeerCounts, n: int) -> list[int]:
+    """The length-``n`` list a touched-peer map stands for."""
+    return [counts[k] for k in range(n)]
+
+
 def rollback_payload(proto_name: str, ldi: list[int], epoch: int = 0,
                      **fields: Any) -> dict[str, Any]:
     """A ROLLBACK payload shaped like ``proto_name``'s incarnation
@@ -154,7 +159,8 @@ def rollback_payload(proto_name: str, ldi: list[int], epoch: int = 0,
     its ``ckpt_deliver_total``)."""
     own = ({"interval": sum(ldi)} if proto_name == "tdi"
            else {"ckpt_deliver_total": 0})
-    return {"ldi": list(ldi), "epoch": epoch, **own, **fields}
+    return {"ldi": PeerCounts(enumerate(ldi)), "epoch": epoch, **own,
+            **fields}
 
 
 def response_payload(proto_name: str, delivered: int, epoch: int = 0,

@@ -312,3 +312,21 @@ class TestGrayReport:
         # the fencing window is charged as downtime
         assert report.downtime > 0
         assert "fenced" in report.summary()
+
+
+@pytest.mark.parametrize("interval", [1e-3, 2e-3, 5e-3])
+def test_slow_beat_does_not_condemn_at_bootstrap(interval):
+    """No fault at all, only a slow heartbeat.  The first gap sample is
+    the wire delay, so at the second tick silence is about one interval:
+    against a variance floor that did not scale with the beat every peer
+    was condemned there and the run livelocked into ``exceeded
+    max_events`` (1 ms and 2 ms; 5 ms outlasts this run's few beats)."""
+    config = api.SimulationConfig(
+        nprocs=4, protocol="tdi", checkpoint_interval=0.01, seed=5,
+        max_events=2_000_000,
+        detector=DetectorConfig(enabled=True, heartbeat_interval=interval))
+    result = api.run_workload("lu", nprocs=4, protocol="tdi", seed=5,
+                              scale="fast", config=config)
+    assert result.detector.false_suspicion_count() == 0
+    assert result.detector.condemnations == []
+    assert result.answer == _reference("tdi").answer

@@ -10,6 +10,7 @@ it.
 from hypothesis import given, strategies as st
 
 from repro.metrics.costs import CostModel
+from repro.protocols.base import PeerCounts
 from repro.protocols.checkpoint import Checkpoint, CheckpointStore
 
 outcome = st.sampled_from(("ok", "fail", "torn", "corrupt", "abandon"))
@@ -18,7 +19,7 @@ outcome = st.sampled_from(("ok", "fail", "torn", "corrupt", "abandon"))
 def ckpt(seq):
     return Checkpoint(rank=0, taken_at=0.0, seq=seq, app_state={},
                       protocol_state={}, size_bytes=100,
-                      last_deliver_index=[0, 0])
+                      last_deliver_index=PeerCounts({1: 3}))
 
 
 @given(outcomes=st.lists(outcome, min_size=1, max_size=30),

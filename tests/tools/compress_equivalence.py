@@ -26,7 +26,10 @@ non-zero if there is one.  ``TIER1_CELLS`` is the slice
 scratch copy of the package and runs the tier-1 slice, the stateful
 model test and the wire-kernel properties (which hold the encoder to
 the build-both-and-compare reference) against it; a mutant that no test
-notices is reported and the exit status is non-zero.
+notices is reported and the exit status is non-zero.  The mutants of
+the touched-peer maps and the shared membership set (the per-rank state
+*around* the vector) name their own killers in :data:`MUTANT_KILLERS`;
+``--mutants TEXT`` seeds only the mutants whose name contains ``TEXT``.
 """
 
 from __future__ import annotations
@@ -184,6 +187,7 @@ def first_difference(reference: dict[str, Any], change: dict[str, Any]) -> str |
 
 _VECTORS = "core/vectors.py"
 _COMPRESSION = "protocols/compression.py"
+_BASE = "protocols/base.py"
 
 #: name -> (file under src/repro, (text as it stands, mutant text), ...)
 MUTANTS: dict[str, tuple] = {
@@ -252,13 +256,53 @@ MUTANT_TESTS = ("tests/properties/test_wire_kernel.py",
                 "tests/properties/test_stateful_vector.py",
                 "tests/properties/test_compress_differential.py")
 
+_TOUCHED = "tests/integration/test_touched_state.py"
+#: the touched-peer maps and the shared membership set, each mutant with
+#: its own killers: name -> (killers, file, (text, mutant text))
+PEER_MUTANTS: dict[str, tuple] = {
+    "peer map: a read of an untouched peer inserts it": (
+        ("tests/properties/test_peer_counts.py",), _BASE,
+        ("    def __missing__(self, peer: int) -> int:\n        return 0\n",
+         "    def __missing__(self, peer: int) -> int:\n"
+         "        self[peer] = 0\n        return 0\n")),
+    "peer map: current_members() hands out the live set": (
+        (_TOUCHED,), _BASE,
+        ("        self._members = frozenset(range(nprocs))\n",
+         "        self._members = set(range(nprocs))\n")),
+    "peer map: VectorState.snapshot() shares instead of copying": (
+        ("tests/unit/test_misc_units.py",
+         "tests/integration/test_single_fault.py"), _BASE,
+        ('            "last_deliver_index": PeerCounts(self.last_deliver_index),\n',
+         '            "last_deliver_index": self.last_deliver_index,\n')),
+    # the next two survived the goldens expected to notice them
+    # (test_membership_golden compares counters only, test_endpoint_golden
+    # runs TDI only): the pinned modelled sizes were added for them
+    "peer map: announce_join sized from len(ldi)": (
+        (_TOUCHED,), "core/recovery.py",
+        ("size_bytes=4 * (self.nprocs + 2))",
+         "size_bytes=4 * (len(ldi) + 2))")),
+    "peer map: CKPT_ADV keeps the rank < len(counts) guard": (
+        (_TOUCHED,), "protocols/pwd.py",
+        ('            src, payload["from_counts"][self.rank])\n',
+         '            src, payload["from_counts"][self.rank]\n'
+         '            if self.rank < len(payload["from_counts"]) else 0)\n')),
+    "peer map: the oracle samples list(vec)": (
+        ("tests/integration/test_verify_oracle.py",), "verify/oracle.py",
+        ('current["rollback_last_send_index"] = dict(vec)',
+         'current["rollback_last_send_index"] = list(vec)')),
+}
+MUTANT_KILLERS = {name: killers for name, (killers, *_) in PEER_MUTANTS.items()}
+MUTANTS.update({name: edit for name, (_, *edit) in PEER_MUTANTS.items()})
 
-def run_mutants() -> int:
-    """Seed each mutant into a scratch copy of ``src/repro`` and run
-    :data:`MUTANT_TESTS` against it; returns how many survived."""
+
+def run_mutants(only: str = "") -> int:
+    """Seed each mutant whose name contains ``only`` into a scratch copy
+    of ``src/repro`` and run its killers (:data:`MUTANT_KILLERS`, else
+    :data:`MUTANT_TESTS`) against it; returns how many survived."""
     root = Path(__file__).resolve().parents[2]
     survivors = 0
-    for name, (relative, *edits) in MUTANTS.items():
+    chosen = {name: m for name, m in MUTANTS.items() if only in name}
+    for name, (relative, *edits) in chosen.items():
         with tempfile.TemporaryDirectory() as scratch:
             shutil.copytree(root / "src" / "repro", Path(scratch) / "repro")
             target = Path(scratch) / "repro" / relative
@@ -280,7 +324,8 @@ def run_mutants() -> int:
             started = time.perf_counter()
             done = subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q",
-                 "-p", "no:cacheprovider", *MUTANT_TESTS],
+                 "-p", "no:cacheprovider",
+                 *MUTANT_KILLERS.get(name, MUTANT_TESTS)],
                 cwd=root, env=env, capture_output=True, text=True)
         verdict = "KILLED  " if done.returncode == 1 else "SURVIVED"
         survivors += done.returncode != 1
@@ -288,16 +333,18 @@ def run_mutants() -> int:
                   if line.startswith("FAILED")][:1]
         print(f"{verdict} {name} ({time.perf_counter() - started:.0f} s)"
               + (f": {failed[0][7:120]}" if failed else ""))
-    print(f"compress_equivalence: {len(MUTANTS)} mutants, {survivors} not killed")
+    print(f"compress_equivalence: {len(chosen)} mutants, {survivors} not killed")
     return survivors
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--mutants", action="store_true",
-                        help="seed the mutants instead of running the matrix")
-    if parser.parse_args(argv).mutants:
-        return 1 if run_mutants() else 0
+    parser.add_argument("--mutants", nargs="?", const="", metavar="TEXT",
+                        help="seed the mutants (those whose name contains "
+                             "TEXT) instead of running the matrix")
+    only = parser.parse_args(argv).mutants
+    if only is not None:
+        return 1 if run_mutants(only) else 0
     started = time.perf_counter()
     differing, raised = 0, []
     for cell in FULL_MATRIX:

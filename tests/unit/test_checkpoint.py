@@ -1,13 +1,14 @@
 """Unit tests for the stable-storage checkpoint model."""
 
 from repro.metrics.costs import CostModel
+from repro.protocols.base import PeerCounts
 from repro.protocols.checkpoint import Checkpoint, CheckpointStore
 
 
 def ckpt(rank=0, seq=1, size=1000, at=0.0):
     return Checkpoint(rank=rank, taken_at=at, seq=seq, app_state={},
                       protocol_state={}, size_bytes=size,
-                      last_deliver_index=[0, 0])
+                      last_deliver_index=PeerCounts({1: 3}))
 
 
 class TestCheckpointStore:

@@ -16,6 +16,12 @@ class TestDetectorConfig:
         assert not cfg.enabled
         assert cfg.condemn_phi >= cfg.suspect_phi
 
+    def test_floor_defaults_to_a_fifth_of_the_beat_above_100us(self):
+        assert DetectorConfig().floor == 1e-4
+        assert DetectorConfig(heartbeat_interval=5e-5).floor == 1e-4
+        assert DetectorConfig(heartbeat_interval=2e-3).floor == 4e-4
+        assert DetectorConfig(heartbeat_interval=2e-3, floor=1e-4).floor == 1e-4
+
     @pytest.mark.parametrize("kwargs", [
         {"heartbeat_interval": 0.0},
         {"heartbeat_interval": -1e-3},

@@ -4,30 +4,40 @@ import pytest
 
 from repro.harness.runner import Cell, checkpoint_intervals_elapsed
 from repro.metrics.report import compare
-from repro.protocols.base import VectorState
+from repro.protocols.base import PeerCounts, VectorState
 from repro.simnet.engine import make_engine
+from tests.conftest import dense
 
 
 class TestVectorState:
     def test_initial_zeroed(self):
-        v = VectorState(4)
-        assert v.last_send_index == [0, 0, 0, 0]
-        assert v.last_deliver_index == [0, 0, 0, 0]
+        v = VectorState()
+        assert dense(v.last_send_index, 4) == [0, 0, 0, 0]
+        assert dense(v.last_deliver_index, 4) == [0, 0, 0, 0]
+        assert dense(v.peer_epoch, 4) == [0, 0, 0, 0]
+        # zeroed means nothing stored, and reading stores nothing
+        assert not v.last_send_index and not v.last_deliver_index
 
     def test_snapshot_is_copy(self):
-        v = VectorState(2)
+        v = VectorState()
+        v.last_send_index[1] = 4
         snap = v.snapshot()
         v.last_send_index[0] = 9
-        assert snap["last_send_index"] == [0, 0]
+        v.last_send_index[1] += 1
+        v.last_deliver_index[0] += 1
+        v.peer_epoch[1] = 2
+        assert dense(snap["last_send_index"], 2) == [0, 4]
+        assert not snap["last_deliver_index"] and not snap["peer_epoch"]
 
     def test_restore_is_copy(self):
-        v = VectorState(2)
-        data = {"last_send_index": [1, 2], "last_deliver_index": [3, 4],
-                "peer_epoch": [0, 1]}
+        v = VectorState()
+        data = {"last_send_index": PeerCounts({0: 1, 1: 2}),
+                "last_deliver_index": PeerCounts({0: 3, 1: 4}),
+                "peer_epoch": PeerCounts({1: 1})}
         v.restore(data)
         v.last_send_index[0] = 99
-        assert data["last_send_index"] == [1, 2]
-        assert v.last_deliver_index == [3, 4]
+        assert dense(data["last_send_index"], 2) == [1, 2]
+        assert dense(v.last_deliver_index, 2) == [3, 4]
 
 
 class TestEngineFactory:

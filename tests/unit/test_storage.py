@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.watchdog import SimulationError, StorageLossError
 from repro.metrics.costs import CostModel
+from repro.protocols.base import PeerCounts
 from repro.protocols.checkpoint import (
     Checkpoint,
     CheckpointStore,
@@ -21,7 +22,7 @@ from repro.protocols.checkpoint import (
 def ckpt(rank=0, seq=1, size=1000, at=0.0):
     return Checkpoint(rank=rank, taken_at=at, seq=seq, app_state={},
                       protocol_state={}, size_bytes=size,
-                      last_deliver_index=[0, 0])
+                      last_deliver_index=PeerCounts({1: 3}))
 
 
 class TestStorageConfig:
@@ -180,6 +181,10 @@ class TestReadFallback:
         b = ckpt(seq=2)
         assert _checksum(a) != _checksum(b)
         assert _checksum(a) == _checksum(ckpt(seq=1))
+        # ... and the per-source delivery counts, values not just peers
+        b = ckpt(seq=1)
+        b.last_deliver_index[1] += 1
+        assert _checksum(a) != _checksum(b)
 
 
 class TestGcLag:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.recovery import CHECKPOINT_ADVANCE, RESPONSE, ROLLBACK
-from repro.protocols.base import DeliveryVerdict
+from repro.protocols.base import DeliveryVerdict, PeerCounts
 from tests.conftest import (app_meta, make_protocol, response_payload,
                             rollback_payload)
 
@@ -126,14 +126,17 @@ class TestCheckpointing:
 class TestRecovery:
     def test_begin_recovery_broadcasts_rollback(self):
         p, svc = make_protocol("tdi", rank=0, nprocs=4)
-        p.vectors.last_deliver_index = [0, 1, 2, 3]
+        p.vectors.last_deliver_index = PeerCounts({1: 1, 2: 2, 3: 3})
         p.begin_recovery()
         rollbacks = [c for c in svc.controls if c[1] == ROLLBACK]
         assert [c[0] for c in rollbacks] == [1, 2, 3]
         assert all(
-            c[2] == {"ldi": [0, 1, 2, 3], "epoch": 0, "interval": 0}
+            c[2] == {"ldi": {1: 1, 2: 2, 3: 3}, "epoch": 0, "interval": 0}
             for c in rollbacks
         )
+        # the payload is a copy: later deliveries do not rewrite history
+        p.vectors.last_deliver_index[1] += 1
+        assert rollbacks[0][2]["ldi"][1] == 1
         assert p.recovery_pending()
 
     def test_rollback_answered_with_response_and_resends(self):
