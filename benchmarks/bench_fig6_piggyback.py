@@ -11,7 +11,7 @@ n in {64, 256, 1024} on a communication-sparse ring workload to measure
 what ``compress_piggybacks`` does to TDI's O(n) wire cost, and what the
 encoding costs the host: ``ring_wall_s`` and ``ring_peak_rss_mb`` per
 scale (one child process per scale, so each peak is that scale's own;
-a *record* also takes 2048 and 4096 ranks, ``--scales`` to choose, and
+a *record* goes on to 10240 ranks, ``--scales`` to choose, and
 ``ring512_peak_rss_mb``, the memory number ``perf_smoke.py`` gates),
 and two ratios that travel between machines — ``compress_x``,
 compressed wall over plain wall on the ROADMAP baseline cell (LU, 16
@@ -50,12 +50,14 @@ SCALES = OPTIONS.scales
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_piggyback.json"
 #: beyond-the-paper scales for the compressed-wire sweep
 LARGE_SCALES = (64, 256, 1024)
-#: what a trajectory record measures: 4096 ranks is 4 GB and three 22 s
-#: runs, too much for a pytest sweep.  10240 does not fit a 16 GB host:
-#: one run allocates 124 B x n^2 (per rank an n-entry tuple per logged
-#: message, decoder bases, the vector, its stamp array and checkpoint
-#: copy) = 13 GB, and ring_point holds one run's result during the next
-RECORD_SCALES = LARGE_SCALES + (2048, 4096)
+#: what a trajectory record measures, too much for a pytest sweep.  One
+#: compressed run peaks at 47 B x n^2 (measured: 0.84 GB at 4096 ranks,
+#: 3.1 GB at 8192, 4.7 GB and 89 s at 10240; tracemalloc at 2048 names
+#: decoder bases 20, the vector and its stamp array 16, the frozen log
+#: items 8 - eight messages a rank at 1 B an entry - and checkpoint
+#: zero's frozen snapshot 1).  The raw leg of a point still logs an
+#: n-entry tuple per message, ~80 B x n^2: 8.4 GB at 10240.
+RECORD_SCALES = LARGE_SCALES + (2048, 4096, 8192, 10240)
 #: ROADMAP "Close the measured gaps" (d): compressed wall / plain wall
 COMPRESS_X_TARGET = 1.25
 
@@ -176,12 +178,13 @@ def ring_point(nprocs: int) -> dict[str, float]:
     """Raw and compressed bytes per message at one scale, the compressed
     run's wall time (the faster of two) and this process's peak RSS
     after the compressed runs — the scale's own only in a fresh process
-    (:func:`ring_point_isolated`)."""
+    (:func:`ring_point_isolated`).  A repetition leaves its scalars
+    behind, not its ``RunResult``: the peak is one run's, not two."""
     walls = []
     for _ in range(2):
-        wall, run = _wall(lambda: ring_run(nprocs, compress=True))
+        wall, wire = _wall(lambda: ring_bytes_per_message(nprocs,
+                                                          compress=True))
         walls.append(wall)
-    wire = _bytes_per_message(run, True)
     peak = _peak_rss_mb()
     raw = ring_bytes_per_message(nprocs, compress=False)
     return {"raw": raw, "wire": wire, "ratio": raw / wire,

@@ -47,11 +47,14 @@ a ratio only.
 Memory is gated once: the compressed ring at 512 ranks, run in one child
 interpreter, must peak under the latest ``BENCH_piggyback.json``
 record's ``ring512_peak_rss_mb`` plus 10% (the number repeats to ±2.5%
-on one host).  Per-rank state is O(touched peers) apart from the
-depend-interval vector and its stamp array: a member-set copy per rank
-(16 MB at this scale) or four length-n lists per rank (8 MB) trip it; a
-single such list (2 MB) does not, and is what the tier-1 footprint test
-(``tests/integration/test_touched_state.py``) is for.
+on one host; 67 MB in the PR 23 record).  Per-rank state is O(touched
+peers) apart from the depend-interval vector and its stamp array, and a
+stored vector is frozen at 1 B an entry: a log that keeps the piggyback
+tuples (16 MB at this scale), a member-set copy per rank (16 MB) or four
+length-n lists per rank (8 MB) trip it; a checkpoint snapshot kept as
+lists (4 MB) or a single such list (2 MB) does not, and is what the
+tier-1 footprint test (``tests/integration/test_touched_state.py``) is
+for.
 
 The TAG baseline is gated the same way, on the same run under
 ``protocol="tag"``: what it scans and piggybacks
@@ -113,8 +116,8 @@ COMPRESS_MARGIN = 0.15
 #: per-entry change log this guards against read +27% (2.08 vs 1.64)
 RING512_MARGIN = 0.15
 #: relative margin above the latest recorded ``ring512_peak_rss_mb``;
-#: the per-rank length-n lists and member-set copies this guards
-#: against read +53% (115 MB vs 75 MB)
+#: the boxed log items this guards against read +26% (the 16 MB of
+#: piggyback tuples PR 23 froze, on a 67 MB record)
 RING512_RSS_MARGIN = 0.10
 
 

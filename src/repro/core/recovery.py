@@ -51,9 +51,11 @@ Control-frame vocabulary:
 from __future__ import annotations
 
 import copy
+import dataclasses
 from typing import Any
 
 from repro.core.log_store import SenderLog
+from repro.core.vectors import FrozenVector
 from repro.protocols.base import (
     MEMBER_JOIN,
     MEMBER_LEAVE,
@@ -109,6 +111,10 @@ class SenderLoggingProtocol(Protocol):
         """Compressed wire form of a first transmission.  Default: the
         standalone record resends use (no per-channel state)."""
         return self.encode_piggyback_wire(dest, piggyback, send_index)
+
+    def _log_form(self, piggyback: Any) -> Any:
+        """What the log keeps of ``piggyback`` on the compressed path."""
+        return piggyback
 
     def _gate(self, frame_meta: dict[str, Any], src: int) -> DeliveryVerdict:
         """The protocol's delivery gate for the frame that is next in
@@ -171,6 +177,7 @@ class SenderLoggingProtocol(Protocol):
             + self.costs.log_append_cost(size_bytes)
             + extra_cost
         )
+        logged = self._log_form(piggyback) if self.compress else piggyback
         self.log.append(
             LoggedMessage(
                 dest=dest,
@@ -178,7 +185,7 @@ class SenderLoggingProtocol(Protocol):
                 tag=tag,
                 payload=payload,
                 size_bytes=size_bytes,
-                piggyback=piggyback,
+                piggyback=logged,
                 piggyback_identifiers=identifiers,
             )
         )
@@ -435,6 +442,9 @@ class SenderLoggingProtocol(Protocol):
         self.services.peer_watermark(peer, covered)
         resent = 0
         for item in self.log.items_for(peer, after_index=covered):
+            if isinstance(item.piggyback, FrozenVector):
+                # one thaw serves the resend's record and its traced event
+                item = dataclasses.replace(item, piggyback=item.piggyback.thaw())
             self.services.resend_logged(item)
             resent += 1
         self.metrics.resends += resent

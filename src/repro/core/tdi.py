@@ -81,7 +81,7 @@ class TdiProtocol(SenderLoggingProtocol):
     # Piggyback: the depend-interval vector (lines 8-12)
     # ------------------------------------------------------------------
     def _build_piggyback(self, dest: int) -> tuple[Any, int, float]:
-        piggyback = self.depend_interval.as_piggyback()
+        piggyback = self.depend_interval.as_piggyback(prime=not self.compress)
         # the horizon-length vector; once any entry refers to a
         # post-rollback incarnation the epoch vector rides along too
         # (2n + 1 with the send index) — see core.wire for the forms
@@ -95,8 +95,11 @@ class TdiProtocol(SenderLoggingProtocol):
             dest, piggyback, send_index)
         if fell_back:
             self.metrics.delta_fallback_full_sends += 1
-        piggyback._arr = None  # the receiver decodes its own; ours is logged
         return wire_blob
+
+    def _log_form(self, piggyback: Any) -> Any:
+        # the vector has not moved since the piggyback was taken from it
+        return self.depend_interval.snapshot()
 
     # ------------------------------------------------------------------
     # Delivery gate (lines 15-31)
@@ -216,7 +219,7 @@ class TdiProtocol(SenderLoggingProtocol):
         # once the incarnation re-attaches
         stored = state["depend_interval"]
         self.depend_interval = DependIntervalVector.from_snapshot(
-            len(stored["v"]), self.rank, stored
+            len(stored.values), self.rank, stored
         )
         # the restored counts belong to *this* incarnation now: the own
         # entry re-tags under the current epoch, and its restored value

@@ -81,8 +81,8 @@ class TaggedPiggyback(tuple):
 
     ``_arr`` caches the values as an int64 array so a merge reads them
     without re-converting the tuple; whoever builds the piggyback from
-    an array primes it, a sender on the compressed path drops it once
-    the record is encoded, and it is deliberately dropped on
+    an array primes it (a sender on the compressed path does not: its
+    receiver decodes an array of its own), and it is dropped on
     pickling/deepcopy — it is a pure cache.
     """
 
@@ -108,6 +108,41 @@ class TaggedPiggyback(tuple):
 
     def __repr__(self) -> str:
         return f"TaggedPiggyback({tuple(self)!r}, epochs={self.epochs!r})"
+
+
+class FrozenVector:
+    """The immutable *stored* form of a vector, kept by a compressed
+    sender-log item and a checkpoint image (``docs/PROTOCOLS.md``, "Stored
+    form"): ``values`` a read-only array of the narrowest unsigned dtype
+    that holds their maximum (``int64`` past 32 bits), ``epochs`` the
+    source's own tuple, by reference.  :meth:`thaw` undoes it."""
+
+    __slots__ = ("values", "epochs")
+
+    def __init__(self, values: Sequence[int], epochs: Sequence[int]):
+        values = _np.asarray(values)
+        top = _np.maximum.reduce(values)
+        self.values = values.astype(
+            _np.uint8 if top < 1 << 8 else _np.uint16 if top < 1 << 16
+            else _np.uint32 if top < 1 << 32 else _np.int64)  # a copy, always
+        self.values.setflags(write=False)
+        self.epochs = tuple(epochs)  # a tuple is kept by reference
+
+    def thaw(self) -> TaggedPiggyback:
+        """The piggyback this was frozen from, array cache primed."""
+        piggyback = TaggedPiggyback(self.values.tolist(), self.epochs)
+        piggyback._arr = self.values.astype(_np.int64)
+        return piggyback
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, FrozenVector) and self.epochs == other.epochs
+                and _np.array_equal(self.values, other.values))
+
+    def __reduce__(self):  # pickling: re-narrowed, read-only again
+        return (FrozenVector, (self.values, self.epochs))
+
+    def __deepcopy__(self, memo: dict) -> "FrozenVector":
+        return self  # immutable: a restored image shares it with the stored one
 
 
 class DependIntervalVector:
@@ -333,18 +368,19 @@ class DependIntervalVector:
         """Immutable copy of the interval values only."""
         return tuple(self._v.tolist())
 
-    def as_piggyback(self) -> TaggedPiggyback:
-        """The epoch-tagged piggyback payload of a send."""
+    def as_piggyback(self, prime: bool = True) -> TaggedPiggyback:
+        """The piggyback payload of a send (``prime``: with ``_arr``)."""
         pb = TaggedPiggyback(self._v.tolist(), self._e)
-        pb._arr = self._v.copy()  # snapshot: the vector keeps mutating
+        if prime:
+            pb._arr = self._v.copy()  # snapshot: the vector keeps mutating
         return pb
 
-    def snapshot(self) -> dict[str, list[int]]:
-        """Mutable copy for checkpointing (values + epochs)."""
-        return {"v": self._v.tolist(), "e": list(self._e)}
+    def snapshot(self) -> FrozenVector:
+        """Immutable copy for checkpointing (values + epochs)."""
+        return FrozenVector(self._v, self._e)
 
     @classmethod
     def from_snapshot(cls, nprocs: int, owner: int,
-                      data: dict[str, list[int]]) -> "DependIntervalVector":
+                      data: FrozenVector) -> "DependIntervalVector":
         """Inverse of :meth:`snapshot`."""
-        return cls(nprocs, owner, data["v"], data["e"])
+        return cls(nprocs, owner, data.values.tolist(), data.epochs)

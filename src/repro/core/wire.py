@@ -76,6 +76,7 @@ from itertools import chain, compress
 from operator import or_
 from typing import NamedTuple, Sequence
 
+from repro.core.vectors import _zero_epochs
 from repro.protocols.pwd import Determinant
 
 
@@ -209,10 +210,11 @@ def _entry_fields(entries: Sequence[tuple[int, int, int]],
 
 def vector_full_fields(values: Sequence[int], epochs: Sequence[int],
                        send_index: int, seq: int | None = None,
-                       ) -> tuple[list[int], int]:
-    """The fields of a self-contained vector record and their packed
-    size: dense or sparse, whichever is shorter (exact — both bodies are
-    sized, only the winner is laid out, nothing is packed).
+                       ) -> tuple[tuple[Sequence[int], ...], int]:
+    """The fields of a self-contained vector record — lists to pack back
+    to back: one, or a dense narrow body apart from a head whose ``n``
+    would take it off the C path — and their packed size: dense or sparse,
+    whichever is shorter (exact: both sized, one laid out, none packed).
 
     ``seq=None`` gives a standalone record (``FLAG_STANDALONE``) that
     receivers decode without consulting or updating channel state — the
@@ -221,10 +223,16 @@ def vector_full_fields(values: Sequence[int], epochs: Sequence[int],
     n = len(values)
     if len(epochs) != n:
         raise ValueError(f"epoch vector length {len(epochs)} != {n}")
-    with_epochs = any(epochs)
+    with_epochs = epochs is not _zero_epochs(n) and any(epochs)
+    try:
+        narrow = bytes(values)
+        if narrow.isascii():  # each value its own encoding: what follows
+            values = narrow   # counts, sizes and packs them in C
+    except ValueError:
+        pass
     mode = FULL_DENSE | FLAG_COUNTED | (FLAG_EPOCHS if with_epochs else 0) | (
         FLAG_STANDALONE if seq is None else 0)
-    head = (n,) if seq is None else (n, seq)
+    head = [mode, n] if seq is None else [mode, n, seq]
     body = [*values, *epochs] if with_epochs else values
     size = uvarints_size(body)
     # a sparse entry is at least (gap, value) after a count byte, so that
@@ -236,18 +244,19 @@ def vector_full_fields(values: Sequence[int], epochs: Sequence[int],
             compress(epochs, hot))))
         sparse_size = uvarints_size(sparse)
         if sparse_size < size:
-            mode |= FULL_SPARSE
+            head[0] |= FULL_SPARSE
             body = sparse
             size = sparse_size
-    return ([mode, *head, *body, send_index],
-            1 + uvarints_size((*head, send_index)) + size)
+    parts = (head, body, (send_index,)) if type(body) is bytes else (
+        [*head, *body, send_index],)  # dense and narrow: apart from the head
+    return parts, size + uvarints_size((*head, send_index))
 
 
 def encode_vector_full(values: Sequence[int], epochs: Sequence[int],
                        send_index: int, *, seq: int | None = None) -> bytes:
     """:func:`vector_full_fields`, packed."""
-    return pack_uvarints(
-        vector_full_fields(values, epochs, send_index, seq)[0])
+    return b"".join(map(pack_uvarints, vector_full_fields(
+        values, epochs, send_index, seq)[0]))
 
 
 def encode_vector_delta(changes: Sequence[tuple[int, int, int]],
@@ -292,7 +301,8 @@ def decode_vector_record(data: bytes, nprocs: int) -> VectorRecord:
                              f"vector of {nprocs}")
         return VectorRecord(
             mode, standalone, seq, send_index, tuple(body[:nprocs]),
-            tuple(body[nprocs:]) if with_epochs else (0,) * nprocs, None)
+            tuple(body[nprocs:]) if with_epochs else _zero_epochs(nprocs),
+            None)
     if mode not in (FULL_SPARSE, DELTA):
         raise ValueError(f"unknown vector-record mode {mode}")
     stride = 3 if with_epochs else 2
@@ -315,8 +325,9 @@ def decode_vector_record(data: bytes, nprocs: int) -> VectorRecord:
     for index, value, epoch in entries:
         values[index] = value
         epochs[index] = epoch
-    return VectorRecord(mode, standalone, seq, send_index,
-                        tuple(values), tuple(epochs), None)
+    return VectorRecord(
+        mode, standalone, seq, send_index, tuple(values),
+        tuple(epochs) if with_epochs else _zero_epochs(nprocs), None)
 
 
 # ----------------------------------------------------------------------

@@ -145,7 +145,7 @@ class VectorDeltaEncoder:
                     piggyback, epochs, send_index, seq)
         fell_back = full is not None and full_size <= size
         if fell_back:
-            blob = wire.pack_uvarints(full)
+            blob = b"".join(map(wire.pack_uvarints, full))
         chan[0] = clock
         chan[1] = seq
         return blob, fell_back

@@ -25,7 +25,7 @@ from unittest import mock
 import numpy as _np
 
 from repro.core import wire
-from repro.core.vectors import TaggedPiggyback
+from repro.core.vectors import FrozenVector, TaggedPiggyback
 from repro.protocols.compression import UndecodablePiggyback
 
 
@@ -244,18 +244,19 @@ class ReferenceVector:
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(self._v.tolist())
 
-    def as_piggyback(self) -> TaggedPiggyback:
+    def as_piggyback(self, prime: bool = True) -> TaggedPiggyback:
         pb = TaggedPiggyback(self._v.tolist(), self._ekey)
-        pb._arr = self._v.copy()  # snapshot: the vector keeps mutating
+        if prime:
+            pb._arr = self._v.copy()  # snapshot: the vector keeps mutating
         return pb
 
-    def snapshot(self) -> dict[str, list[int]]:
-        return {"v": self._v.tolist(), "e": list(self._e)}
+    def snapshot(self) -> FrozenVector:  # the one stored form, built per entry
+        return FrozenVector(self._v.tolist(), tuple(self._e))
 
     @classmethod
     def from_snapshot(cls, nprocs: int, owner: int,
-                      data: dict[str, list[int]]) -> "ReferenceVector":
-        return cls(nprocs, owner, data["v"], data["e"])
+                      data: FrozenVector) -> "ReferenceVector":
+        return cls(nprocs, owner, data.values.tolist(), data.epochs)
 
 
 class ReferenceDecoder:

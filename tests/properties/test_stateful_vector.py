@@ -113,7 +113,7 @@ class VectorMachine(RuleBasedStateMachine):
         re-bound encoders, a mutation clock that starts over."""
         snapshot = self.new.snapshot()
         assert snapshot == self.ref.snapshot()
-        n = len(snapshot["v"])
+        n = len(snapshot.values)
         self.new = DependIntervalVector.from_snapshot(n, self.owner, snapshot)
         self.ref = ReferenceVector.from_snapshot(n, self.owner, snapshot)
         self.enc_new.bind(self.new)

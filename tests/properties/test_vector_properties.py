@@ -9,7 +9,11 @@ the paper's claim that delivery order may be relaxed.
 
 from hypothesis import given, strategies as st
 
-from repro.core.vectors import DependIntervalVector, TaggedPiggyback
+from repro.core.vectors import (
+    DependIntervalVector,
+    FrozenVector,
+    TaggedPiggyback,
+)
 
 N = 5
 
@@ -133,9 +137,9 @@ def check_merge_matches_reference(owner, values, epochs, pb_values,
         owner, values, epochs, pb_values, ref_epochs)
     changed = v.merge(piggyback)
     assert changed == want_changed
-    assert v.snapshot() == {"v": want_v, "e": want_e}
+    assert v.snapshot() == FrozenVector(want_v, want_e)
     assert all(isinstance(x, int) and not isinstance(x, bool)
-               for x in v.snapshot()["v"])
+               for x in v.snapshot().thaw())
 
 
 @given(owners, vectors, vectors)
@@ -160,7 +164,7 @@ def test_as_piggyback_merge_matches_reference(owner, values, epochs,
     want_v, want_e, want_changed = reference_merge(
         owner, values, epochs, pb_values, pb_epochs)
     assert v.merge(pb) == want_changed
-    assert v.snapshot() == {"v": want_v, "e": want_e}
+    assert v.snapshot() == FrozenVector(want_v, want_e)
     assert v.merge(pb) == 0  # idempotent on the now-cached array
 
 

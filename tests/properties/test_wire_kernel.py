@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 import pytest
 
 from repro.core import wire
-from repro.core.vectors import DependIntervalVector
+from repro.core.vectors import DependIntervalVector, _zero_epochs
 from repro.protocols.compression import (
     PWD_FLAG_STABLE,
     UndecodablePiggyback,
@@ -396,8 +396,13 @@ def test_full_record_bytes_and_decode(record, data):
     blob = wire.encode_vector_full(values, epochs, send_index, seq=seq)
     # sized, not built: the winner is the one building both would keep
     assert blob == (sparse if len(sparse) < len(dense) else dense)
-    fields, size = wire.vector_full_fields(values, epochs, send_index, seq)
-    assert size == wire.uvarints_size(fields) == len(blob)
+    parts, size = wire.vector_full_fields(values, epochs, send_index, seq)
+    assert size == sum(map(wire.uvarints_size, parts)) == len(blob)
+    if not any(epochs):  # the shared zero tuple skips the epoch scan
+        assert blob == wire.encode_vector_full(
+            tuple(values), _zero_epochs(len(values)), send_index, seq=seq)
+        assert wire.decode_vector_record(blob, len(values)).epochs \
+            is _zero_epochs(len(values))
     capacity = len(values) + data.draw(st.integers(0, 2))
     for bad in mutations(data.draw, blob):
         assert outcome(wire.decode_vector_record, bad, capacity) \

@@ -28,7 +28,8 @@ model test and the wire-kernel properties (which hold the encoder to
 the build-both-and-compare reference) against it; a mutant that no test
 notices is reported and the exit status is non-zero.  The mutants of
 the touched-peer maps and the shared membership set (the per-rank state
-*around* the vector) name their own killers in :data:`MUTANT_KILLERS`;
+*around* the vector) and of the vector's stored form (sender log,
+checkpoint image) name their own killers in :data:`MUTANT_KILLERS`;
 ``--mutants TEXT`` seeds only the mutants whose name contains ``TEXT``.
 """
 
@@ -291,8 +292,29 @@ PEER_MUTANTS: dict[str, tuple] = {
         ('current["rollback_last_send_index"] = dict(vec)',
          'current["rollback_last_send_index"] = list(vec)')),
 }
-MUTANT_KILLERS = {name: killers for name, (killers, *_) in PEER_MUTANTS.items()}
-MUTANTS.update({name: edit for name, (_, *edit) in PEER_MUTANTS.items()})
+_FROZEN = "tests/properties/test_frozen_vector.py"
+#: the stored form of a vector (sender log, checkpoint image), same shape
+STORED_MUTANTS: dict[str, tuple] = {
+    "stored form: dtype chosen with <= at 256": (
+        (_FROZEN,), _VECTORS,
+        ("_np.uint8 if top < 1 << 8 else", "_np.uint8 if top <= 1 << 8 else")),
+    "stored form: freeze keeps the zero epochs, not the piggyback's": (
+        (_FROZEN,), _VECTORS,
+        ("        self.epochs = tuple(epochs)  # a tuple is kept",
+         "        self.epochs = _zero_epochs(len(values))  # a tuple is kept")),
+    "stored form: snapshot() freezes a view of the live vector": (
+        (_FROZEN,), _VECTORS,
+        ("else _np.int64)  # a copy, always",
+         "else _np.int64, copy=False)  # a copy, always")),
+    "stored form: resend carries the item's position, not its send_index": (
+        ("tests/integration/test_frozen_log.py",), "core/recovery.py",
+        ("            self.services.resend_logged(item)\n",
+         "            self.services.resend_logged(dataclasses.replace(\n"
+         "                item, send_index=resent + 1))\n")),
+}
+_NAMED = {**PEER_MUTANTS, **STORED_MUTANTS}
+MUTANT_KILLERS = {name: killers for name, (killers, *_) in _NAMED.items()}
+MUTANTS.update({name: edit for name, (_, *edit) in _NAMED.items()})
 
 
 def run_mutants(only: str = "") -> int:
