@@ -6,13 +6,15 @@ end-to-end simulation rate (simulated messages per wall second) that the
 figure sweeps depend on, the cost of the reliable transport layer
 (sequencing + acks + retransmission) at 0% and 1% frame loss, and the
 cost of arming the accrual failure detector (n² heartbeat frames per
-interval) over the same plain run, and the host cost of the TAG baseline
-over it (the same run under ``protocol="tag"``).  Every ratio is taken
-round-robin (:func:`_alternating`): the plain run and its variants are
-timed seconds apart, and a ratio is the median of the per-round ratios
-(:func:`_round_ratio`) — a slow phase of a shared host outlasts a run,
-so it lands on both sides of a round or on neither.  Absolute walls in
-a record are the fastest round's.
+interval) over the same plain run, the host cost of the TAG baseline
+over it (the same run under ``protocol="tag"``), and the cost of the
+checker: the causal-consistency oracle (``verify=True``) over the plain
+run and over the armed one, whose heartbeats it must leave held.  Every
+ratio is taken round-robin (:func:`_alternating`): the plain run and its
+variants are timed seconds apart, and a ratio is the median of the
+per-round ratios (:func:`_round_ratio`) — a slow phase of a shared host
+outlasts a run, so it lands on both sides of a round or on neither.
+Absolute walls in a record are the fastest round's.
 
 Run as a module (``python benchmarks/bench_substrate.py``) to append one
 overhead record to ``BENCH_substrate.json``.
@@ -96,16 +98,17 @@ def test_end_to_end_simulation_rate(benchmark):
 
 def _transport_run(*, transport: bool, drop_prob: float = 0.0,
                    detector: bool = False, protocol: str = "tdi",
-                   observed: bool = False):
+                   observed: bool = False, verify: bool = False):
     """One LU/8-rank run with the given substrate configuration;
-    ``observed`` attaches a listener that ignores everything, which is
-    enough to make every heartbeat an engine event — the path a traced
-    or verified run takes."""
+    ``observed`` attaches a listener that hears everything and ignores
+    it, which is enough to make every heartbeat an engine event — the
+    path a traced run takes; ``verify`` attaches the oracle, which
+    subscribes to its own kinds and must not."""
     config = SimulationConfig(
         nprocs=8, protocol=protocol, seed=1, checkpoint_interval=0.02,
         network=NetworkConfig(drop_prob=drop_prob),
         transport=TransportConfig(enabled=transport),
-        detector=DetectorConfig(enabled=detector),
+        detector=DetectorConfig(enabled=detector), verify=verify,
     )
     cluster = Cluster(config, workload_factory("lu", scale="paper"))
     if observed:
@@ -163,12 +166,20 @@ def _plain_run():
     return _transport_run(transport=False)
 
 
-def _armed_run(observed: bool = False):
+def _armed_run(observed: bool = False, verify: bool = False):
     """The baseline run with the accrual detector armed (no fault: the
     cost measured is the heartbeat plane's, not a recovery's).
-    Unobserved, heartbeats wait on their lanes; ``observed``, each is an
-    engine event."""
-    return _transport_run(transport=False, detector=True, observed=observed)
+    Unobserved — or watched by the oracle alone (``verify``) —
+    heartbeats wait on their lanes; ``observed``, each is an engine
+    event."""
+    return _transport_run(transport=False, detector=True, observed=observed,
+                          verify=verify)
+
+
+def _verified_run():
+    """The baseline run under the oracle: every send, delivery and
+    checkpoint checked and sampled."""
+    return _transport_run(transport=False, verify=True)
 
 
 def _tag_run():
@@ -186,19 +197,24 @@ def _tag_counts(run) -> dict:
 
 
 def collect_record(note: str = "", repeats: int = 3) -> dict:
-    """Measure the transport, detector and TAG overhead matrix once
-    (``repeats`` round-robin rounds; walls are the fastest round's,
+    """Measure the transport, detector, TAG and oracle overhead matrix
+    once (``repeats`` round-robin rounds; walls are the fastest round's,
     ratios the median of per-round ratios) and package it."""
     ((base_w, base), (rt0_w, rt0), (rt1_w, rt1), (armed_w, armed),
-     (tag_w, tag)) = _alternating({
+     (tag_w, tag), (verify_w, verified),
+     (armed_verify_w, armed_verified)) = _alternating({
         "base": _plain_run,
         "rt0": lambda: _transport_run(transport=True),
         "rt1": lambda: _transport_run(transport=True, drop_prob=0.01),
         "armed": _armed_run,
         "tag": _tag_run,
+        "verify": _verified_run,
+        "armed_verify": lambda: _armed_run(verify=True),
     }, repeats).values()
-    base_s, rt0_s, rt1_s, armed_s, tag_s = map(
-        min, (base_w, rt0_w, rt1_w, armed_w, tag_w))
+    base_s, rt0_s, rt1_s, armed_s, tag_s, verify_s = map(
+        min, (base_w, rt0_w, rt1_w, armed_w, tag_w, verify_w))
+    if verified.violations or armed_verified.violations:
+        raise SystemExit("the oracle found violations in a clean run")
     return {
         "note": note,
         "date": time.strftime("%Y-%m-%d"),
@@ -235,6 +251,13 @@ def collect_record(note: str = "", repeats: int = 3) -> dict:
         "tag_s": round(tag_s, 4),
         "tag_x": round(_round_ratio(tag_w, base_w), 4),
         **_tag_counts(tag),
+        # and for the oracle: over the plain run, and over it with the
+        # detector armed too — where it must fire the held run's events
+        # (``events_armed``), no beat un-held on its account
+        "verify_s": round(verify_s, 4),
+        "verify_x": round(_round_ratio(verify_w, base_w), 4),
+        "detector_verify_x": round(_round_ratio(armed_verify_w, base_w), 4),
+        "events_armed_verified": armed_verified.events_fired,
     }
 
 
@@ -246,8 +269,8 @@ def append_record(record: dict, path: Path = ARTIFACT) -> None:
         data = {"benchmark": "bench_substrate",
                 "description": "reliable-transport overhead over the raw "
                                "network at 0% and 1% frame loss, and "
-                               "armed-detector overhead (LU, 8 "
-                               "ranks, TDI, paper preset), one record "
+                               "armed-detector, TAG and oracle overhead "
+                               "(LU, 8 ranks, TDI, paper preset), one record "
                                "appended per measurement run",
                 "records": []}
     data["records"].append(record)

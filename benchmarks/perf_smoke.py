@@ -39,6 +39,15 @@ unobserved run's wall over the plain baseline's (``detector_armed_x``,
 a machine-independent ratio) must stay under the latest record plus a
 margin.
 
+The oracle rides the same rounds.  ``verify_x`` (the plain run under
+``verify=True`` over the plain run) must stay under the latest record
+plus a margin: the checker is what every fuzz band runs, and a copy of
+every sampled vector per event plus an event built for every kind it
+ignores read +22% (1.78x against 1.45x, same host, alternating rounds).
+And with the detector armed as well it must fire exactly the unverified
+armed run's events (``events_armed_verified == events_armed``): the
+oracle subscribes to its own kinds, so it un-holds no heartbeat.
+
 Every wall ratio here is taken round-robin — the plain run and its
 variants alternate, seconds apart — and is the median of the per-round
 ratios, so a slow minute on a shared runner cannot land on one side of
@@ -97,6 +106,7 @@ from benchmarks.bench_substrate import (  # noqa: E402
     _tag_counts,
     _tag_run,
     _transport_run,
+    _verified_run,
 )
 
 #: scale point for the deterministic compressed-bytes gate
@@ -109,6 +119,10 @@ ARMED_MARGIN = 0.20
 #: relative margin above the latest recorded ``tag_x``; the set-based
 #: store this guards against read +400% (5.3x vs 1.0x)
 TAG_MARGIN = 0.25
+#: relative margin above the latest recorded ``verify_x``; the
+#: copy-per-sample oracle behind a catch-all listener this guards
+#: against read +22% (1.78 vs 1.45)
+VERIFY_MARGIN = 0.15
 #: relative margin above the latest recorded ``compress_x``; the
 #: per-value varint loops this guards against read +17% (1.78 vs 1.52)
 COMPRESS_MARGIN = 0.15
@@ -153,11 +167,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     ceiling = pinned_ceiling(args.artifact, args.margin)
-    (base_w, _), (rt0_w, rt0), (armed_w, armed), (tag_w, tag) = _alternating({
+    ((base_w, _), (rt0_w, rt0), (armed_w, armed), (tag_w, tag),
+     (verify_w, verified)) = _alternating({
         "base": _plain_run,
         "rt0": lambda: _transport_run(transport=True),
         "armed": _armed_run,
         "tag": _tag_run,
+        "verify": _verified_run,
     }, args.repeats).values()
     overhead = _round_ratio(rt0_w, base_w) - 1.0
     acks = int(rt0.stats.total("rt_acks_sent"))
@@ -173,10 +189,18 @@ def main(argv: list[str] | None = None) -> int:
     armed_events = {
         "events_armed": armed.events_fired,
         "events_armed_traced": _armed_run(observed=True).events_fired,
+        "events_armed_verified": _armed_run(verify=True).events_fired,
     }
     print(f"armed detector: {armed_x:.2f}x the plain run "
           f"(ceiling {armed_ceiling:.2f}x, {min(armed_w):.3f}s), "
           f"{armed_events}")
+
+    # the oracle: silent, and its wall ratio against the record
+    verify_ceiling = pinned["verify_x"] * (1.0 + VERIFY_MARGIN)
+    verify_x = _round_ratio(verify_w, base_w)
+    print(f"oracle: {verify_x:.2f}x the plain run (ceiling "
+          f"{verify_ceiling:.2f}x, {min(verify_w):.3f}s), "
+          f"{len(verified.violations)} violations")
 
     # TAG: scan and piggyback counts exact, wall ratio against the record
     tag_ceiling = pinned["tag_x"] * (1.0 + TAG_MARGIN)
@@ -229,6 +253,19 @@ def main(argv: list[str] | None = None) -> int:
                   f"{args.artifact.name} record pins {pinned[name]} "
                   "(deterministic: any difference is a behaviour change)")
             failed = True
+    if armed_events["events_armed_verified"] != armed_events["events_armed"]:
+        print("FAIL: the oracle alone changed the armed run's event count "
+              f"({armed_events}): it un-held a heartbeat")
+        failed = True
+    if verify_x > verify_ceiling:
+        print(f"FAIL: the oracle costs {verify_x:.2f}x the plain run, above "
+              f"the pinned ceiling {verify_ceiling:.2f}x (latest "
+              f"{args.artifact.name} record + {VERIFY_MARGIN:.0%})")
+        failed = True
+    if verified.violations:
+        print(f"FAIL: the oracle found {len(verified.violations)} "
+              f"violations in a clean run: {verified.violations[0]}")
+        failed = True
     if tag_x > tag_ceiling:
         print(f"FAIL: TAG costs {tag_x:.2f}x the plain run, above the "
               f"pinned ceiling {tag_ceiling:.2f}x (latest "

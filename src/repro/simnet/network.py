@@ -43,9 +43,10 @@ an ``(arrival, src, dst, ...)`` record handed to the reader by
 :meth:`Network.deliver_heartbeats` — instead of costing an engine event.
 A beat is held only while nothing can change what its arrival does;
 everything that can (receiver turnover, a gray gate, an impaired or
-shared wire, a mute stamp, an observer on the trace, the end of the
-run) turns it back into an ordinary arrival event first.  The table is
-in ``docs/PROTOCOLS.md``, "Held and event beats".
+shared wire, a mute stamp, a trace that wants ``net.transmit`` or
+``net.arrive``, the end of the run) turns it back into an ordinary
+arrival event first.  The table is in ``docs/PROTOCOLS.md``, "Held and
+event beats".
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ from repro.simnet.trace import Trace
 #: minimum spacing enforced between two arrivals on one channel, to keep
 #: FIFO order strict even under jitter
 _FIFO_EPSILON = 1e-9
+
+#: the two kinds every frame emits: a listener for either un-holds beats
+_FRAME_KINDS = ("net.transmit", "net.arrive")
 
 
 @dataclass(frozen=True)
@@ -280,8 +284,8 @@ class Network:
         #: receivers a beat may be held for: attached, and not grayed
         #: since (:meth:`stop_holding`)
         self._holdable: set[int] = set()
-        # an observer hears every arrival stamped after it attached
-        self.trace.when_activated(self.flush_heartbeats)
+        # who watches frames hears every arrival stamped after it attached
+        self.trace.when_activated(self.flush_heartbeats, _FRAME_KINDS)
 
     # ------------------------------------------------------------------
     def attach(self, rank: int, callback: ReceiveCallback) -> None:
@@ -353,9 +357,9 @@ class Network:
         owns its substream, so no other draw can fall between them).
 
         While partition, mute stamp and wire impairments can claim a
-        frame — or someone observes the trace, or nobody reads held
-        beats — each frame is admitted on its own (:meth:`_admit`) and
-        arrives as an event.  Otherwise none of them applies to any
+        frame — or someone watches frames on the trace, or nobody reads
+        held beats — each frame is admitted on its own (:meth:`_admit`)
+        and arrives as an event.  Otherwise none of them applies to any
         frame of the fan-out: it is counted in bulk (``k`` frames,
         ``k`` consecutive ids) and each beat waits on its lane for
         :meth:`deliver_heartbeats`, or is an arrival event when its
@@ -363,7 +367,8 @@ class Network:
         cfg = self.config
         lane = self._hb_last_arrival[src]
         if (muted or self._impair is not None or cfg.shared_medium
-                or self.trace.active or self._hb_reader is None):
+                or not self.trace.wanted.isdisjoint(_FRAME_KINDS)
+                or self._hb_reader is None):
             if muted:
                 # the one case that can meet held beats: an event must
                 # not reach the reader before what its channel holds
@@ -487,7 +492,7 @@ class Network:
         else:
             stats.ctl_frames += 1
             stats.ctl_bytes += frame.size_bytes
-        if trace.active:
+        if "net.transmit" in trace.wanted:
             trace.emit("net.transmit", frame.src, dst=frame.dst, frame_kind=frame.kind,
                        size=frame.size_bytes, frame_id=frame.frame_id)
 
@@ -580,7 +585,7 @@ class Network:
             self.trace.emit("net.drop", frame.dst, src=frame.src,
                             frame_kind=frame.kind, frame_id=frame.frame_id)
             return
-        if self.trace.active:
+        if "net.arrive" in self.trace.wanted:
             self.trace.emit("net.arrive", frame.dst, src=frame.src,
                             frame_kind=frame.kind, frame_id=frame.frame_id)
         callback(frame)

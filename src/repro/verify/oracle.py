@@ -43,7 +43,10 @@ epoch-blind protocol merge is therefore caught — the mutation test in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
+from itertools import repeat
+from operator import ge, lt
 from typing import Any, TYPE_CHECKING
 
 from repro.simnet.trace import TraceEvent
@@ -79,10 +82,18 @@ class _Shadow:
                        list(self.hb_epochs))
 
 
-@dataclass
-class _MonotoneSample:
-    epoch: int
-    vectors: dict[str, Any] = field(default_factory=dict)
+#: what a monotone sample reads off a rank's protocol, in this order (the
+#: epoch vector after the vector whose re-tagged entries it excuses)
+_SAMPLED = ("last_deliver_index", "rollback_last_send_index",
+            "depend_interval", "depend_interval_epochs")
+
+
+def _copied(vec: Any) -> Any:
+    """What a baseline keeps of a sampled vector: an equal copy, never
+    the live object (an immutable one is nobody's alias)."""
+    if vec is None or isinstance(vec, tuple):
+        return vec
+    return dict(vec) if isinstance(vec, dict) else list(vec)
 
 
 class CausalOracle:
@@ -93,7 +104,7 @@ class CausalOracle:
         self.max_violations = max_violations
         self.violations: list[InvariantViolation] = []
         #: events examined per invariant, for reporting
-        self.checks: dict[str, int] = {}
+        self.checks: dict[str, int] = defaultdict(int)
         #: violations dropped after ``max_violations`` was reached
         self.suppressed = 0
         self._shadow = [_Shadow.fresh(nprocs) for _ in range(nprocs)]
@@ -106,57 +117,57 @@ class CausalOracle:
         self._ckpt_shadow: dict[tuple[int, int], _Shadow] = {}
         #: per-rank delivery coverage of the latest durable checkpoint
         self._ckpt_cover = [[0] * nprocs for _ in range(nprocs)]
-        self._samples: dict[int, _MonotoneSample] = {}
+        #: rank -> ``[*baselines in _SAMPLED order, node epoch]``; a
+        #: baseline is a copy of what was last seen, never the live object
+        self._samples: dict[int, list] = {}
         #: rank -> peers whose ROLLBACK the rank has processed since its
         #: last monotone sample (their suppression entries may clamp)
         self._rollback_clamped: dict[int, set[int]] = {}
         self._cluster: "Cluster | None" = None
+        #: the kinds the oracle reads -> what it does with one; also its
+        #: subscription, so no other event is built on its account
+        self._handlers = {
+            "verify.deliver": self._on_deliver,
+            "verify.send": self._on_send,
+            "ckpt.write": self._on_checkpoint,
+            "recovery.incarnate": self._on_incarnate,
+            "verify.release": self._on_release,
+            "proto.recovery_escalate": self._on_degrade,
+            "proto.recovery_settled": self._on_degrade,
+            "proto.resend": self._on_resend,
+        }
 
     # ------------------------------------------------------------------
     def attach(self, cluster: "Cluster") -> None:
-        """Subscribe to the cluster's trace stream."""
+        """Subscribe to the kinds of the cluster's trace stream it reads."""
         self._cluster = cluster
-        cluster.trace.attach_listener(self.observe)
+        cluster.trace.attach_listener(self.observe, self._handlers)
 
     # ------------------------------------------------------------------
     def observe(self, event: TraceEvent) -> None:
         """Trace-listener entry point: dispatch one event."""
-        kind = event.kind
-        if kind == "verify.deliver":
-            self._on_deliver(event)
-        elif kind == "verify.send":
-            self._on_send(event)
-        elif kind == "ckpt.write":
-            self._on_checkpoint(event)
-        elif kind == "recovery.incarnate":
-            self._on_incarnate(event)
-        elif kind == "verify.release":
-            self._on_release(event)
-        elif kind == "proto.recovery_escalate":
-            if 0 <= event.rank < self.nprocs:
-                self._rank_degraded[event.rank] = True
-        elif kind == "proto.recovery_settled":
-            if 0 <= event.rank < self.nprocs:
-                self._rank_degraded[event.rank] = False
-        elif kind == "proto.resend":
-            # rank just processed a ROLLBACK from event["to"]: entry
-            # ``to`` of its rollback_last_send_index may legitimately
-            # clamp down (consumed by the next monotone sample)
-            if 0 <= event.rank < self.nprocs:
-                self._rollback_clamped.setdefault(
-                    event.rank, set()).add(event["to"])
+        handler = self._handlers.get(event.kind)
+        if handler is not None and 0 <= event.rank < self.nprocs:
+            handler(event)
+
+    def _on_degrade(self, ev: TraceEvent) -> None:
+        self._rank_degraded[ev.rank] = ev.kind == "proto.recovery_escalate"
+
+    def _on_resend(self, ev: TraceEvent) -> None:
+        # rank just processed a ROLLBACK from ev["to"]: entry ``to`` of
+        # its rollback_last_send_index may legitimately clamp down
+        # (consumed by the next monotone sample)
+        self._rollback_clamped.setdefault(ev.rank, set()).add(ev["to"])
 
     # ------------------------------------------------------------------
     # Invariant 1 + 2: delivery-time checks
     # ------------------------------------------------------------------
     def _on_deliver(self, ev: TraceEvent) -> None:
-        rank = ev.rank
-        if not (0 <= rank < self.nprocs):
-            return
-        src, send_index, pb = ev["src"], ev["send_index"], ev["pb"]
+        rank, fields = ev.rank, ev.fields
+        src, send_index, pb = fields["src"], fields["send_index"], fields["pb"]
         shadow = self._shadow[rank]
 
-        self._count(EXACTLY_ONCE)
+        self.checks[EXACTLY_ONCE] += 1
         expected = shadow.delivered_upto[src] + 1
         if send_index != expected:
             what = "duplicate" if send_index <= shadow.delivered_upto[src] else "gap"
@@ -167,7 +178,7 @@ class CausalOracle:
         shadow.delivered_upto[src] = max(shadow.delivered_upto[src], send_index)
 
         if self._is_depend_vector(pb):
-            self._count(CAUSAL_GATE)
+            self.checks[CAUSAL_GATE] += 1
             epoch = self._rank_epoch[rank]
             pb_epochs = getattr(pb, "epochs", None)
             # a piggyback from a sender with a smaller membership
@@ -212,16 +223,24 @@ class CausalOracle:
                     src=src, send_index=send_index,
                     required=required, have=shadow.hb[rank],
                     entry_epoch=entry_epoch, epoch=epoch)
-            for k, entry in enumerate(pb):
-                if k == rank:
-                    continue
-                pe = pb_epochs[k] if pb_epochs is not None else 0
-                le = shadow.hb_epochs[k]
-                if pe > le:
-                    shadow.hb[k] = entry
-                    shadow.hb_epochs[k] = pe
-                elif pe == le and entry > shadow.hb[k]:
-                    shadow.hb[k] = entry
+            hb = shadow.hb
+            if pb_epochs is not None and list(pb_epochs) == shadow.hb_epochs:
+                # every epoch agrees (every failure-free delivery): the
+                # merge is the pointwise max, the own entry left alone
+                own = hb[rank]
+                hb[:] = map(max, hb, pb)
+                hb[rank] = own
+            else:
+                for k, entry in enumerate(pb):
+                    if k == rank:
+                        continue
+                    pe = pb_epochs[k] if pb_epochs is not None else 0
+                    le = shadow.hb_epochs[k]
+                    if pe > le:
+                        hb[k] = entry
+                        shadow.hb_epochs[k] = pe
+                    elif pe == le and entry > hb[k]:
+                        hb[k] = entry
         shadow.hb[rank] += 1
         self._sample_monotone(ev.time, rank)
 
@@ -231,14 +250,14 @@ class CausalOracle:
     # message whose dependencies it cannot satisfy (an orphan risk).
     # ------------------------------------------------------------------
     def _on_send(self, ev: TraceEvent) -> None:
-        rank = ev.rank
-        if not (0 <= rank < self.nprocs) or ev["resend"]:
+        rank, fields = ev.rank, ev.fields
+        if fields["resend"]:
             # resends replay the piggyback captured at original send
             # time verbatim; the shadow has legitimately moved on
             return
-        pb = ev["pb"]
+        pb = fields["pb"]
         if self._is_depend_vector(pb):
-            self._count(PIGGYBACK_COMPLETENESS)
+            self.checks[PIGGYBACK_COMPLETENESS] += 1
             shadow = self._shadow[rank]
             hb, hb_epochs = shadow.hb, shadow.hb_epochs
             pb_epochs = getattr(pb, "epochs", None) or (0,) * len(pb)
@@ -247,18 +266,22 @@ class CausalOracle:
             # Entries beyond a short piggyback's horizon count as (0, 0)
             # — a sender that has causal knowledge of a rank it does not
             # cover is under-reporting just the same.
+            # Where every epoch agrees (every failure-free send) nothing
+            # lags unless some count does, and one pass says none does.
             m = len(pb)
-            lagging = [k for k in range(self.nprocs)
-                       if ((pb_epochs[k] if k < m else 0),
-                           (pb[k] if k < m else 0)) < (hb_epochs[k], hb[k])]
+            lagging = list(pb_epochs) != hb_epochs or any(map(lt, pb, hb))
+            if lagging:
+                lagging = [k for k in range(self.nprocs)
+                           if ((pb_epochs[k] if k < m else 0),
+                               (pb[k] if k < m else 0)) < (hb_epochs[k], hb[k])]
             if lagging:
                 self._report(
                     ev.time, PIGGYBACK_COMPLETENESS, rank,
-                    f"send {rank}->{ev['dest']} #{ev['send_index']} "
+                    f"send {rank}->{fields['dest']} #{fields['send_index']} "
                     f"under-reports dependencies at entries {lagging}: "
                     f"piggyback {tuple(pb)} (epochs {tuple(pb_epochs)}) < "
                     f"happens-before {tuple(hb)} (epochs {tuple(hb_epochs)})",
-                    dest=ev["dest"], send_index=ev["send_index"],
+                    dest=fields["dest"], send_index=fields["send_index"],
                     pb=tuple(pb), shadow_hb=tuple(hb))
         self._sample_monotone(ev.time, rank)
 
@@ -267,16 +290,12 @@ class CausalOracle:
     # ------------------------------------------------------------------
     def _on_checkpoint(self, ev: TraceEvent) -> None:
         rank = ev.rank
-        if not (0 <= rank < self.nprocs):
-            return
         self._ckpt_shadow[(rank, ev["seq"])] = self._shadow[rank].copy()
         self._ckpt_cover[rank] = list(self._shadow[rank].delivered_upto)
         self._sample_monotone(ev.time, rank)
 
     def _on_incarnate(self, ev: TraceEvent) -> None:
         rank = ev.rank
-        if not (0 <= rank < self.nprocs):
-            return
         frozen = self._ckpt_shadow.get((rank, ev["from_seq"]))
         if frozen is None:  # pragma: no cover - start() always checkpoints
             self._report(ev.time, EXACTLY_ONCE, rank,
@@ -298,9 +317,9 @@ class CausalOracle:
     # ------------------------------------------------------------------
     def _on_release(self, ev: TraceEvent) -> None:
         sender, receiver = ev.rank, ev["dest"]
-        if not (0 <= sender < self.nprocs and 0 <= receiver < self.nprocs):
+        if not (0 <= receiver < self.nprocs):
             return
-        self._count(GC_SAFETY)
+        self.checks[GC_SAFETY] += 1
         covered = self._ckpt_cover[receiver][sender]
         dropped_upto = ev["dropped_upto"]
         if dropped_upto > covered:
@@ -318,78 +337,76 @@ class CausalOracle:
     # ------------------------------------------------------------------
     def _sample_monotone(self, time: float, rank: int) -> None:
         cluster = self._cluster
-        if cluster is None or not (0 <= rank < self.nprocs):
+        if cluster is None:
             return
-        protocol = cluster.endpoints[rank].protocol
-        epoch = cluster.nodes[rank].epoch
-        current: dict[str, Any] = {}
+        endpoint = cluster.endpoints[rank]
+        protocol, epoch = endpoint.protocol, endpoint.node.epoch
         vectors = getattr(protocol, "vectors", None)
-        if vectors is not None:
-            # dict(), not list(): over a PeerCounts a list is the *keys*
-            current["last_deliver_index"] = dict(vectors.last_deliver_index)
-        vec = getattr(protocol, "rollback_last_send_index", None)
-        if vec is not None:
-            current["rollback_last_send_index"] = dict(vec)
-        vec = getattr(protocol, "depend_interval", None)
-        if vec is not None:
-            current["depend_interval"] = list(vec)
-            entry_epochs = getattr(vec, "epochs", None)
-            if entry_epochs is not None:
-                # the epoch vector is itself monotone (merges only ever
-                # adopt newer epochs) so the generic check below covers
-                # it; it also exempts value decreases caused by an entry
-                # moving to a newer epoch
-                current["depend_interval_epochs"] = list(entry_epochs)
+        depend = getattr(protocol, "depend_interval", None)
+        # the epoch vector is monotone itself (merges only ever adopt
+        # newer epochs), and the excuse for a value that fell by re-tagging
+        epochs = getattr(depend, "epochs", None)
+        # the live per-peer maps and the vector as a fresh list
+        live = [getattr(vectors, "last_deliver_index", None),
+                getattr(protocol, "rollback_last_send_index", None),
+                None if depend is None else list(depend), epochs, epoch]
         # every sample establishes a new baseline, so the comparison
         # spanning a ROLLBACK clamp is exactly the first sample after it
-        clamped = self._rollback_clamped.pop(rank, None) or set()
-        previous = self._samples.get(rank)
-        if previous is not None and previous.epoch == epoch:
-            self._count(MONOTONICITY)
-            for name, vec in current.items():
-                before = previous.vectors.get(name)
-                if before is None or vec == before:
-                    # equal: one C-level compare, true on most samples
+        clamped = self._rollback_clamped.pop(rank, None) or ()
+        baseline = self._samples.get(rank)
+        if baseline is None or baseline[-1] != epoch:
+            self._samples[rank] = [*map(_copied, live[:-1]), epoch]
+            return
+        self.checks[MONOTONICITY] += 1
+        if live == baseline:
+            # compare, then copy: one C-level pass, true on most samples
+            return
+        for slot, name in enumerate(_SAMPLED):
+            now, before = live[slot], baseline[slot]
+            if now == before:
+                continue
+            baseline[slot] = _copied(now)
+            if now is None or before is None:
+                continue
+            if isinstance(now, dict):
+                # the same keys (as many, and none of the old ones gone:
+                # a missing one reads -1) and no count lower
+                if len(now) == len(before) and all(map(
+                        ge, map(now.get, before, repeat(-1)), before.values())):
                     continue
-                if isinstance(vec, dict):
-                    # fallen entries, then vanished ones.  lu16_tdi_armed:
-                    # a dense copy cost 5-8% msgs/s, a sorted walk over
-                    # the key union 4-7%; this form gained 2-3%
-                    sunk = sorted(
-                        [k for k, a in vec.items() if a < before.get(k, 0)]
-                        + [k for k, b in before.items()
-                           if b > 0 and k not in vec])
-                else:
-                    sunk = [k for k, (a, b) in enumerate(zip(vec, before))
-                            if a < b]
-                if name == "depend_interval":
-                    # entry k may legitimately drop when it re-tags to a
-                    # newer epoch (observe_rollback clamps it to the
-                    # peer's restored interval)
-                    now_e = current.get("depend_interval_epochs")
-                    before_e = previous.vectors.get("depend_interval_epochs")
-                    if now_e is not None and before_e is not None:
-                        sunk = [k for k in sunk if now_e[k] == before_e[k]]
-                if name == "rollback_last_send_index":
-                    # processing peer k's ROLLBACK clamps entry k down to
-                    # the peer's restored coverage — a legitimate reset,
-                    # not a monotonicity break.  Recognised by the
-                    # proto.resend event the rollback handler emits; a
-                    # peer-epoch comparison between samples is racy here
-                    # (the clamp lands one network delay after the
-                    # peer's incarnation, so a sample in between sees
-                    # the new epoch already paired with the old value)
-                    sunk = [k for k in sunk if k not in clamped]
-                if sunk:
-                    if isinstance(vec, dict):  # report the dense vectors
-                        before = [before.get(k, 0) for k in range(self.nprocs)]
-                        vec = [vec.get(k, 0) for k in range(self.nprocs)]
-                    self._report(
-                        time, MONOTONICITY, rank,
-                        f"{name} decreased at entries {sunk} within epoch "
-                        f"{epoch}: {before} -> {vec}",
-                        vector=name, before=list(before), after=list(vec))
-        self._samples[rank] = _MonotoneSample(epoch, current)
+                # fallen entries, then vanished ones
+                sunk = sorted(
+                    [k for k, a in now.items() if a < before.get(k, 0)]
+                    + [k for k, b in before.items() if b > 0 and k not in now])
+            elif not any(map(lt, now, before)):
+                continue
+            else:
+                sunk = [k for k, (a, b) in enumerate(zip(now, before)) if a < b]
+            if (name == "depend_interval" and epochs is not None
+                    and baseline[3] is not None):
+                # entry k may legitimately drop when it re-tags to a
+                # newer epoch (observe_rollback clamps it to the
+                # peer's restored interval); baseline[3]: not yet replaced
+                sunk = [k for k in sunk if epochs[k] == baseline[3][k]]
+            if name == "rollback_last_send_index":
+                # processing peer k's ROLLBACK clamps entry k down to
+                # the peer's restored coverage — a legitimate reset,
+                # not a monotonicity break.  Recognised by the
+                # proto.resend event the rollback handler emits; a
+                # peer-epoch comparison between samples is racy here
+                # (the clamp lands one network delay after the
+                # peer's incarnation, so a sample in between sees
+                # the new epoch already paired with the old value)
+                sunk = [k for k in sunk if k not in clamped]
+            if sunk:
+                if isinstance(now, dict):  # report the dense vectors
+                    before = [before.get(k, 0) for k in range(self.nprocs)]
+                    now = [now.get(k, 0) for k in range(self.nprocs)]
+                self._report(
+                    time, MONOTONICITY, rank,
+                    f"{name} decreased at entries {sunk} within epoch "
+                    f"{epoch}: {before} -> {now}",
+                    vector=name, before=list(before), after=list(now))
 
     # ------------------------------------------------------------------
     # Helpers
@@ -402,11 +419,9 @@ class CausalOracle:
         capacity qualifies.
         """
         return (isinstance(pb, (list, tuple)) and 1 <= len(pb) <= self.nprocs
-                and all(isinstance(x, int) and not isinstance(x, bool)
-                        for x in pb))
-
-    def _count(self, invariant: str) -> None:
-        self.checks[invariant] = self.checks.get(invariant, 0) + 1
+                and (set(map(type, pb)) == {int}  # one pass; else ask each
+                     or all(isinstance(x, int) and not isinstance(x, bool)
+                            for x in pb)))
 
     def _report(self, time: float, invariant: str, rank: int, detail: str,
                 **fields: Any) -> None:

@@ -19,7 +19,9 @@ heartbeats").  The pinned runs below are traced, so they pin the
 per-event path; each has an untraced twin that must agree with it on
 everything but the event count, and a slice of
 ``tests/tools/heartbeat_equivalence.py`` compares held against event
-runs across every fault shape that can intersect a held beat.
+runs across every fault shape that can intersect a held beat — and
+against runs only the oracle watches, which subscribes to no frame kind
+and so must leave every beat held.
 """
 
 import functools
@@ -31,7 +33,8 @@ from repro.faults.detector import DetectorConfig
 from repro.faults.injector import FaultSpec, GrayFaultSpec
 from repro.harness.runner import Cell, RunRequest
 from tests.tools.heartbeat_equivalence import (TIER1_CELLS, first_difference,
-                                               observation, observe)
+                                               observation, observe_three,
+                                               verified_difference)
 
 PROTOCOLS = ("tdi", "tag", "tel")
 
@@ -144,7 +147,7 @@ def _trace_digest(trace):
 
 
 def _pinned_run(seed, fault, *, transport=False, nprocs=16, scale="paper",
-                trace_enabled=True):
+                trace_enabled=True, verify=False):
     from repro.config import SimulationConfig
     from repro.mpi.cluster import Cluster
     from repro.simnet.transport import TransportConfig
@@ -152,7 +155,7 @@ def _pinned_run(seed, fault, *, transport=False, nprocs=16, scale="paper",
     config = SimulationConfig(
         nprocs=nprocs, protocol="tdi", checkpoint_interval=0.05, seed=seed,
         trace_enabled=trace_enabled, detector=DetectorConfig(enabled=True),
-        transport=TransportConfig(enabled=transport))
+        transport=TransportConfig(enabled=transport), verify=verify)
     return Cluster(config, workload_factory("lu", scale=scale)), [fault]
 
 
@@ -240,9 +243,10 @@ class TestPinnedArmedRuns:
         assert untraced["events_fired"] < traced["events_fired"]
 
     def test_late_listener_sees_every_network_event(self):
-        """The network tests ``Trace.active`` before building an event;
-        a listener attached after construction (the oracle's way in)
-        must flip it, recording or not."""
+        """The network asks the trace whether ``net.transmit`` /
+        ``net.arrive`` are wanted before building one; a listener
+        attached after construction with no kinds named wants them,
+        recording or not."""
         traced, faults = _pinned_run(5, FaultSpec(rank=2, at_time=0.004),
                                      nprocs=4, scale="fast")
         recorded = traced.run(faults).trace
@@ -281,11 +285,51 @@ class TestPinnedArmedRuns:
         assert any(ev.kind == "net.arrive" and ev["frame_kind"] == "hb"
                    and ev.time < since + 1e-4 for ev in heard)
 
+    def test_subscriber_to_arrivals_mid_run_un_holds_the_beats(self):
+        """Asking for ``net.arrive`` by kind is watching frames: held
+        beats unfold for that subscriber as for a catch-all listener,
+        and it is handed nothing else."""
+        kill = FaultSpec(rank=2, at_time=0.004)
+        traced, faults = _pinned_run(5, kill, nprocs=4, scale="fast")
+        recorded = traced.run(faults).trace
+        quiet, faults = _pinned_run(5, kill, nprocs=4, scale="fast",
+                                    trace_enabled=False)
+        since = 0.00314159
+        heard = []
+        quiet.engine.schedule_at(since, lambda: quiet.trace.attach_listener(
+            heard.append, ("net.arrive",)))
+        quiet.run(faults)
+        assert quiet.trace.active is False
+        assert heard == [ev for ev in recorded.events
+                         if ev.time > since and ev.kind == "net.arrive"]
+        assert any(ev["frame_kind"] == "hb" and ev.time < since + 1e-4
+                   for ev in heard)
+
 
 @pytest.mark.parametrize("cell", TIER1_CELLS, ids=lambda cell: cell.name)
 def test_held_run_is_indistinguishable_from_the_event_run(cell):
-    event, held = observe(cell, per_event=True), observe(cell, per_event=False)
+    event, held, verified = observe_three(cell)
     assert "raised" not in event, event["raised"]
     assert first_difference(event, held) is None
     assert held["events_fired"] < event["events_fired"] \
         or cell.config.network.impaired or cell.config.network.shared_medium
+    # the oracle alone un-holds nothing and checks what it always did
+    assert verified_difference(event, held, verified) is None
+
+
+def test_oracle_alone_leaves_the_trace_inactive_and_the_beats_held():
+    """LU-8, detector armed: ``verify=True`` subscribes the oracle to its
+    own kinds, none of them a frame's, so the trace stays inactive and
+    the run fires exactly the events of its unverified twin."""
+    events = {}
+    for verify in (False, True):
+        cluster, faults = _pinned_run(1, FaultSpec(rank=3, at_time=0.006),
+                                      nprocs=8, scale="fast",
+                                      trace_enabled=False, verify=verify)
+        assert cluster.trace.active is False
+        assert cluster.trace.wants("verify.deliver") is verify
+        assert not cluster.trace.wants("net.arrive")
+        result = cluster.run(faults)
+        assert result.violations == []
+        events[verify] = result.events_fired
+    assert events[True] == events[False]

@@ -483,3 +483,319 @@ def test_harness_run_cell_aborts_on_violation():
         with pytest.raises(SimulationError, match="invariant verification"):
             run_cell(Cell("lu", 4, "tdi"), preset="fast",
                      checkpoint_interval=0.02, seed=0, verify=True)
+
+
+# ======================================================================
+# What the monotone sampler must still see (it compares the live state
+# against a retained copy, and copies only what moved)
+# ======================================================================
+
+def _sampled_oracle(nprocs=3):
+    """An oracle attached to a stub cluster whose rank-1 protocol state
+    the test mutates in place between synthetic events."""
+    from types import SimpleNamespace
+
+    from repro.protocols.base import PeerCounts
+    from repro.simnet.trace import Trace
+
+    def endpoint(rank):
+        protocol = SimpleNamespace(
+            vectors=SimpleNamespace(last_deliver_index=PeerCounts({0: 4, 2: 7})),
+            rollback_last_send_index=PeerCounts({0: 3, 2: 5}),
+            depend_interval=DependIntervalVector(
+                nprocs, rank, values=[6] * nprocs, epochs=[1] * nprocs))
+        return SimpleNamespace(protocol=protocol, node=SimpleNamespace(epoch=1))
+
+    cluster = SimpleNamespace(trace=Trace(),
+                              endpoints=[endpoint(r) for r in range(nprocs)])
+    oracle = _oracle(nprocs)
+    oracle.attach(cluster)
+    return oracle, cluster.endpoints[1].protocol
+
+
+def _sample(oracle, how="send", rank=1):
+    """One monotone sample of ``rank``, through each kind that takes one."""
+    if how == "send":
+        oracle.observe(_ev("verify.send", rank, dest=0, send_index=1,
+                           resend=False, pb=None))
+    elif how == "ckpt":
+        oracle.observe(_ev("ckpt.write", rank, seq=9))
+    else:
+        shadow = oracle._shadow[rank]
+        oracle.observe(_ev("verify.deliver", rank, src=0, pb=None,
+                           send_index=shadow.delivered_upto[0] + 1))
+
+
+def _lower_deliver_index(protocol):
+    protocol.vectors.last_deliver_index[2] -= 1
+
+
+def _lower_interval(protocol):
+    protocol.depend_interval._v[0] -= 1
+
+
+def _lower_interval_epoch(protocol):
+    protocol.depend_interval._set_epoch(2, 0)
+
+
+def _lower_suppression(protocol):
+    protocol.rollback_last_send_index[0] -= 1
+
+
+IN_PLACE_DECREASES = {
+    "last_deliver_index": (_lower_deliver_index, [2]),
+    "depend_interval": (_lower_interval, [0]),
+    "depend_interval_epochs": (_lower_interval_epoch, [2]),
+    "rollback_last_send_index": (_lower_suppression, [0]),
+}
+
+
+class TestSamplerSeesTheLiveState:
+    @pytest.mark.parametrize("vector", sorted(IN_PLACE_DECREASES))
+    @pytest.mark.parametrize("how", ("send", "ckpt", "deliver"))
+    def test_in_place_decrease_between_two_samples_is_caught(self, vector, how):
+        """The baseline is a copy: a vector lowered *in place* differs
+        from it at the next sample, whichever kind of event takes it."""
+        lower, entries = IN_PLACE_DECREASES[vector]
+        oracle, protocol = _sampled_oracle()
+        _sample(oracle)
+        _sample(oracle, how)
+        assert oracle.violations == []
+        lower(protocol)
+        _sample(oracle, how)
+        assert [(v.invariant, v.fields["vector"]) for v in oracle.violations] \
+            == [(MONOTONICITY, vector)]
+        assert f"entries {entries}" in oracle.violations[0].detail
+        # the lowered state is the new baseline: reported once
+        _sample(oracle, how)
+        assert len(oracle.violations) == 1
+
+    @pytest.mark.parametrize("between", ("send", "ckpt"))
+    def test_decrease_repaired_before_the_next_delivery_is_caught(self, between):
+        """Sends and checkpoints are sample points too, not only
+        deliveries: a dip that opens after one delivery and closes before
+        the next is seen by whatever falls inside it."""
+        oracle, protocol = _sampled_oracle()
+        _sample(oracle, "deliver")
+        _lower_deliver_index(protocol)
+        _sample(oracle, between)
+        protocol.vectors.last_deliver_index[2] += 1
+        _sample(oracle, "deliver")
+        assert [v.fields["vector"] for v in oracle.violations] \
+            == ["last_deliver_index"]
+
+    def test_other_ranks_and_other_epochs_are_other_baselines(self):
+        oracle, protocol = _sampled_oracle()
+        _sample(oracle)
+        _lower_deliver_index(protocol)
+        _sample(oracle, rank=2)                   # rank 2 did not move
+        oracle._cluster.endpoints[1].node.epoch = 2
+        _sample(oracle)                           # a new incarnation may
+        assert oracle.violations == []
+        assert oracle.checks[MONOTONICITY] == 0   # nothing was comparable
+
+    def test_epoch_retag_and_rollback_clamp_stay_silent(self):
+        oracle, protocol = _sampled_oracle()
+        _sample(oracle)
+        # peer 0 rolled back: its entry re-tags to epoch 2 at a lower
+        # interval, and our suppression entry clamps to its coverage
+        assert protocol.depend_interval.observe_rollback(0, 2, 2)
+        oracle.observe(_ev("proto.resend", 1, to=0, count=1))
+        protocol.rollback_last_send_index[0] = 1
+        _sample(oracle)
+        assert oracle.violations == []
+        # ... once: the same clamp with no ROLLBACK behind it is a break
+        protocol.rollback_last_send_index[0] = 0
+        _sample(oracle)
+        assert [v.fields["vector"] for v in oracle.violations] \
+            == ["rollback_last_send_index"]
+
+    def test_vanished_peer_entry_is_a_decrease(self):
+        oracle, protocol = _sampled_oracle()
+        _sample(oracle)
+        del protocol.vectors.last_deliver_index[2]
+        protocol.vectors.last_deliver_index[1] = 0    # a new key, at zero
+        _sample(oracle)
+        assert [v.fields["before"] for v in oracle.violations] == [[4, 0, 7]]
+        assert oracle.violations[0].fields["after"] == [4, 0, 0]
+
+
+def _dipping(lower, restore):
+    """Patches for a real run: each rank once lowers a vector in place
+    just before a send and puts it back at its next arrival — between
+    two deliveries, so only the send's sample can see it."""
+    prepare_send, classify = TdiProtocol.prepare_send, TdiProtocol.classify
+
+    def dip_then_send(self, *args):
+        if getattr(self, "_dip", None) is None:
+            self._dip = lower(self)
+        return prepare_send(self, *args)
+
+    def repair_then_classify(self, frame_meta, src):
+        if getattr(self, "_dip", None) not in (None, "done"):
+            restore(self, self._dip)
+            self._dip = "done"
+        return classify(self, frame_meta, src)
+
+    return (mock.patch.object(TdiProtocol, "prepare_send", dip_then_send),
+            mock.patch.object(TdiProtocol, "classify", repair_then_classify))
+
+
+def _run_with_dips(lower, restore, **kwargs):
+    dip, repair = _dipping(lower, restore)
+    with dip, repair:
+        return api.run_workload("lu", nprocs=4, protocol="tdi", seed=0,
+                                verify=True, **kwargs)
+
+
+def _some(pairs):
+    """The first ``(key, value)`` with a positive value, or ``None``."""
+    return next(((k, v) for k, v in pairs if v > 0), None)
+
+
+class TestSamplerInARealRun:
+    """The same dips made inside a running protocol: every rank finishes
+    with the right answer, and the oracle names the vector that fell."""
+
+    def _fallen(self, result):
+        return {v.fields["vector"] for v in result.violations
+                if v.invariant == MONOTONICITY}
+
+    def test_deliver_index_dip_between_deliveries(self):
+        def lower(p):
+            hit = _some(p.vectors.last_deliver_index.items())
+            if hit is not None:
+                p.vectors.last_deliver_index[hit[0]] -= 1
+            return hit
+
+        def restore(p, hit):
+            p.vectors.last_deliver_index[hit[0]] += 1
+
+        clean = api.run_workload("lu", nprocs=4, protocol="tdi", seed=0)
+        result = _run_with_dips(lower, restore)
+        assert result.results == clean.results
+        assert self._fallen(result) == {"last_deliver_index"}
+
+    def test_interval_dip_between_deliveries(self):
+        def lower(p):
+            vec = p.depend_interval
+            hit = _some((k, v) for k, v in enumerate(vec) if k != vec.owner)
+            if hit is not None:
+                vec._v[hit[0]] -= 1
+            return hit
+
+        def restore(p, hit):
+            p.depend_interval._v[hit[0]] += 1
+
+        assert "depend_interval" in self._fallen(_run_with_dips(lower, restore))
+
+    def test_interval_epoch_dip_after_a_recovery(self):
+        def lower(p):
+            vec = p.depend_interval
+            hit = _some((k, e) for k, e in enumerate(vec.epochs) if k != vec.owner)
+            if hit is not None:
+                vec._set_epoch(hit[0], 0)
+            return hit
+
+        def restore(p, hit):
+            p.depend_interval._set_epoch(*hit)
+
+        result = _run_with_dips(lower, restore,
+                                faults=[api.FaultSpec(rank=1, at_time=0.003)])
+        assert "depend_interval_epochs" in self._fallen(result)
+
+
+# ======================================================================
+# The shadow's two merge paths: pointwise where every epoch agrees, the
+# entry-by-entry loop otherwise — one verdict
+# ======================================================================
+
+class TestShadowMergePaths:
+    def _tagged(self, values, epochs=None):
+        from repro.core.vectors import TaggedPiggyback
+        return TaggedPiggyback(values, epochs=epochs)
+
+    def _deliver(self, oracle, pb, rank=1, src=0):
+        upto = oracle._shadow[rank].delivered_upto[src]
+        oracle.observe(_ev("verify.deliver", rank, src=src,
+                           send_index=upto + 1, pb=pb))
+
+    def _send(self, oracle, pb, rank=1):
+        oracle.observe(_ev("verify.send", rank, dest=0, send_index=1,
+                           resend=False, pb=pb))
+
+    def test_agreeing_epochs_merge_pointwise_and_keep_the_own_entry(self):
+        oracle = _oracle()
+        self._deliver(oracle, self._tagged((4, 0, 2)))
+        self._deliver(oracle, self._tagged((1, 1, 5)), src=2)
+        assert oracle._shadow[1].hb == [4, 2, 5]
+        self._send(oracle, self._tagged((4, 2, 5)))
+        assert oracle.violations == []
+        self._send(oracle, self._tagged((4, 2, 4)))
+        self._send(oracle, self._tagged((3, 9, 9)))
+        assert [v.invariant for v in oracle.violations] \
+            == [PIGGYBACK_COMPLETENESS] * 2
+        assert "entries [2]" in oracle.violations[0].detail
+        assert "entries [0]" in oracle.violations[1].detail
+
+    def test_unsatisfied_dependency_does_not_raise_the_own_count(self):
+        """The own entry counts deliveries made; a piggyback demanding
+        more is a violation each time, not a way to catch up."""
+        oracle = _oracle()
+        self._deliver(oracle, self._tagged((0, 5, 0)))
+        self._deliver(oracle, self._tagged((0, 3, 0)))
+        assert [v.fields["have"] for v in oracle.violations] == [0, 1]
+        assert oracle._shadow[1].hb[1] == 2
+
+    def test_retag_is_silent_on_the_loop_and_then_on_the_pointwise_path(self):
+        oracle = _oracle()
+        self._deliver(oracle, self._tagged((9, 0, 0)))
+        # entry 0 re-tags to epoch 2 at a lower count: epochs disagree
+        self._deliver(oracle, self._tagged((2, 1, 0), epochs=(2, 0, 0)))
+        assert oracle._shadow[1].hb == [2, 2, 0]
+        # ... and now agree again: the pointwise path, under epoch 2
+        self._deliver(oracle, self._tagged((3, 2, 1), epochs=(2, 0, 0)))
+        self._send(oracle, self._tagged((3, 3, 1), epochs=(2, 0, 0)))
+        assert oracle.violations == []
+        # the dead incarnation's larger count is less knowledge
+        self._send(oracle, self._tagged((9, 3, 1)))
+        assert [v.invariant for v in oracle.violations] == [PIGGYBACK_COMPLETENESS]
+
+    def test_short_piggyback_places_no_claim_beyond_its_horizon(self):
+        oracle = _oracle()
+        self._deliver(oracle, self._tagged((4, 0, 6)))
+        self._deliver(oracle, self._tagged((5, 1)), src=2)   # a 2-rank horizon
+        assert oracle._shadow[1].hb == [5, 2, 6]
+        self._send(oracle, self._tagged((5, 2, 6)))
+        assert oracle.violations == []
+        self._send(oracle, self._tagged((5, 2)))             # drops entry 2
+        assert "entries [2]" in oracle.violations[0].detail
+        # beyond the horizon of the receiver's own entry: gates on nothing
+        oracle = _oracle()
+        self._deliver(oracle, self._tagged((7,)), rank=2)
+        assert oracle.violations == [] and oracle._shadow[2].hb == [7, 0, 1]
+
+    def test_plain_tuple_piggyback_is_epoch_zero_everywhere(self):
+        oracle = _oracle()
+        self._deliver(oracle, (3, 0, 1))
+        self._send(oracle, (3, 1, 1))
+        assert oracle.violations == []
+        self._deliver(oracle, self._tagged((1, 1, 0), epochs=(2, 0, 0)))
+        # an untagged count cannot outrank entry 0's epoch 2
+        self._deliver(oracle, (8, 2, 4), src=2)
+        assert oracle._shadow[1].hb == [1, 3, 4]
+        assert oracle._shadow[1].hb_epochs == [2, 0, 0]
+        self._send(oracle, self._tagged((1, 3, 4), epochs=(2, 0, 0)))
+        assert oracle.violations == []
+        self._send(oracle, (8, 3, 4))
+        assert [v.invariant for v in oracle.violations] == [PIGGYBACK_COMPLETENESS]
+
+    def test_non_integer_piggybacks_are_not_depend_vectors(self):
+        oracle = _oracle()
+        assert oracle._is_depend_vector((1, 2, 3))
+        assert oracle._is_depend_vector([0])
+        counter = type("Counter", (int,), {})     # asked one by one
+        assert oracle._is_depend_vector((1, counter(2), 3))
+        for pb in (None, (), (1, 2, 3, 4), (1, True, 0), (1, 2.0, 3), "abc",
+                   {0: 1}):
+            assert not oracle._is_depend_vector(pb)

@@ -29,8 +29,10 @@ the build-both-and-compare reference) against it; a mutant that no test
 notices is reported and the exit status is non-zero.  The mutants of
 the touched-peer maps and the shared membership set (the per-rank state
 *around* the vector) and of the vector's stored form (sender log,
-checkpoint image) name their own killers in :data:`MUTANT_KILLERS`;
-``--mutants TEXT`` seeds only the mutants whose name contains ``TEXT``.
+checkpoint image), and of the observers (the oracle's sampler and
+shadow merge, the trace's subscriptions), name their own killers in
+:data:`MUTANT_KILLERS`; ``--mutants TEXT`` seeds only the mutants whose
+name contains ``TEXT``.
 """
 
 from __future__ import annotations
@@ -258,6 +260,8 @@ MUTANT_TESTS = ("tests/properties/test_wire_kernel.py",
                 "tests/properties/test_compress_differential.py")
 
 _TOUCHED = "tests/integration/test_touched_state.py"
+_ORACLE = "verify/oracle.py"
+_ORACLE_TESTS = "tests/integration/test_verify_oracle.py"
 #: the touched-peer maps and the shared membership set, each mutant with
 #: its own killers: name -> (killers, file, (text, mutant text))
 PEER_MUTANTS: dict[str, tuple] = {
@@ -288,9 +292,9 @@ PEER_MUTANTS: dict[str, tuple] = {
          '            src, payload["from_counts"][self.rank]\n'
          '            if self.rank < len(payload["from_counts"]) else 0)\n')),
     "peer map: the oracle samples list(vec)": (
-        ("tests/integration/test_verify_oracle.py",), "verify/oracle.py",
-        ('current["rollback_last_send_index"] = dict(vec)',
-         'current["rollback_last_send_index"] = list(vec)')),
+        (_ORACLE_TESTS,), _ORACLE,
+        ("    return dict(vec) if isinstance(vec, dict) else list(vec)\n",
+         "    return list(vec)\n")),
 }
 _FROZEN = "tests/properties/test_frozen_vector.py"
 #: the stored form of a vector (sender log, checkpoint image), same shape
@@ -312,7 +316,43 @@ STORED_MUTANTS: dict[str, tuple] = {
          "            self.services.resend_logged(dataclasses.replace(\n"
          "                item, send_index=resent + 1))\n")),
 }
-_NAMED = {**PEER_MUTANTS, **STORED_MUTANTS}
+_TRACE = "simnet/trace.py"
+_TRACE_TESTS = "tests/unit/test_trace.py"
+#: the observers — the oracle's sampler, shadow merge and subscription,
+#: and the trace's routing by kind — same shape
+OBSERVER_MUTANTS: dict[str, tuple] = {
+    "observer: the sampler's baseline kept by reference": (
+        (_ORACLE_TESTS,), _ORACLE,
+        ("    return dict(vec) if isinstance(vec, dict) else list(vec)\n",
+         "    return vec\n")),
+    "observer: the oracle's subscription omits proto.resend": (
+        (_ORACLE_TESTS,), _ORACLE,
+        ('            "proto.resend": self._on_resend,\n', "")),
+    "observer: the oracle's subscription omits ckpt.write": (
+        (_ORACLE_TESTS,), _ORACLE,
+        ('            "ckpt.write": self._on_checkpoint,\n', "")),
+    "observer: the agreeing-epochs merge does not restore the own entry": (
+        (_ORACLE_TESTS,), _ORACLE,
+        ("                hb[rank] = own\n", "")),
+    "observer: the pointwise merge taken whatever the epochs": (
+        (_ORACLE_TESTS,), _ORACLE,
+        ("if pb_epochs is not None and list(pb_epochs) == shadow.hb_epochs:",
+         "if True:")),
+    "observer: any(map(lt, pb, hb)) with its arguments swapped": (
+        (_ORACLE_TESTS,), _ORACLE,
+        ("any(map(lt, pb, hb))", "any(map(lt, hb, pb))")),
+    # the perf regression: every held heartbeat an engine event again
+    "observer: a kind-subscribed listener makes the trace active": (
+        ("tests/integration/test_detection_golden.py::"
+         "test_oracle_alone_leaves_the_trace_inactive_and_the_beats_held",),
+        _TRACE,
+        ("self.active = self.enabled or None in subscribed",
+         "self.active = self.enabled or bool(subscribed)")),
+    "observer: emit hands over a subscribed kind only when active": (
+        (_TRACE_TESTS,), _TRACE,
+        ("not (kind in wanted or self.active)", "not self.active")),
+}
+_NAMED = {**PEER_MUTANTS, **STORED_MUTANTS, **OBSERVER_MUTANTS}
 MUTANT_KILLERS = {name: killers for name, (killers, *_) in _NAMED.items()}
 MUTANTS.update({name: edit for name, (_, *edit) in _NAMED.items()})
 

@@ -2,17 +2,21 @@
 
 An armed run lets a heartbeat whose fate is settled at send time wait on
 its lane instead of in the engine (``simnet/network.py``, "Held
-heartbeats"); anything observing the trace turns every beat back into an
-arrival event.  This tool runs every cell of a matrix both ways — as
-configured (*held*), and with a listener that ignores everything
-attached before the run (*event*, the per-event path of the commit
-before held beats existed) — and requires the two runs to be
-indistinguishable: same answers, ``NetworkStats``, every ``RankMetrics``
-counter of every rank, condemnations, fences, failures and recoveries,
-``accomplishment_time``, ``sim_time``, checkpoint writes, final
-``suspicion``, every estimator's ``(last_arrival, gaps)`` and the state
-of every RNG substream.  Only ``events_fired`` may differ, and only
-downward.  A cell in which both sides raise the same exception counts as
+heartbeats"); anything watching frames on the trace turns every beat
+back into an arrival event.  This tool runs every cell of a matrix three
+ways — as configured (*held*), with the oracle and a listener that hears
+everything and ignores it attached before the run (*event*, the
+per-event path of the commit before held beats existed), and with the
+oracle alone (*verified*: it subscribes to its own kinds, none of them a
+frame's) — and requires the runs to be indistinguishable: same answers,
+``NetworkStats``, every ``RankMetrics`` counter of every rank,
+condemnations, fences, failures and recoveries, ``accomplishment_time``,
+``sim_time``, checkpoint writes, final ``suspicion``, every estimator's
+``(last_arrival, gaps)`` and the state of every RNG substream.  Only
+``events_fired`` may differ, only downward and only between *event* and
+the other two: the verified run fires exactly the held run's events,
+finds no violation and makes the per-event run's checks, count for
+count.  A cell in which every side raises the same exception counts as
 equal and is listed.
 
 ``python -m tests.tools.heartbeat_equivalence`` runs the full matrix —
@@ -22,11 +26,10 @@ slow, mute delay and drop, lossy wire + transport, a partition window,
 a shared medium, leave + rejoin slow and between two sweeps, a deferred
 join, a run cut short by ``max_sim_time``) x ``heartbeat_interval`` in
 {5e-5, 1e-4, 1.5e-4, 5e-4} (three of them below the wire delay), plus
-the first 100 ``--fault-bias gray`` fuzz scenarios under tdi and tel
-with ``verify=False`` (``verify=True`` attaches the oracle's listener,
-so verified runs are event runs already): 278 cells, about a minute —
-prints the first differing field of every mismatching cell and exits
-non-zero if there is one.  ``TIER1_CELLS`` is the 33-cell slice
+the first 100 ``--fault-bias gray`` fuzz scenarios under tdi and tel:
+278 cells x 3 runs, about a minute — prints the first differing field of
+every mismatching cell and exits non-zero if there is one.
+``TIER1_CELLS`` is the 33-cell slice
 ``tests/integration/test_detection_golden.py`` runs on every push.
 """
 
@@ -164,7 +167,7 @@ FULL_MATRIX = ([_matrix_cell(shape, interval)
                 for shape in SHAPES for interval in _intervals(shape)]
                + _fuzz_cells(range(100)))
 #: every shape once, the intervals rotating through them, and the first
-#: six gray scenarios under both protocols: 33 cells, ten seconds
+#: six gray scenarios under both protocols: 33 cells
 TIER1_CELLS = ([_matrix_cell(shape, _intervals(shape)[-1 - i % len(_intervals(shape))])
                 for i, shape in enumerate(SHAPES)]
                + _fuzz_cells(range(6)))
@@ -197,39 +200,72 @@ def observation(cluster: Cluster, run: Any) -> dict[str, Any]:
     }
 
 
-def observe(cell: Cell, per_event: bool) -> dict[str, Any]:
-    """One run of ``cell``, observed; a run that raises is its message."""
+def observe(cell: Cell, per_event: bool, verify: bool = False) -> dict[str, Any]:
+    """One run of ``cell``, observed; a run that raises is its message.
+    A verified run's observation also holds what its oracle found."""
     factory = workload_factory(cell.workload, scale=cell.preset,
                                **dict(cell.workload_kwargs))
-    cluster = Cluster(cell.config, factory)
+    cluster = Cluster(dataclasses.replace(cell.config, verify=verify), factory)
     if per_event:
         cluster.trace.attach_listener(_ignore)
     try:
         run = cluster.run(list(cell.faults) or None)
     except Exception as exc:  # the same failure on both sides is equality
         return {"raised": f"{type(exc).__name__}: {exc}"}
-    return observation(cluster, run)
+    observed = observation(cluster, run)
+    if verify:
+        observed["oracle"] = {"violations": [str(v) for v in run.violations],
+                              "checks": cluster.oracle.summary()["checks"]}
+    return observed
 
 
-def first_difference(event: dict[str, Any], held: dict[str, Any]) -> str | None:
+def first_difference(event: dict[str, Any], held: dict[str, Any],
+                     names: tuple[str, str] = ("event", "held")) -> str | None:
     """``None`` when the observations are equal, else what differs first.
-    ``events_fired`` is the one field allowed to move, and only down."""
-    if event.keys() != held.keys():
-        return (f"one side raised: event {event.get('raised')!r}, "
-                f"held {held.get('raised')!r}")
+    Between an event and a held run ``events_fired`` is the one field
+    allowed to move, and only down; under any other ``names`` nothing is.
+    What an oracle found is not compared here (:func:`verified_difference`)."""
+    one, other = names
+    if ("raised" in event) != ("raised" in held):
+        return (f"one side raised: {one} {event.get('raised')!r}, "
+                f"{other} {held.get('raised')!r}")
     for field, expected in event.items():
+        if field == "oracle":
+            continue
         got = held[field]
-        if field == "events_fired":
+        if field == "events_fired" and names == ("event", "held"):
             if got > expected:
                 return f"events_fired: event {expected}, held {got} (more)"
         elif got != expected:
             if isinstance(expected, dict):
                 for key in sorted(set(expected) | set(got), key=repr):
                     if expected.get(key) != got.get(key):
-                        return (f"{field}[{key!r}]: event {expected.get(key)!r}\n"
-                                f"    held {got.get(key)!r}")
-            return f"{field}: event {expected!r}\n    held {got!r}"
+                        return (f"{field}[{key!r}]: {one} {expected.get(key)!r}\n"
+                                f"    {other} {got.get(key)!r}")
+            return f"{field}: {one} {expected!r}\n    {other} {got!r}"
     return None
+
+
+def observe_three(cell: Cell) -> tuple[dict[str, Any], ...]:
+    """``(event, held, verified)`` observations of one cell."""
+    return (observe(cell, per_event=True, verify=True),
+            observe(cell, per_event=False),
+            observe(cell, per_event=False, verify=True))
+
+
+def verified_difference(event: dict[str, Any], held: dict[str, Any],
+                        verified: dict[str, Any]) -> str | None:
+    """``None`` when the oracle alone un-holds no beat and misses no
+    check: the verified run equals the held one in every field,
+    ``events_fired`` included, and its oracle is silent after exactly
+    the per-event run's checks."""
+    difference = first_difference(held, verified, ("held", "verified"))
+    if difference is None and "raised" not in verified:
+        expected = {"violations": [], "checks": event["oracle"]["checks"]}
+        if verified["oracle"] != expected:
+            return (f"oracle: event (silent) {expected!r}\n"
+                    f"    verified {verified['oracle']!r}")
+    return difference
 
 
 def main() -> int:
@@ -237,8 +273,9 @@ def main() -> int:
     started = time.perf_counter()
     differing = raised = events_event = events_held = 0
     for cell in FULL_MATRIX:
-        event, held = observe(cell, per_event=True), observe(cell, per_event=False)
-        difference = first_difference(event, held)
+        event, held, verified = observe_three(cell)
+        difference = (first_difference(event, held)
+                      or verified_difference(event, held, verified))
         if difference is not None:
             differing += 1
             print(f"DIFF {cell.name}: {difference}")
@@ -249,9 +286,10 @@ def main() -> int:
         else:
             events_event += event["events_fired"]
             events_held += held["events_fired"]
-    print(f"heartbeat_equivalence: {len(FULL_MATRIX)} cells, {differing} "
-          f"differences, {raised} raising identically, {events_event} engine "
-          f"events with a listener, {events_held} without, "
+    print(f"heartbeat_equivalence: {len(FULL_MATRIX)} cells x 3 runs, "
+          f"{differing} differences, {raised} raising identically, "
+          f"{events_event} engine events with a listener, {events_held} "
+          f"without or under the oracle alone, "
           f"{time.perf_counter() - started:.1f} s")
     return 1 if differing else 0
 
