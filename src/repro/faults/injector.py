@@ -37,6 +37,7 @@ is what arms the lagged sender-log GC the fallback read path depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -208,6 +209,103 @@ def staggered(ranks: Iterable[int], start: float, gap: float) -> list[FaultSpec]
     return [FaultSpec(rank=r, at_time=start + i * gap) for i, r in enumerate(ranks)]
 
 
+def check_schedule(specs: Sequence[EventSpec], config, *,
+                   kills: set | None = None,
+                   grays: set | None = None) -> set[int]:
+    """Reject a schedule no run can follow; return its deferred ranks.
+
+    Every rank must be in range for ``config.nprocs``; no rank may die
+    twice, or die and gray, or gray twice at one instant; a mute that
+    drops frames needs ``config.transport.enabled`` (nobody else
+    retransmits); and each rank's join/leave program must replay: no two
+    events at one instant, joins only of a deferred or departed rank,
+    leaves only of a joined one.  A rank whose earliest membership event
+    is a join starts the run deferred.
+
+    ``kills`` and ``grays`` hold the ``(rank, at_time)`` keys earlier
+    calls scheduled and are updated in place, so a conflict across
+    calls is caught too.  :class:`FaultInjector` applies this at
+    schedule time; the fuzzer's ``Scenario.validate`` applies it to a
+    candidate schedule without a cluster.
+    """
+    kills = set() if kills is None else kills
+    grays = set() if grays is None else grays
+    membership: dict[int, list[EventSpec]] = {}
+    for spec in specs:
+        if not (0 <= spec.rank < config.nprocs):
+            raise ValueError(f"fault rank {spec.rank} out of range")
+        key = (spec.rank, spec.at_time)
+        if isinstance(spec, FaultSpec):
+            if key in kills:
+                raise ValueError(
+                    f"duplicate fault: rank {spec.rank} is already scheduled "
+                    f"to die at t={spec.at_time:g} — a schedule that kills "
+                    f"the same rank twice at the same instant is a bug in "
+                    f"the caller, not a simultaneous-failure scenario"
+                )
+            if key in grays:
+                raise ValueError(
+                    f"conflicting fault: rank {spec.rank} already has a "
+                    f"gray fault at t={spec.at_time:g} — whether the rank "
+                    f"dies or merely misbehaves at that instant would be "
+                    f"undefined; stagger the schedule"
+                )
+            kills.add(key)
+        elif isinstance(spec, GrayFaultSpec):
+            if key in kills:
+                raise ValueError(
+                    f"conflicting fault: rank {spec.rank} is already "
+                    f"scheduled to die at t={spec.at_time:g} — a "
+                    f"{spec.kind} gray fault against it at the same "
+                    f"instant would leave dead-or-misbehaving undefined; "
+                    f"stagger the schedule"
+                )
+            if key in grays:
+                raise ValueError(
+                    f"duplicate gray fault: rank {spec.rank} already has "
+                    f"a gray fault at t={spec.at_time:g}; their order "
+                    f"would be undefined"
+                )
+            if spec.drop and not config.transport.enabled:
+                raise ValueError(
+                    "a mute gray fault with drop=True requires "
+                    "transport.enabled — the raw network does not "
+                    "retransmit, so dropped sends would be lost frames "
+                    "the protocols assume delivered"
+                )
+            grays.add(key)
+        elif isinstance(spec, (JoinSpec, LeaveSpec)):
+            membership.setdefault(spec.rank, []).append(spec)
+    deferred = set()
+    for rank, events in membership.items():
+        events.sort(key=lambda e: e.at_time)
+        for before, after in zip(events, events[1:]):
+            if before.at_time == after.at_time:
+                raise ValueError(
+                    f"conflicting membership events: rank {rank} has more "
+                    f"than one join/leave event at t={after.at_time:g}; "
+                    f"their order would be undefined"
+                )
+        joined = not isinstance(events[0], JoinSpec)
+        if not joined:
+            deferred.add(rank)
+        for event in events:
+            if isinstance(event, JoinSpec) and joined:
+                raise ValueError(
+                    f"invalid membership schedule: rank {rank} is "
+                    f"already joined at t={event.at_time:g} — a "
+                    f"JoinSpec must target a deferred or departed rank"
+                )
+            if isinstance(event, LeaveSpec) and not joined:
+                raise ValueError(
+                    f"invalid membership schedule: rank {rank} is not "
+                    f"joined at t={event.at_time:g} — a LeaveSpec "
+                    f"must target a currently-joined rank"
+                )
+            joined = isinstance(event, JoinSpec)
+    return deferred
+
+
 class FaultInjector:
     """Schedules kills, joins, leaves and incarnations against a cluster."""
 
@@ -215,132 +313,35 @@ class FaultInjector:
         self.cluster = cluster
         self.injected: list[EventSpec] = []
         self.skipped: list[EventSpec] = []
-        self._scheduled: set[tuple[int, float]] = set()
-        self._gray_scheduled: set[tuple[int, float]] = set()
+        #: ``(rank, at_time)`` keys of every kill / gray fault scheduled
+        self._kills: set[tuple[int, float]] = set()
+        self._grays: set[tuple[int, float]] = set()
         #: ranks whose earliest scheduled event is a join: they start the
         #: run deferred (node UNJOINED, no process) until the join fires
         self.deferred: set[int] = set()
 
     def schedule(self, faults: Sequence[EventSpec]) -> None:
-        """Arm the fault/membership schedule against the cluster's engine."""
+        """Arm the fault/membership schedule against the cluster's engine
+        (after :func:`check_schedule`, against everything scheduled so far)."""
         config = self.cluster.config
         if faults and config.protocol == "none":
             raise ValueError(
                 "cannot inject faults or membership events with "
                 "protocol='none' (no recovery); pick tdi, tag or tel"
             )
-        membership: dict[int, list[EventSpec]] = {}
+        self.deferred |= check_schedule(faults, config, kills=self._kills,
+                                        grays=self._grays)
+        fire = {FaultSpec: self._kill, GrayFaultSpec: self._gray,
+                StorageFaultSpec: self._storage_fault,
+                JoinSpec: self._join, LeaveSpec: self._leave}
         for spec in faults:
-            if not (0 <= spec.rank < config.nprocs):
-                raise ValueError(f"fault rank {spec.rank} out of range")
-            if isinstance(spec, FaultSpec):
-                key = (spec.rank, spec.at_time)
-                if key in self._scheduled:
-                    raise ValueError(
-                        f"duplicate fault: rank {spec.rank} is already scheduled "
-                        f"to die at t={spec.at_time:g} — a schedule that kills "
-                        f"the same rank twice at the same instant is a bug in "
-                        f"the caller, not a simultaneous-failure scenario"
-                    )
-                if key in self._gray_scheduled:
-                    raise ValueError(
-                        f"conflicting fault: rank {spec.rank} already has a "
-                        f"gray fault at t={spec.at_time:g} — whether the rank "
-                        f"dies or merely misbehaves at that instant would be "
-                        f"undefined; stagger the schedule"
-                    )
-                self._scheduled.add(key)
-            elif isinstance(spec, GrayFaultSpec):
-                key = (spec.rank, spec.at_time)
-                if key in self._scheduled:
-                    raise ValueError(
-                        f"conflicting fault: rank {spec.rank} is already "
-                        f"scheduled to die at t={spec.at_time:g} — a "
-                        f"{spec.kind} gray fault against it at the same "
-                        f"instant would leave dead-or-misbehaving undefined; "
-                        f"stagger the schedule"
-                    )
-                if key in self._gray_scheduled:
-                    raise ValueError(
-                        f"duplicate gray fault: rank {spec.rank} already has "
-                        f"a gray fault at t={spec.at_time:g}; their order "
-                        f"would be undefined"
-                    )
-                if spec.drop and not config.transport.enabled:
-                    raise ValueError(
-                        "a mute gray fault with drop=True requires "
-                        "transport.enabled — the raw network does not "
-                        "retransmit, so dropped sends would be lost frames "
-                        "the protocols assume delivered"
-                    )
-                self._gray_scheduled.add(key)
-            elif isinstance(spec, StorageFaultSpec):
+            if isinstance(spec, StorageFaultSpec):
                 # arming happens now, at schedule time: GC must lag from
                 # the very first checkpoint for a later fallback to be
                 # replayable, not from when the fault fires
                 self.cluster.checkpoints.arm_hostile()
-            else:
-                membership.setdefault(spec.rank, []).append(spec)
-        self._validate_membership(membership)
-        for spec in faults:
-            if isinstance(spec, FaultSpec):
-                self.cluster.engine.schedule_at(
-                    spec.at_time, lambda s=spec: self._kill(s))
-            elif isinstance(spec, GrayFaultSpec):
-                self.cluster.engine.schedule_at(
-                    spec.at_time, lambda s=spec: self._gray(s))
-            elif isinstance(spec, StorageFaultSpec):
-                self.cluster.engine.schedule_at(
-                    spec.at_time, lambda s=spec: self._storage_fault(s))
-            elif isinstance(spec, JoinSpec):
-                self.cluster.engine.schedule_at(
-                    spec.at_time, lambda s=spec: self._join(s))
-            else:
-                self.cluster.engine.schedule_at(
-                    spec.at_time, lambda s=spec: self._leave(s))
-
-    def _validate_membership(self, membership: dict[int, list[EventSpec]]) -> None:
-        """Replay each rank's join/leave schedule and reject impossible ones.
-
-        Mirrors the duplicate-:class:`FaultSpec` guard: a schedule that
-        joins a joined rank, leaves an absent rank, or puts a join and a
-        leave of the same rank at the same instant is a bug in the
-        caller, not a churn scenario.
-        """
-        for rank, events in membership.items():
-            times = [e.at_time for e in events]
-            if len(set(times)) != len(times):
-                by_time: dict[float, list[EventSpec]] = {}
-                for event in events:
-                    by_time.setdefault(event.at_time, []).append(event)
-                for at_time, group in by_time.items():
-                    if len(group) > 1:
-                        raise ValueError(
-                            f"conflicting membership events: rank {rank} has "
-                            f"{len(group)} join/leave events at t={at_time:g}; "
-                            f"their order would be undefined"
-                        )
-            joined = not isinstance(
-                min(events, key=lambda e: e.at_time), JoinSpec)
-            if joined is False:
-                self.deferred.add(rank)
-            for event in sorted(events, key=lambda e: e.at_time):
-                if isinstance(event, JoinSpec):
-                    if joined:
-                        raise ValueError(
-                            f"invalid membership schedule: rank {rank} is "
-                            f"already joined at t={event.at_time:g} — a "
-                            f"JoinSpec must target a deferred or departed rank"
-                        )
-                    joined = True
-                else:
-                    if not joined:
-                        raise ValueError(
-                            f"invalid membership schedule: rank {rank} is not "
-                            f"joined at t={event.at_time:g} — a LeaveSpec "
-                            f"must target a currently-joined rank"
-                        )
-                    joined = False
+            self.cluster.engine.schedule_at(spec.at_time,
+                                            partial(fire[type(spec)], spec))
 
     def _kill(self, spec: FaultSpec) -> None:
         endpoint = self.cluster.endpoints[spec.rank]

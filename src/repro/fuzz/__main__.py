@@ -30,7 +30,7 @@ from repro.harness.cli import default_cache_dir
 from repro.fuzz.campaign import run_campaign
 from repro.fuzz.corpus import CorpusEntry, load_corpus, replay_entry
 from repro.fuzz.differential import DEFAULT_PROTOCOLS, GROUND_TRUTH, Finding
-from repro.fuzz.scenario import FAULT_BIASES, NET_BIASES, STORAGE_BIASES
+from repro.fuzz.bands import BANDS, FLAGS, flag_choices, flag_param
 from repro.protocols.registry import validate_protocols
 
 
@@ -82,33 +82,15 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
                         help="neither read nor write the result cache")
     parser.add_argument("--stop-after", type=int, default=None, metavar="N",
                         help="end the campaign after N failing scenarios")
-    parser.add_argument("--fault-bias", choices=FAULT_BIASES, default="none",
-                        help="reshape the fault-schedule distribution; "
-                        "'overlap' concentrates on closely-staggered "
-                        "multi-victim kills that force overlapping "
-                        "recoveries, 'churn' adds membership join/leave "
-                        "cycles, 'gray' arms the accrual failure detector "
-                        "and injects non-fail-stop faults (freeze/stutter/"
-                        "slow/mute) (default: none)")
-    parser.add_argument("--net-bias", choices=NET_BIASES, default="clean",
-                        help="reshape the network substrate; 'lossy' runs "
-                        "every scenario over an impaired wire (per-frame "
-                        "drop/dup/corruption up to 5%%, occasional partition "
-                        "windows) with the reliable transport enabled under "
-                        "the protocol runs (default: clean)")
-    parser.add_argument("--storage-bias", choices=STORAGE_BIASES,
-                        default="clean",
-                        help="reshape the stable-storage substrate; "
-                        "'hostile' points every scenario's protocol legs at "
-                        "a faulty checkpoint device (write failures, torn "
-                        "writes, latent corruption, stalls) with short "
-                        "checkpoint intervals (default: clean)")
-    parser.add_argument("--compress", action="store_true",
-                        help="run the protocol legs with the compressed "
-                        "piggyback wire formats (SimulationConfig."
-                        "compress_piggybacks); scenarios are identical to "
-                        "the uncompressed band's, so findings unique to "
-                        "this band indict the wire encoding")
+    for flag, off in FLAGS.items():
+        bands = [b for b in BANDS if b.flag == flag]
+        if off is False:
+            parser.add_argument(flag, action="store_true", help=bands[0].help)
+            continue
+        parser.add_argument(
+            flag, choices=flag_choices(flag), default=off,
+            help="; ".join(f"'{b.name}' {b.help}" for b in bands)
+            + f" (default: {off})")
     parser.add_argument("--replay", metavar="ENTRY.json",
                         help="replay one corpus entry (or every entry in a "
                         "directory) instead of fuzzing")
@@ -184,12 +166,8 @@ def main(argv: list[str] | None = None) -> int:
         shrink_attempts=args.shrink_attempts,
         corpus_dir=None if args.no_corpus else args.corpus_dir,
         stop_after=args.stop_after,
-        fault_bias=None if args.fault_bias == "none" else args.fault_bias,
-        net_bias=None if args.net_bias == "clean" else args.net_bias,
-        compress=args.compress,
-        storage_bias=(None if args.storage_bias == "clean"
-                      else args.storage_bias),
         log=None if args.quiet else print,
+        **{flag_param(flag): getattr(args, flag_param(flag)) for flag in FLAGS},
     )
     elapsed = time.perf_counter() - t0
 

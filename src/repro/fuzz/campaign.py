@@ -76,35 +76,20 @@ def run_campaign(
     shrink_attempts: int = 120,
     corpus_dir: str | Path | None = None,
     stop_after: int | None = None,
-    fault_bias: str | None = None,
-    net_bias: str | None = None,
-    compress: bool = False,
-    storage_bias: str | None = None,
     log: Callable[[str], None] | None = None,
+    **bias,
 ) -> CampaignResult:
     """Fuzz every seed in ``seeds`` (up to ``budget`` scenarios).
 
     ``stop_after`` ends the campaign early once that many failing
     scenarios have been found — the mutation self-tests use it to prove
-    detection without paying for the rest of the range.  ``fault_bias``
-    reshapes the fault-schedule distribution (``"overlap"`` concentrates
-    on closely-staggered multi-victim kills that exercise overlapping
-    recoveries; ``"gray"`` arms the accrual failure detector and draws
-    non-fail-stop gray faults); ``net_bias`` does the same for the
-    network substrate
-    (``"lossy"`` runs every scenario over a drop/dup/corrupt-impaired
-    wire with the reliable transport under the protocol runs);
-    ``storage_bias`` does it for stable storage (``"hostile"`` points
-    every scenario's protocol legs at a faulty checkpoint device);
-    biased bands draw from a salted seed stream so they
-    never retread the unbiased band's scenarios.  ``compress`` turns the
-    compressed piggyback wire formats on for the protocol legs; it is
-    *not* salted, so a compressed band retreads its uncompressed
-    counterpart's scenarios exactly and any finding unique to it indicts
-    the wire encoding.  Failures are shrunk
-    with a predicate that preserves the original ``(protocol,
-    failure-kind)`` signature, then persisted to ``corpus_dir`` (when
-    given) with full provenance.
+    detection without paying for the rest of the range.  ``bias`` is
+    handed to :func:`generate_scenario` as is (``fault_bias``,
+    ``net_bias``, ``storage_bias``, ``compress``): it picks the
+    adversary bands of :mod:`repro.fuzz.bands` every scenario of the
+    campaign draws.  Failures are shrunk with a predicate that preserves
+    the original ``(protocol, failure-kind)`` signature, then persisted
+    to ``corpus_dir`` (when given) with full provenance.
     """
     protocols = tuple(protocols)
     emit = log or (lambda message: None)
@@ -114,9 +99,7 @@ def run_campaign(
         if budget is not None and result.scenarios_run >= budget:
             emit(f"budget of {budget} scenarios exhausted")
             break
-        scenario = generate_scenario(seed, fault_bias=fault_bias,
-                                     net_bias=net_bias, compress=compress,
-                                     storage_bias=storage_bias)
+        scenario = generate_scenario(seed, **bias)
         verdict = run_scenario(scenario, protocols, jobs=jobs, cache=cache)
         result.scenarios_run += 1
         result.runs_executed += verdict.runs

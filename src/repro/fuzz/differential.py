@@ -31,12 +31,11 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.faults.detector import DetectorConfig
 from repro.harness.cache import ResultCache
 from repro.harness.executor import run_batch
 from repro.harness.runner import Cell, RunRequest, RunSummary
+from repro.fuzz.bands import BANDS
 from repro.fuzz.scenario import FUZZ_MAX_EVENTS, Scenario
-from repro.simnet.transport import TransportConfig
 from repro.verify.violations import parse_violation
 
 #: protocols a scenario is checked under when the caller does not choose
@@ -110,32 +109,15 @@ def _request(scenario: Scenario, protocol: str, *, faulted: bool,
     ]
     if record:
         overrides.append(("record", True))
-    if scenario.impaired and protocol != GROUND_TRUTH:
-        # impairments apply to the protocol runs only (with the reliable
-        # transport underneath); the ground truth stays on the pristine
-        # network, so a lossy wire that leaks through the transport into
-        # application-visible behaviour shows up as a differential
-        # finding rather than contaminating the reference
-        overrides.append(("network", scenario.network_config()))
-        overrides.append(("transport", TransportConfig(enabled=True)))
-    if scenario.compress and protocol != GROUND_TRUTH:
-        # same asymmetry as the impairments: the compressed wire formats
-        # apply to the protocol legs only, so an encoding/decoding bug
-        # diverges from the pristine reference instead of cancelling out
-        overrides.append(("compress_piggybacks", True))
-    if scenario.detect and faulted:
-        # the gray band's faulted legs run with the accrual failure
-        # detector armed: kills are recovered by condemnation (measured
-        # MTTD) and gray zombies by fencing + force-restart — answers
-        # must still match the pristine, detector-less ground truth
-        overrides.append(("detector", DetectorConfig(enabled=True)))
-    if scenario.storage_impaired and protocol != GROUND_TRUTH:
-        # and again for stable storage: the protocol legs write to the
-        # faulty device while the ground truth keeps a perfect one, so a
-        # mishandled torn generation or skipped checkpoint that leaks
-        # into application answers is a differential finding
-        overrides.append(("storage", scenario.storage_config()))
-        overrides.append(("ckpt_history", scenario.ckpt_history))
+    for band in BANDS:
+        # a band arms either every protocol leg — the ground truth keeps
+        # the pristine wire, device and encoding, so anything of it that
+        # leaks into application-visible behaviour is a differential
+        # finding instead of contaminating the reference — or only the
+        # faulted legs (the armed detector)
+        armed = faulted if band.legs == "faulted" else protocol != GROUND_TRUTH
+        if armed and band.overrides:
+            overrides.extend(band.overrides(scenario))
     return RunRequest(
         key=(scenario.name, protocol, "faulted" if faulted else "ff"),
         cell=Cell(scenario.workload, scenario.nprocs, protocol,
@@ -171,7 +153,7 @@ def scenario_requests(scenario: Scenario,
     for protocol in protocols:
         requests.append(_request(scenario, protocol, faulted=False,
                                  record=True, verify=True))
-    if scenario.faults or scenario.churned or scenario.grayed:
+    if scenario.event_specs():
         for protocol in protocols:
             requests.append(_request(scenario, protocol, faulted=True,
                                      record=False, verify=True))
@@ -269,7 +251,7 @@ def _check_metrics(findings: list[Finding], protocol: str, phase: str,
         # kill aimed at a rank that has not joined yet (deferred start)
         # or is in a left window is a legitimate no-op
         landing = [t for rank, t in scenario.faults
-                   if _joined_at(scenario, rank, t)]
+                   if scenario.joined_at(rank, t)]
         if landing:
             first_fault = min(landing)
             if (first_fault < truth.accomplishment_time
@@ -279,25 +261,6 @@ def _check_metrics(findings: list[Finding], protocol: str, phase: str,
                     f"faulted run scheduled a kill at {first_fault:g}s "
                     f"(inside the {truth.accomplishment_time:g}s run) but "
                     f"recorded no recovery"))
-
-
-def _joined_at(scenario: Scenario, rank: int, t: float) -> bool:
-    """Whether ``rank`` is a joined member at instant ``t`` under the
-    scenario's membership schedule (the injector's inference: a rank
-    whose earliest membership event is a join starts deferred).  A kill
-    coinciding exactly with a membership event is treated as absent —
-    the runtime ordering at a shared instant is unspecified."""
-    moves = sorted(
-        [(at, "join") for r, at in scenario.joins if r == rank]
-        + [(at, "leave") for r, at in scenario.leaves if r == rank])
-    if not moves:
-        return True
-    joined = moves[0][1] != "join"
-    for at, kind in moves:
-        if at >= t:
-            return joined and at != t
-        joined = kind == "join"
-    return joined
 
 
 def diff_results(scenario: Scenario, results: Mapping[tuple, RunSummary],

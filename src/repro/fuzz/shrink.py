@@ -19,38 +19,38 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
+from repro.fuzz.bands import BANDS, CHURN, GRAY, HOSTILE, LOSSY
 from repro.fuzz.scenario import LENGTH_KWARG, Scenario
 
 #: workloads ordered simplest-first; the shrinker tries to walk left
 _SIMPLICITY_ORDER = ("synthetic", "reduce", "cg", "lu", "mg", "is", "bt", "sp")
 
 
+def _workload_rank(workload: str) -> int:
+    try:
+        return _SIMPLICITY_ORDER.index(workload)
+    except ValueError:
+        return len(_SIMPLICITY_ORDER)
+
+
 def scenario_size(scenario: Scenario) -> tuple:
     """A well-founded size measure; shrinking only ever decreases it."""
     horizon = scenario.horizon_kwarg()
-    try:
-        workload_rank = _SIMPLICITY_ORDER.index(scenario.workload)
-    except ValueError:
-        workload_rank = len(_SIMPLICITY_ORDER)
     return (
         len(scenario.faults),
         # gray faults and the armed detector shrink away before anything
-        # else (the calmer-gray pass); dropping a gray's drop flag alone
-        # is also progress — it unties the repro from the transport
-        len(scenario.grays) + (1 if scenario.detect else 0),
-        sum(1 for g in scenario.grays if g[7]),
-        len(scenario.joins) + len(scenario.leaves),
+        # else (the calmer-gray pass)
+        *GRAY.size(scenario),
+        *CHURN.size(scenario),
         scenario.nprocs,
-        workload_rank,
+        _workload_rank(scenario.workload),
         horizon[1] if horizon else 0,
         0 if scenario.comm_mode == "nonblocking" else 1,
         0 if scenario.eager_threshold_bytes == 8192 else 1,
         # a calmer network = fewer interleavings to reason about
-        len(scenario.partitions),
-        scenario.drop_prob + scenario.dup_prob + scenario.corrupt_prob,
+        *LOSSY.size(scenario),
         # a calmer checkpoint device = fewer storage timelines
-        (scenario.ckpt_write_fail_prob + scenario.ckpt_torn_prob
-         + scenario.ckpt_corrupt_prob + scenario.ckpt_stall_prob),
+        *HOSTILE.size(scenario),
         # fewer checkpoints = simpler trace
         -scenario.checkpoint_interval,
     )
@@ -72,25 +72,6 @@ class ShrinkResult:
 # Candidate passes (each yields candidates strictly smaller than input)
 # ----------------------------------------------------------------------
 
-def _calmer_gray(s: Scenario) -> Iterator[Scenario]:
-    """Strip gray faults before anything else: a finding that survives
-    with no freeze/stutter/slow/mute window indicts the protocols (or
-    the armed detector itself), not the gray machinery.  Once the grays
-    are gone, try disarming the detector too."""
-    if s.grays:
-        n = len(s.grays)
-        yield s.with_(grays=())
-        if n > 1:
-            yield s.with_(grays=s.grays[: n // 2])
-            yield s.with_(grays=s.grays[n // 2:])
-            for i in range(n):
-                yield s.with_(grays=s.grays[:i] + s.grays[i + 1:])
-        if any(g[7] for g in s.grays):
-            yield s.with_(grays=tuple(g[:7] + (False,) for g in s.grays))
-    elif s.detect:
-        yield s.with_(detect=False)
-
-
 def _drop_faults(s: Scenario) -> Iterator[Scenario]:
     n = len(s.faults)
     if n > 1:
@@ -101,59 +82,21 @@ def _drop_faults(s: Scenario) -> Iterator[Scenario]:
             yield s.with_(faults=s.faults[:i] + s.faults[i + 1:])
 
 
-def _drop_churn(s: Scenario) -> Iterator[Scenario]:
-    """Remove membership churn, always a whole rank's schedule (or a
-    trailing leave+rejoin cycle) at a time so every candidate keeps the
-    leave-pairs-with-rejoin shape — an unpaired leave starves the
-    workload, which is a deadlock by construction, not the bug."""
-    ranks = sorted({r for r, _ in (*s.joins, *s.leaves)})
-    if not ranks:
-        return
-    if len(ranks) > 1:
-        yield s.with_(joins=(), leaves=())
-    for rank in ranks:
-        yield s.with_(joins=tuple(p for p in s.joins if p[0] != rank),
-                      leaves=tuple(p for p in s.leaves if p[0] != rank))
-        cycles = [p for p in s.leaves if p[0] == rank]
-        if cycles:
-            last = max(cycles, key=lambda p: p[1])
-            yield s.with_(
-                leaves=tuple(p for p in s.leaves if p != last),
-                joins=tuple(p for p in s.joins
-                            if not (p[0] == rank and p[1] > last[1])))
-
-
 def _fewer_procs(s: Scenario) -> Iterator[Scenario]:
+    """Smaller clusters: fault ranks clamp into range, and each band
+    narrows its own fields to the surviving ranks."""
     for nprocs in range(2, s.nprocs):
-        faults = tuple(dict.fromkeys(
-            (min(rank, nprocs - 1), at) for rank, at in s.faults))
-        # gray ranks collapse the same way; colliding (rank, at) keys —
-        # against faults or each other — drop the gray (the injector
-        # rejects such conflicts), and mute targets narrow to the
-        # surviving ranks
-        seen = set(faults)
-        grays = []
-        for g in s.grays:
-            key = (min(g[0], nprocs - 1), g[1])
-            if key in seen:
-                continue
-            seen.add(key)
-            targets = tuple(t for t in g[5] if t < nprocs)
-            grays.append(key + g[2:5] + (targets,) + g[6:])
-        # collapsing churned ranks the way faults collapse could alias
-        # two membership schedules onto one rank; dropping a rank's
-        # churn wholesale keeps every candidate structurally valid
-        joins = tuple(p for p in s.joins if p[0] < nprocs)
-        leaves = tuple(p for p in s.leaves if p[0] < nprocs)
-        yield s.with_(nprocs=nprocs, faults=faults, grays=tuple(grays),
-                      joins=joins, leaves=leaves)
+        candidate = s.with_(nprocs=nprocs, faults=tuple(dict.fromkeys(
+            (min(rank, nprocs - 1), at) for rank, at in s.faults)))
+        changes = {}
+        for band in BANDS:
+            if band.narrow:
+                changes.update(band.narrow(candidate))
+        yield candidate.with_(**changes)
 
 
 def _simpler_workload(s: Scenario) -> Iterator[Scenario]:
-    try:
-        rank = _SIMPLICITY_ORDER.index(s.workload)
-    except ValueError:
-        rank = len(_SIMPLICITY_ORDER)
+    rank = _workload_rank(s.workload)
     horizon = s.horizon_kwarg()
     length = horizon[1] if horizon else 4
     for simpler in _SIMPLICITY_ORDER[:rank]:
@@ -196,50 +139,19 @@ def _plainer_comm(s: Scenario) -> Iterator[Scenario]:
         yield s.with_(eager_threshold_bytes=8192)
 
 
-def _calmer_network(s: Scenario) -> Iterator[Scenario]:
-    """Strip impairments: a repro that survives on a clean wire is a
-    protocol bug, not a transport interaction."""
-    if not s.impaired:
-        return
-    # dropping muted frames needs the transport, which rides the
-    # impairments — clear the drop flags alongside so the candidate
-    # stays structurally valid
-    yield s.with_(drop_prob=0.0, dup_prob=0.0, corrupt_prob=0.0,
-                  partitions=(),
-                  grays=tuple(g[:7] + (False,) for g in s.grays))
-    if s.partitions:
-        yield s.with_(partitions=())
-    for knob in ("drop_prob", "dup_prob", "corrupt_prob"):
-        if getattr(s, knob):
-            yield s.with_(**{knob: 0.0})
-
-
-def _calmer_storage(s: Scenario) -> Iterator[Scenario]:
-    """Strip checkpoint-device impairments: a repro that survives on a
-    perfect device is a protocol bug, not a storage interaction."""
-    if not s.storage_impaired:
-        return
-    yield s.with_(ckpt_write_fail_prob=0.0, ckpt_torn_prob=0.0,
-                  ckpt_corrupt_prob=0.0, ckpt_stall_prob=0.0)
-    for knob in ("ckpt_write_fail_prob", "ckpt_torn_prob",
-                 "ckpt_corrupt_prob", "ckpt_stall_prob"):
-        if getattr(s, knob):
-            yield s.with_(**{knob: 0.0})
-
-
 #: pass order: cheapest wins first (dropping faults and ranks shrinks the
 #: scenario the most per evaluation)
 _PASSES: tuple[tuple[str, Callable[[Scenario], Iterable[Scenario]]], ...] = (
-    ("calmer-gray", _calmer_gray),
+    GRAY.shrink,
     ("drop-faults", _drop_faults),
-    ("drop-churn", _drop_churn),
+    CHURN.shrink,
     ("fewer-procs", _fewer_procs),
     ("simpler-workload", _simpler_workload),
     ("shorter-horizon", _shorter_horizon),
     ("coarser-checkpoints", _coarser_checkpoints),
     ("plainer-comm", _plainer_comm),
-    ("calmer-network", _calmer_network),
-    ("calmer-storage", _calmer_storage),
+    LOSSY.shrink,
+    HOSTILE.shrink,
 )
 
 
