@@ -2,12 +2,14 @@
 
 Every public module, class and function in ``repro`` must carry a
 docstring — this is the "doc comments on every public item" deliverable
-kept honest mechanically.
+kept honest mechanically — and the fuzzing guide's band table must name
+the bands the fuzzer declares.
 """
 
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +73,17 @@ def test_public_items_have_docstrings(module):
 
 def test_version_is_exposed():
     assert repro.__version__.count(".") == 2
+
+
+def test_fuzzing_band_table_names_the_declared_bands():
+    """docs/FUZZING.md's band table lists exactly ``BANDS``, in draw
+    order, with each band's flag and RNG salt (``—`` for none)."""
+    from repro.fuzz.bands import BANDS
+
+    guide = Path(__file__).resolve().parents[2] / "docs" / "FUZZING.md"
+    section = guide.read_text(encoding="utf-8").split("\n## Bands\n")[1]
+    section = section.split("\n## ")[0]
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    assert [(row[0], row[1].split()[0], row[2]) for row in rows] == [
+        (band.name, band.flag, band.salt or "—") for band in BANDS]
