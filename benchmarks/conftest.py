@@ -4,10 +4,10 @@ Run with::
 
     pytest benchmarks/bench_fig6_piggyback.py
 
-(``bench_harness.py`` and ``bench_substrate.py`` are run as scripts and
-append trajectory records; CI collects them with ``--benchmark-disable``
-to keep their code paths exercised; ``benchmarks/e2e`` is the repo
-benchmark and has its own driver.)
+(``bench_substrate.py`` is run as a script and appends trajectory
+records; CI collects it with ``--benchmark-disable`` to keep its code
+paths exercised; ``benchmarks/e2e`` is the repo benchmark and has its
+own driver, and its ``micro.py`` times the engine and vector hot paths.)
 
 ``bench_fig6_piggyback`` regenerates Fig. 6 and, in addition to
 pytest-benchmark's wall-clock timing of the simulation runs, prints the

@@ -5,11 +5,7 @@ fails (exit 1) if it regresses above a ceiling derived from the latest
 ``BENCH_substrate.json`` trajectory record plus a noise margin — the
 ack-storm regression this guards against was a 0.55 overhead against a
 recorded ~0.03, so the default margin (0.10 absolute) trips on a real
-regression and shrugs at shared-runner timing noise.  Also runs the
-harness micro-benches at a small budget so their code paths stay
-exercised; their rates are printed for the log but not gated (absolute
-throughput is machine-dependent; the trajectory files are where those
-numbers are tracked).
+regression and shrugs at shared-runner timing noise.
 
 Also gates the compressed-piggyback wire size: bytes per message at
 n=256 on the sparse ring workload is fully deterministic (byte counts,
@@ -86,10 +82,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from benchmarks.bench_harness import (  # noqa: E402
-    engine_events_per_second,
-    vector_merge_ops_per_second,
-)
 from benchmarks.bench_fig6_piggyback import (  # noqa: E402
     ARTIFACT as PB_ARTIFACT,
     compress_x,
@@ -231,10 +223,6 @@ def main(argv: list[str] | None = None) -> int:
     rss = ring_point_isolated(512)["peak_rss_mb"]
     print(f"compressed ring at 512 ranks: peak RSS {rss:.1f} MB "
           f"(ceiling {rss_ceiling:.1f} MB)")
-
-    # small-budget micro-benches: exercised, logged, not gated
-    print(f"engine: {engine_events_per_second(50_000):,.0f} events/s")
-    print(f"vector merge: {vector_merge_ops_per_second(32, 20_000):,.0f} ops/s")
 
     failed = False
     if overhead > ceiling:

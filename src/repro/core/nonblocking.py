@@ -74,10 +74,6 @@ class SendPump:
         self._busy = False
 
     @property
-    def depth(self) -> int:
-        return len(self._queue)
-
-    @property
     def idle(self) -> bool:
         return not self._busy and not self._queue
 

@@ -20,7 +20,6 @@ from repro.mpi.context import ProcContext
 from repro.simnet.primitives import (
     ANY_SOURCE,
     ANY_TAG,
-    Annotate,
     CheckpointPoint,
     Compute,
     Delivered,
@@ -152,7 +151,7 @@ def replay_rank(
                         f"rank {rank}: send #{sends_seen} payload diverged "
                         "from the recording (send-determinism violation)"
                     )
-        elif isinstance(effect, (Compute, Wait, Annotate, CheckpointPoint)):
+        elif isinstance(effect, (Compute, Wait, CheckpointPoint)):
             pass  # timing and checkpoints are irrelevant offline
         else:
             raise ReplayDivergence(

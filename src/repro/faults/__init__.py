@@ -5,7 +5,7 @@ from repro.faults.injector import (EventSpec, FaultSpec, FaultInjector,
                                    JoinSpec, LeaveSpec, simultaneous,
                                    staggered)
 from repro.faults.detector import DetectorConfig, FailureDetector
-from repro.faults.schedules import expected_failures, poisson_schedule, weibull_schedule
+from repro.faults.schedules import poisson_schedule, weibull_schedule
 
 __all__ = [
     "EventSpec",
@@ -21,5 +21,4 @@ __all__ = [
     "staggered",
     "poisson_schedule",
     "weibull_schedule",
-    "expected_failures",
 ]

@@ -312,16 +312,6 @@ class FailureDetector:
             elif phi >= config.suspect_phi:
                 suspicion[subject] = SUSPECT
 
-    def phi(self, observer: int, subject: int, now: float) -> float:
-        """Current suspicion level (0.0 before any monitoring)."""
-        self._catch_up(now)
-        est = self._estimators.get((observer, subject))
-        return est.phi(now) if est is not None else 0.0
-
-    def suspicion_state(self, rank: int) -> str:
-        """Current per-rank state: ``alive``, ``suspect`` or ``condemned``."""
-        return self.suspicion.get(rank, ALIVE)
-
     def clear(self, rank: int) -> None:
         """Forget every estimator touching ``rank`` and reset its state.
 
@@ -358,12 +348,6 @@ class FailureDetector:
     # ------------------------------------------------------------------
     # Derived figures
     # ------------------------------------------------------------------
-    def failure_count(self, rank: int | None = None) -> int:
-        """Failures observed, overall or for one rank."""
-        if rank is None:
-            return len(self.failures)
-        return sum(1 for e in self.failures if e.rank == rank)
-
     def detection_delays(self) -> list[float]:
         """Kill -> condemnation delay for each *detected real death*.
 
@@ -388,10 +372,6 @@ class FailureDetector:
     def false_suspicion_count(self) -> int:
         """Condemnations whose victim was actually alive (zombies)."""
         return sum(1 for c in self.condemnations if c.was_alive)
-
-    def fence_count(self) -> int:
-        """How many zombie incarnations were fenced this run."""
-        return len(self.fences)
 
     def downtime_windows(self, rank: int) -> list[tuple[float, float | None]]:
         """(failed_at, recovered_at) pairs for ``rank``, in order.

@@ -73,8 +73,3 @@ def weibull_schedule(
         rank = int(gen.integers(0, nprocs))
         specs.append(FaultSpec(rank=rank, at_time=t))
     return specs
-
-
-def expected_failures(horizon: float, mtbf: float) -> float:
-    """Mean failure count a Poisson schedule will produce."""
-    return horizon / mtbf

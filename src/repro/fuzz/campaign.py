@@ -57,13 +57,6 @@ class CampaignResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def detected_kinds(self) -> frozenset:
-        """Union of ``(protocol, kind)`` pairs across all failures."""
-        kinds: set = set()
-        for failure in self.failures:
-            kinds |= failure.kinds()
-        return frozenset(kinds)
-
 
 def run_campaign(
     seeds: Iterable[int],

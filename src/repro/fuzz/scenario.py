@@ -183,16 +183,6 @@ class Scenario:
                 + tuple(JoinSpec(rank=r, at_time=t) for r, t in self.joins)
                 + tuple(LeaveSpec(rank=r, at_time=t) for r, t in self.leaves))
 
-    @property
-    def churned(self) -> bool:
-        """Whether any membership churn is scheduled."""
-        return bool(self.joins or self.leaves)
-
-    @property
-    def grayed(self) -> bool:
-        """Whether any gray fault is scheduled."""
-        return bool(self.grays)
-
     def joined_at(self, rank: int, t: float) -> bool:
         """Whether ``rank`` is a joined member at instant ``t`` under the
         membership schedule (the injector's inference: a rank whose

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import SimulationConfig
 
 PAPER_SCALES = (4, 8, 16, 32)
 PAPER_WORKLOADS = ("lu", "bt", "sp")
@@ -41,18 +40,6 @@ class ExperimentOptions:
     #: any invariant violation aborts the experiment
     verify: bool = False
     extra: dict = field(default_factory=dict)
-
-    def sim_config(self, workload: str, nprocs: int, protocol: str,
-                   comm_mode: str = "nonblocking") -> SimulationConfig:
-        """Materialise a SimulationConfig for one experiment cell."""
-        return SimulationConfig(
-            nprocs=nprocs,
-            protocol=protocol,
-            comm_mode=comm_mode,
-            checkpoint_interval=self.checkpoint_interval,
-            seed=self.seed,
-            verify=self.verify,
-        )
 
 
 FAST_OPTIONS = ExperimentOptions(preset="fast", scales=(4, 8), checkpoint_interval=0.02)

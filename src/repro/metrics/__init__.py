@@ -1,6 +1,5 @@
-"""Instrumentation: counters, cost model, reports, timelines, availability."""
+"""Instrumentation: counters, cost model, timelines."""
 
-from repro.metrics.availability import AvailabilityReport, analyze
 from repro.metrics.counters import RankMetrics, MetricsAggregate, aggregate
 from repro.metrics.costs import CostModel
 
@@ -9,6 +8,4 @@ __all__ = [
     "MetricsAggregate",
     "aggregate",
     "CostModel",
-    "AvailabilityReport",
-    "analyze",
 ]

@@ -102,10 +102,6 @@ class MetricsAggregate:
             return 0.0
         return self.total(name) / len(self.per_rank)
 
-    def maximum(self, name: str) -> float:
-        """Largest per-rank value of one counter."""
-        return max((getattr(m, name) for m in self.per_rank), default=0.0)
-
     # ------------------------------------------------------------------
     # Figure-level derived quantities
     # ------------------------------------------------------------------
@@ -121,11 +117,6 @@ class MetricsAggregate:
     def tracking_time_total(self) -> float:
         """Fig. 7 y-axis: total tracking time across ranks (seconds)."""
         return self.total("tracking_time")
-
-    @property
-    def tracking_time_max_rank(self) -> float:
-        """Critical-path variant of Fig. 7: slowest rank's tracking time."""
-        return self.maximum("tracking_time")
 
     @property
     def messages_total(self) -> int:

@@ -15,7 +15,6 @@ from repro.mpi import collectives as _coll
 from repro.simnet.primitives import (
     ANY_SOURCE,
     ANY_TAG,
-    Annotate,
     CheckpointPoint,
     Compute,
     Delivered,
@@ -58,10 +57,6 @@ class ProcContext:
         """Mark a restartable point; the middleware checkpoints here if
         the checkpoint interval has elapsed."""
         return CheckpointPoint(force=force)
-
-    def annotate(self, kind: str, **fields: Any) -> Annotate:
-        """Emit a trace event from application code (zero cost)."""
-        return Annotate(kind=kind, fields=fields)
 
     # ------------------------------------------------------------------
     # Collectives (invoke with ``yield from``)

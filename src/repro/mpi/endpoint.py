@@ -64,7 +64,6 @@ from repro.protocols.queue import ReceivingQueue
 from repro.protocols.registry import create_protocol
 from repro.simnet.network import Frame
 from repro.simnet.primitives import (
-    Annotate,
     CheckpointPoint,
     Compute,
     Delivered,
@@ -290,9 +289,6 @@ class Endpoint:
             self._handle_checkpoint_point(task, effect)
         elif isinstance(effect, Wait):
             task.resume(None, delay=effect.duration)
-        elif isinstance(effect, Annotate):
-            self.trace.emit(effect.kind, self.rank, **effect.fields)
-            task.resume(None)
         else:
             raise TypeError(
                 f"rank {self.rank}: application yielded {effect!r}, "

@@ -23,7 +23,7 @@ from repro.protocols.base import (
 )
 from repro.protocols.checkpoint import Checkpoint, CheckpointStore
 from repro.protocols.queue import ReceivingQueue
-from repro.protocols.registry import available_protocols, create_protocol, register_protocol
+from repro.protocols.registry import available_protocols, create_protocol
 
 __all__ = [
     "Protocol",
@@ -35,5 +35,4 @@ __all__ = [
     "ReceivingQueue",
     "available_protocols",
     "create_protocol",
-    "register_protocol",
 ]

@@ -204,19 +204,9 @@ class CheckpointStore:
         self.trace = trace
         self.metrics = metrics
         self._store: dict[int, list[Generation]] = {}
-        #: write *attempts* started (the pre-hostile meaning of a write)
+        #: write *attempts* started (the pre-hostile meaning of a write);
+        #: every other storage counter is per rank, on ``RankMetrics``
         self.writes: int = 0
-        self.bytes_written: int = 0
-        #: attempts that committed successfully
-        self.commits: int = 0
-        self.write_failures: int = 0
-        self.torn_writes: int = 0
-        self.corrupt_generations: int = 0
-        self.stall_time: float = 0.0
-        self.reads: int = 0
-        self.bytes_read: int = 0
-        self.read_time_total: float = 0.0
-        self.fallbacks: int = 0
         #: the device misbehaves (probabilistic knobs on, or fault specs
         #: scheduled); armed before the run starts, never mid-run
         self.hostile: bool = self.config.impaired
@@ -260,8 +250,6 @@ class CheckpointStore:
         chain.append(gen)
         self._trim(chain)
         self.writes += 1
-        self.commits += 1
-        self.bytes_written += ckpt.size_bytes
         return self.costs.ckpt_write_time(ckpt.size_bytes)
 
     def begin_write(self, ckpt: Checkpoint) -> tuple[Generation, float]:
@@ -277,7 +265,6 @@ class CheckpointStore:
         gen = Generation(ckpt)
         chain.append(gen)
         self.writes += 1
-        self.bytes_written += ckpt.size_bytes
         duration = self.costs.ckpt_write_time(ckpt.size_bytes)
         stall = 0.0
         if self.config.impaired:
@@ -300,7 +287,6 @@ class CheckpointStore:
             else:
                 gen.pending = kind if kind != "write_fail" else "fail"
         if stall:
-            self.stall_time += stall
             if self.metrics is not None:
                 self.metrics[ckpt.rank].ckpt_stall_time += stall
             self._emit("storage.stall", ckpt.rank, seq=ckpt.seq, stall=stall)
@@ -314,7 +300,6 @@ class CheckpointStore:
         if gen.pending == "fail":
             if gen in chain:
                 chain.remove(gen)
-            self.write_failures += 1
             self._emit("storage.write_fail", rank, seq=gen.ckpt.seq)
             return False
         gen.committed = True
@@ -322,16 +307,12 @@ class CheckpointStore:
         if gen.pending in ("torn", "corrupt"):
             gen.damage = gen.pending
             gen.checksum ^= 0xFFFFFFFF
-            if gen.pending == "torn":
-                self.torn_writes += 1
-                if self.metrics is not None:
+            if self.metrics is not None:
+                if gen.pending == "torn":
                     self.metrics[rank].ckpt_torn_writes += 1
-            else:
-                self.corrupt_generations += 1
-                if self.metrics is not None:
+                else:
                     self.metrics[rank].ckpt_corrupt_generations += 1
             self._emit(f"storage.{gen.pending}", rank, seq=gen.ckpt.seq)
-        self.commits += 1
         self._trim(chain)
         return True
 
@@ -370,10 +351,6 @@ class CheckpointStore:
             read_time += self.costs.ckpt_read_time(gen.ckpt.size_bytes)
             bytes_read += gen.ckpt.size_bytes
             if gen.readable:
-                self.reads += 1
-                self.bytes_read += bytes_read
-                self.read_time_total += read_time
-                self.fallbacks += fallbacks
                 if fallbacks:
                     self._emit("storage.fallback", rank, to_seq=gen.ckpt.seq,
                                skipped=fallbacks)
@@ -407,10 +384,6 @@ class CheckpointStore:
             return 0.0
         return self.costs.ckpt_read_time(ckpt.size_bytes)
 
-    def count(self, rank: int) -> int:
-        """Retained committed checkpoints for ``rank``."""
-        return sum(1 for g in self._store.get(rank, []) if g.committed)
-
     def generations(self, rank: int) -> list[Generation]:
         """The retained chain, oldest first (inspection/testing)."""
         return list(self._store.get(rank, []))
@@ -435,7 +408,6 @@ class CheckpointStore:
                     gen.damage = "corrupt"
                     assert gen.checksum is not None
                     gen.checksum ^= 0xFFFFFFFF
-                    self.corrupt_generations += 1
                     if self.metrics is not None:
                         self.metrics[rank].ckpt_corrupt_generations += 1
                     self._emit("storage.corrupt", rank, seq=gen.ckpt.seq)

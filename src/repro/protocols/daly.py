@@ -64,9 +64,3 @@ class EfficiencyModel:
         ckpt_tax = tau / (tau + self.ckpt_cost)
         failure_tax = 1.0 - (self.restart_cost + tau / 2.0) / self.mtbf
         return max(0.0, ckpt_tax * failure_tax)
-
-    def best_interval(self, candidates: list[float]) -> float:
-        """The candidate with the highest modelled efficiency."""
-        if not candidates:
-            raise ValueError("no candidate intervals")
-        return max(candidates, key=self.efficiency)

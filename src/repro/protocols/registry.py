@@ -14,13 +14,6 @@ from repro.protocols.base import Protocol
 _REGISTRY: dict[str, Callable[[], Type[Protocol]]] = {}
 
 
-def register_protocol(name: str, loader: Callable[[], Type[Protocol]]) -> None:
-    """Register a protocol constructor under ``name``."""
-    if name in _REGISTRY:
-        raise ValueError(f"protocol {name!r} already registered")
-    _REGISTRY[name] = loader
-
-
 def available_protocols() -> list[str]:
     """Sorted names of all registered protocols."""
     _ensure_builtins()

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable
+from typing import Callable
 
 
 class SimulationError(RuntimeError):
@@ -213,26 +213,3 @@ class Engine:
     @property
     def events_fired(self) -> int:
         return self._events_fired
-
-    def peek_next_time(self) -> float | None:
-        """Simulated time of the next live event, or ``None`` if idle."""
-        heap = self._heap
-        fifo = self._fifo
-        while heap and heap[0][2] is None:
-            heapq.heappop(heap)
-            self._dead -= 1
-        while fifo and fifo[0][2] is None:
-            fifo.popleft()
-            self._dead -= 1
-        if heap:
-            return min(heap[0][0], fifo[0][0]) if fifo else heap[0][0]
-        return fifo[0][0] if fifo else None
-
-
-def make_engine() -> Engine:
-    """Factory kept for symmetry with the other subsystem factories."""
-    return Engine()
-
-
-# Convenience for typing call sites that accept any zero-arg callback.
-Callback = Callable[[], Any]

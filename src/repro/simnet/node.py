@@ -104,11 +104,3 @@ class NodeSet:
 
     def __getitem__(self, rank: int) -> Node:
         return self.nodes[rank]
-
-    def alive_ranks(self) -> list[int]:
-        """Ranks currently up."""
-        return [n.rank for n in self.nodes if n.alive]
-
-    def dead_ranks(self) -> list[int]:
-        """Ranks currently down."""
-        return [n.rank for n in self.nodes if not n.alive]

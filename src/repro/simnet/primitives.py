@@ -18,7 +18,7 @@ sit between deliveries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 #: wildcard source for non-deterministic delivery (MPI_ANY_SOURCE)
@@ -90,14 +90,6 @@ class Wait(Effect):
     """
 
     duration: float
-
-
-@dataclass
-class Annotate(Effect):
-    """Emit a trace event from application code (no simulated cost)."""
-
-    kind: str
-    fields: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass

@@ -13,9 +13,8 @@ from typing import Any, Callable, Iterable, Iterator
 
 #: every kind ``src/repro`` emits -> the layer that owns it (its prefix).
 #: Closed, so a subscription to a misspelt kind fails loudly instead of
-#: hearing nothing; the one open site is ``Annotate``, whose kind the
-#: application chooses (``tests/unit/test_trace_kinds.py`` keeps this
-#: exactly as large as the emit sites need)
+#: hearing nothing (``tests/unit/test_trace_kinds.py`` keeps this exactly
+#: as large as the emit sites need)
 KINDS: dict[str, str] = {kind: kind.partition(".")[0] for kind in """
     app.done app.error ckpt.write detect.condemn fault.kill fence.drop
     fence.raise gray.begin gray.freeze gray.thaw member.deferred member.join

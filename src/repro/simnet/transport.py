@@ -268,8 +268,8 @@ class _RecvChannel:
 class ReliableTransport:
     """Ack/retransmit/dedup layer over an (impairable) :class:`Network`.
 
-    Duck-types the network's ``attach``/``detach``/``transmit``/
-    ``delay_for`` surface, so endpoints and service nodes address the
+    Duck-types the network's ``attach``/``detach``/``transmit``
+    surface, so endpoints and service nodes address the
     cluster *fabric* without knowing whether a transport is present.
     One instance serves every rank; receive-side state is volatile per
     incarnation while send-side in-flight buffers persist across the
@@ -317,10 +317,6 @@ class ReliableTransport:
     def stats(self):
         """The underlying network's wire-level counters."""
         return self.network.stats
-
-    def delay_for(self, size_bytes: int) -> float:
-        """Deterministic transit delay for a frame (network passthrough)."""
-        return self.network.delay_for(size_bytes)
 
     def attach(self, rank: int, callback: ReceiveCallback) -> None:
         """Register ``rank``'s frame handler and (re)connect its channels.

@@ -108,7 +108,7 @@ class TestCondemnationInitiatedRecovery:
         assert mttd is not None
         assert 1e-4 < mttd < 5e-3
         assert result.detector.false_suspicion_count() == 0
-        assert result.detector.fence_count() == 0
+        assert len(result.detector.fences) == 0
 
     def test_legacy_split_preserves_total_delay(self):
         """Unarmed runs schedule the restart after detection_delay +

@@ -99,7 +99,7 @@ def _outcome(name, comm_mode):
         int(total("zombie_frames_dropped")),
         int(total("ckpt_write_retries")),
         int(total("ckpt_skipped")),
-        result.detector.fence_count(),
+        len(result.detector.fences),
         result.accomplishment_time,
         _trace_digest(result.trace),
     )

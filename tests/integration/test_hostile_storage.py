@@ -14,7 +14,6 @@ import pytest
 from repro import api
 from repro.config import SimulationConfig
 from repro.core.watchdog import StorageLossError
-from repro.metrics.report import summarize
 from repro.mpi.cluster import Cluster
 from repro.protocols.checkpoint import StorageConfig
 from repro.workloads.presets import workload_factory
@@ -174,10 +173,9 @@ def test_degraded_run_reports_storage_lines():
     r = run("tdi",
             faults=[api.StorageFaultSpec(rank=0, at_time=0.0,
                                          kind="write_fail", count=10)])
-    report = summarize(r)
-    assert "storage:" in report
-    assert "checkpoints skipped" in report
-    assert "rollback exposure:" in report
+    assert r.stats.total("ckpt_write_failures") > 0
+    assert r.stats.total("ckpt_skipped") > 0
+    assert r.stats.total("storage_exposure_time") > 0
 
 
 def test_device_stall_stretches_checkpoint_time():

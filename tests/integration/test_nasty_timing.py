@@ -58,7 +58,7 @@ class TestFragileInstants:
                              faults=[api.FaultSpec(rank=2, at_time=0.004),
                                      api.FaultSpec(rank=2, at_time=up + 1e-4)])
         assert r.results == ref
-        assert r.detector.failure_count(2) == 2
+        assert [e.rank for e in r.detector.failures].count(2) == 2
 
     def test_neighbour_faults_straddle_rollback_retry(self):
         """Second victim dies just before the first incarnation's retry

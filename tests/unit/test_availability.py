@@ -1,65 +1,57 @@
-"""Unit tests for the availability/efficiency decomposition."""
+"""Where a run's rank-time goes: useful computation, checkpoint writes,
+downtime and rolling forward, read off the run's counters and the
+detector's downtime ledger."""
 
 import pytest
 
 from repro import api
-from repro.metrics.availability import AvailabilityReport, analyze
+
+
+def _run(**kwargs):
+    return api.run_workload("lu", nprocs=4, protocol="tdi", seed=121,
+                            checkpoint_interval=0.002, **kwargs)
+
+
+def _rank_time(result):
+    return result.accomplishment_time * result.config.nprocs
+
+
+def _downtime(result):
+    return sum(result.detector.total_downtime(rank)
+               for rank in range(result.config.nprocs))
 
 
 @pytest.fixture(scope="module")
 def clean():
-    return analyze(api.run_workload("lu", nprocs=4, protocol="tdi", seed=121,
-                                    checkpoint_interval=0.002))
+    return _run()
 
 
 @pytest.fixture(scope="module")
 def faulted():
-    return analyze(api.run_workload(
-        "lu", nprocs=4, protocol="tdi", seed=121, checkpoint_interval=0.002,
-        faults=[api.FaultSpec(rank=1, at_time=0.004)],
-    ))
+    return _run(faults=[api.FaultSpec(rank=1, at_time=0.004)])
 
 
 class TestCleanRun:
     def test_full_availability(self, clean):
-        assert clean.availability == 1.0
-        assert clean.failures == 0
-        assert clean.downtime == 0.0 and clean.rework_time == 0.0
+        assert not clean.detector.failures
+        assert _downtime(clean) == 0.0
+        assert clean.stats.total("rollforward_time") == 0.0
 
     def test_efficiency_bounded(self, clean):
-        assert 0.0 < clean.efficiency < 1.0
+        assert 0.0 < clean.stats.total("compute_time") / _rank_time(clean) < 1.0
 
     def test_checkpoint_tax_small_but_present(self, clean):
-        assert 0.0 < clean.checkpoint_tax < 0.5
+        tax = clean.stats.total("checkpoint_time") / _rank_time(clean)
+        assert 0.0 < tax < 0.5
 
 
 class TestFaultedRun:
-    def test_availability_drops(self, clean, faulted):
-        assert faulted.availability < clean.availability
-        assert faulted.failures == 1
+    def test_availability_drops(self, faulted):
+        assert len(faulted.detector.failures) == 1
+        assert 0.0 < _downtime(faulted) < _rank_time(faulted)
 
     def test_rework_accounted(self, faulted):
-        assert faulted.downtime > 0
-        assert faulted.rework_time >= 0
-        assert faulted.rework_fraction >= 0
-
-    def test_summary_mentions_key_numbers(self, faulted):
-        out = faulted.summary()
-        assert "availability" in out and "1 failure" in out
-
-
-class TestReportArithmetic:
-    def test_zero_wall_time_degenerate(self):
-        r = AvailabilityReport(wall_time=0.0, nprocs=4, compute_time=0.0,
-                               checkpoint_time=0.0, downtime=0.0,
-                               rework_time=0.0, blocked_time=0.0, failures=0)
-        assert r.availability == 1.0 and r.efficiency == 0.0
-
-    def test_decomposition_consistency(self):
-        r = AvailabilityReport(wall_time=10.0, nprocs=2, compute_time=12.0,
-                               checkpoint_time=2.0, downtime=1.0,
-                               rework_time=3.0, blocked_time=0.5, failures=2)
-        assert r.availability == pytest.approx(1 - 1.0 / 20.0)
-        assert r.efficiency == pytest.approx(12.0 / 20.0)
-        assert r.checkpoint_tax == pytest.approx(0.1)
-        assert r.rework_fraction == pytest.approx(0.15)
+        # rolling forward spans kill -> caught up; the downtime is its prefix
+        downtime = faulted.detector.total_downtime(1)
+        assert downtime > 0
+        assert faulted.stats.total("rollforward_time") >= downtime

@@ -1,0 +1,75 @@
+"""The reachability census tool: its line counting, its function
+inventory, and its entry points kept in step with CI's fuzz bands, the
+examples and the benchmark's workloads."""
+
+import ast
+import json
+import shlex
+from pathlib import Path
+
+from tests.tools import census
+
+SOURCE = '''"""Module docstring."""
+
+import functools
+
+
+def plain(x):
+    """Docstring lines are not code."""
+    # nor are comments
+    return (x +
+            1)
+
+
+class Box:
+    @functools.cache
+    def method(self):
+        def inner():
+            return 1
+
+        return inner()
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks():
+    lines = census.code_lines(SOURCE, ast.parse(SOURCE))
+    assert 1 not in lines and 7 not in lines and 8 not in lines
+    assert {3, 6, 9, 10, 13, 14, 15, 16, 17, 19} == lines
+
+
+def test_functions_count_their_own_lines_only(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(SOURCE, encoding="utf-8")
+    found = {fn.qualname: fn for fn in census.functions(path, "m.py")}
+    assert set(found) == {"plain", "Box.method", "Box.method.<locals>.inner"}
+    # a decorated function starts at its decorator, as its code object does
+    assert found["Box.method"].first == 14
+    assert found["plain"].code_lines == 3
+    assert found["Box.method"].code_lines == 3
+    assert found["Box.method.<locals>.inner"].code_lines == 2
+
+
+def test_fuzz_entry_points_are_the_ci_bands():
+    ci = Path(census.ROOT, ".github", "workflows", "ci.yml").read_text(
+        encoding="utf-8")
+    ignored = {"--no-cache", "--no-corpus"}
+    with_value = {"--seed-range", "--budget", "--jobs"}
+    bands = set()
+    for line in ci.splitlines():
+        line = line.strip().removeprefix("run: ")
+        if not line.startswith("python -m repro.fuzz --seed-range"):
+            continue
+        words = shlex.split(line)[3:]
+        flags = [w for i, w in enumerate(words)
+                 if w not in ignored | with_value
+                 and words[i - 1] not in with_value]
+        bands.add(" ".join(flags))
+    assert bands == set(census.FUZZ_BANDS)
+
+
+def test_every_example_and_benchmark_workload_is_an_entry_point():
+    examples = sorted(p.name for p in (census.ROOT / "examples").glob("*.py"))
+    assert sorted(census.EXAMPLES) == examples
+    spec = json.loads((census.ROOT / "BENCHMARK.json").read_text(
+        encoding="utf-8"))
+    assert list(census.WORKLOADS) == [w["name"] for w in spec["workloads"]]

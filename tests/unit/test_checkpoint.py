@@ -35,7 +35,7 @@ class TestCheckpointStore:
         store = CheckpointStore(CostModel(), history=2)
         for seq in range(1, 6):
             store.write(ckpt(seq=seq))
-        assert store.count(0) == 2
+        assert len(store.generations(0)) == 2
         assert store.latest(0).seq == 5
 
     def test_ranks_independent(self):
@@ -49,7 +49,7 @@ class TestCheckpointStore:
         store = CheckpointStore(CostModel())
         store.write(ckpt(seq=1, size=100))
         store.write(ckpt(seq=2, size=200))
-        assert store.writes == 2 and store.bytes_written == 300
+        assert store.writes == 2
 
     def test_read_time_uses_latest_size(self):
         costs = CostModel()

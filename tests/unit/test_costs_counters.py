@@ -50,7 +50,6 @@ class TestAggregate:
         agg = self.make()
         assert agg.total("app_sends") == 40
         assert agg.mean("tracking_time") == 2.0
-        assert agg.maximum("tracking_time") == 3.0
 
     def test_fig6_metric(self):
         agg = self.make()
@@ -59,13 +58,11 @@ class TestAggregate:
     def test_fig7_metrics(self):
         agg = self.make()
         assert agg.tracking_time_total == 4.0
-        assert agg.tracking_time_max_rank == 3.0
 
     def test_empty_aggregate(self):
         agg = MetricsAggregate()
         assert agg.piggyback_identifiers_per_message == 0.0
         assert agg.mean("app_sends") == 0.0
-        assert agg.maximum("app_sends") == 0.0
 
     def test_messages_total(self):
         assert self.make().messages_total == 40

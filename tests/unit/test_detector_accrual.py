@@ -106,7 +106,7 @@ class TestFailureDetectorAccrual:
             det.observe_heartbeat(0, 1, t)
             det.evaluate(0, t, [1])
         assert cbs.condemned == []
-        assert det.suspicion_state(1) == ALIVE
+        assert det.suspicion.get(1, ALIVE) == ALIVE
 
     def test_silence_walks_suspect_then_condemned(self):
         det, cbs = _armed(alive=False)
@@ -119,9 +119,9 @@ class TestFailureDetectorAccrual:
         while not cbs.condemned and t < 1.0:
             t += HB / 4
             det.evaluate(0, t, [1])
-            states.add(det.suspicion_state(1))
+            states.add(det.suspicion.get(1, ALIVE))
         assert SUSPECT in states
-        assert det.suspicion_state(1) == CONDEMNED
+        assert det.suspicion.get(1, ALIVE) == CONDEMNED
         assert cbs.condemned and cbs.condemned[0][:2] == (1, 0)
         # detection delay: failure -> condemnation, and it was real
         assert det.mean_time_to_detect() == pytest.approx(
@@ -137,7 +137,7 @@ class TestFailureDetectorAccrual:
         det.evaluate(0, 2.0, [1])
         assert len(cbs.condemned) == 1
         det.observe_heartbeat(0, 1, 2.5)   # stale zombie beat
-        assert det.suspicion_state(1) == CONDEMNED
+        assert det.suspicion.get(1, ALIVE) == CONDEMNED
 
     def test_heartbeat_clears_suspect(self):
         det, cbs = _armed()
@@ -146,9 +146,9 @@ class TestFailureDetectorAccrual:
         # 1.8 intervals of silence against the bootstrap mean sits in
         # the suspect band (phi between 2 and 8 at the defaults)
         det.evaluate(0, t + 1.8 * HB, [1])
-        assert det.suspicion_state(1) == SUSPECT
+        assert det.suspicion.get(1, ALIVE) == SUSPECT
         det.observe_heartbeat(0, 1, t + 1.9 * HB)
-        assert det.suspicion_state(1) == ALIVE
+        assert det.suspicion.get(1, ALIVE) == ALIVE
         assert cbs.condemned == []
 
     def test_false_suspicion_counted_not_timed(self):
@@ -162,10 +162,10 @@ class TestFailureDetectorAccrual:
         det, cbs = _armed(alive=False)
         det.observe_heartbeat(0, 1, 0.1)
         det.evaluate(0, 1.0, [1])
-        assert det.suspicion_state(1) == CONDEMNED
+        assert det.suspicion.get(1, ALIVE) == CONDEMNED
         det.observe_failure(1, 1.0)
         det.observe_recovery(1, 1.5, epoch=1)
-        assert det.suspicion_state(1) == ALIVE
+        assert det.suspicion.get(1, ALIVE) == ALIVE
         # neither direction keeps a stale arrival history
         assert all(1 not in key for key in det._estimators)
 
@@ -174,7 +174,7 @@ class TestFailureDetectorAccrual:
         det.observe_fence(2, 0.5, epoch=0)
         det.observe_failure(2, 0.5)
         det.observe_recovery(2, 0.9, epoch=1)
-        assert det.fence_count() == 1
+        assert len(det.fences) == 1
         assert det.total_downtime(2) == pytest.approx(0.4)
 
     def test_evaluate_skips_self(self):

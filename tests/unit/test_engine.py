@@ -142,16 +142,6 @@ class TestRunControl:
         engine.run()
         assert engine.events_fired == 5
 
-    def test_peek_next_time(self, engine):
-        assert engine.peek_next_time() is None
-        engine.schedule(2.5, lambda: None)
-        assert engine.peek_next_time() == 2.5
-
-    def test_peek_skips_cancelled(self, engine):
-        h = engine.schedule(1.0, lambda: None)
-        engine.schedule(2.0, lambda: None)
-        engine.cancel(h)
-        assert engine.peek_next_time() == 2.0
 
 
 class TestLaneBookkeeping:

@@ -71,9 +71,9 @@ class TestFailureDetector:
         det.observe_recovery(1, 1.5, epoch=1)
         det.observe_failure(1, 3.0)
         det.observe_recovery(1, 3.25, epoch=2)
-        assert det.failure_count() == 2
-        assert det.failure_count(1) == 2
-        assert det.failure_count(0) == 0
+        assert len(det.failures) == 2
+        assert [e.rank for e in det.failures].count(1) == 2
+        assert [e.rank for e in det.failures].count(0) == 0
         assert det.downtime_windows(1) == [(1.0, 1.5), (3.0, 3.25)]
         assert det.total_downtime(1) == pytest.approx(0.75)
 

@@ -489,7 +489,7 @@ class TestChurnBias:
     def test_every_churn_scenario_schedules_churn(self):
         for seed in range(80):
             scenario = generate_scenario(seed, "churn")
-            assert scenario.churned, scenario.describe()
+            assert scenario.joins or scenario.leaves, scenario.describe()
             assert scenario.validate() is None, scenario.describe()
 
     def test_every_leave_pairs_with_a_later_rejoin(self):
@@ -508,7 +508,7 @@ class TestChurnBias:
 
     def test_churn_composes_with_lossy_band(self):
         scenario = generate_scenario(7, "churn", net_bias="lossy")
-        assert scenario.churned and scenario.impaired
+        assert (scenario.joins or scenario.leaves) and scenario.impaired
         assert scenario.name.endswith("-churn-net-lossy")
 
     def test_churn_json_round_trip(self):
@@ -607,7 +607,7 @@ class TestGrayBias:
         for seed in range(60):
             scenario = generate_scenario(seed, "gray")
             assert scenario.detect
-            assert scenario.grayed
+            assert scenario.grays
 
     def test_gray_scenarios_are_structurally_valid(self):
         for seed in range(60):

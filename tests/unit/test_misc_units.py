@@ -3,9 +3,7 @@
 import pytest
 
 from repro.harness.runner import Cell, checkpoint_intervals_elapsed
-from repro.metrics.report import compare
 from repro.protocols.base import PeerCounts, VectorState
-from repro.simnet.engine import make_engine
 from tests.conftest import dense
 
 
@@ -40,12 +38,6 @@ class TestVectorState:
         assert dense(v.last_deliver_index, 2) == [3, 4]
 
 
-class TestEngineFactory:
-    def test_make_engine(self):
-        engine = make_engine()
-        assert engine.now == 0.0 and engine.pending_events == 0
-
-
 class TestRunnerHelpers:
     def test_cell_defaults(self):
         cell = Cell("lu", 4, "tdi")
@@ -58,11 +50,6 @@ class TestRunnerHelpers:
         assert checkpoint_intervals_elapsed(FakeResult(), 1.0) == 1.0
         FakeResult.accomplishment_time = 2.5
         assert checkpoint_intervals_elapsed(FakeResult(), 1.0) == 2.5
-
-
-class TestReportEdges:
-    def test_compare_empty(self):
-        assert compare({}) == "run"
 
 
 class TestTimelineFromSyntheticTrace:

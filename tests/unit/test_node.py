@@ -53,8 +53,8 @@ class TestNodeSet:
         nodes = NodeSet(4)
         nodes[1].kill(now=0.0)
         nodes[3].kill(now=0.0)
-        assert nodes.alive_ranks() == [0, 2]
-        assert nodes.dead_ranks() == [1, 3]
+        assert [n.rank for n in nodes.nodes if n.alive] == [0, 2]
+        assert [n.rank for n in nodes.nodes if not n.alive] == [1, 3]
 
     def test_state_enum(self):
         nodes = NodeSet(1)

@@ -76,7 +76,7 @@ class TestSendPump:
         engine.schedule(1.5, pump.reset)
         engine.run()
         assert len(host.prepared) == 2
-        assert pump.depth == 0 and pump.idle
+        assert pump.idle
 
     def test_reset_pump_serves_the_next_incarnation(self, engine, task):
         """What the old incarnation left scheduled finds nothing to do;

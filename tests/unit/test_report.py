@@ -1,9 +1,9 @@
-"""Unit tests for run reports."""
+"""What a finished run reports about itself: the ``RunResult`` counters
+behind every figure, read on a clean, a faulted and a lossy run."""
 
 import pytest
 
 from repro import api
-from repro.metrics.report import compare, per_rank_table, summarize
 
 
 @pytest.fixture(scope="module")
@@ -34,78 +34,31 @@ def lossy_run():
 
 class TestSummarize:
     def test_mentions_core_facts(self, clean_run):
-        out = summarize(clean_run)
-        assert "tdi protocol, 4 processes" in out
-        assert "identifiers/message" in out
-        assert "checkpoints" in out
+        assert (clean_run.config.protocol, clean_run.config.nprocs) == ("tdi", 4)
+        assert clean_run.stats.piggyback_identifiers_per_message > 0
+        assert clean_run.checkpoint_writes > 0
 
     def test_failure_lines_only_when_faulted(self, clean_run, faulted_run):
-        assert "failures:" not in summarize(clean_run)
-        out = summarize(faulted_run)
-        assert "failures:" in out and "rolling forward" in out
-        assert "send blocking:" in out
-
-    def test_time_formatting_units(self):
-        from repro.metrics.report import _fmt_time
-
-        assert _fmt_time(2.5) == "2.500 s"
-        assert _fmt_time(0.0021).endswith("ms")
-        assert _fmt_time(3e-6).endswith("µs")
-
-    def test_bytes_formatting_units(self):
-        from repro.metrics.report import _fmt_bytes
-
-        assert _fmt_bytes(512) == "512.0 B"
-        assert _fmt_bytes(2048).endswith("KiB")
-        assert _fmt_bytes(3 * 1024 * 1024).endswith("MiB")
+        assert not clean_run.detector.failures
+        assert clean_run.stats.total("rollforward_time") == 0
+        assert len(faulted_run.detector.failures) == 1
+        assert faulted_run.stats.total("rollforward_time") > 0
+        assert faulted_run.stats.total("blocked_time") > 0
 
     def test_drops_split_by_cause(self, faulted_run):
-        out = summarize(faulted_run)
-        # the drop line attributes losses, not just totals them
-        assert "at dead nodes" in out
+        # the faulted run's losses are attributed to the dead node
+        assert faulted_run.network.frames_dropped_dead > 0
 
     def test_transport_lines_only_when_impaired(self, clean_run, lossy_run):
-        clean = summarize(clean_run)
-        assert "impairments:" not in clean and "transport:" not in clean
-        out = summarize(lossy_run)
-        assert "impairments:" in out and "lost" in out
-        assert "transport:" in out and "retransmits" in out
-
-    def test_transport_rate_uses_perf_counter_wall_time(self, lossy_run):
-        # the transport rate divides rt counter totals by the cluster's
-        # perf_counter wall clock, not time.time (which can step)
-        import dataclasses
-
-        from repro.metrics.report import _transport_rate
-
-        assert lossy_run.wall_time_s > 0  # measured, not defaulted
-        out = summarize(lossy_run)
-        assert "events/s wall" in out
-        events = sum(
-            int(lossy_run.stats.total(k))
-            for k in ("rt_retransmits", "rt_dup_discards",
-                      "rt_corrupt_rejects", "rt_acks_sent"))
-        expected = f"({events / lossy_run.wall_time_s:.0f} events/s wall)"
-        assert expected in out
-        # a pre-field result (wall_time_s defaulted to 0) renders rateless
-        old = dataclasses.replace(lossy_run, wall_time_s=0.0)
-        assert "events/s wall" not in summarize(old)
-        assert _transport_rate(lossy_run.stats, 0.0) == ""
+        net = clean_run.network
+        assert not (net.frames_dropped_impaired or net.frames_duplicated
+                    or net.frames_corrupted)
+        assert clean_run.stats.total("rt_retransmits") == 0
+        assert lossy_run.network.frames_dropped_impaired > 0
+        assert lossy_run.stats.total("rt_retransmits") > 0
 
     def test_drop_cause_counters_consistent(self, lossy_run):
         net = lossy_run.network
         assert net.frames_dropped == (
             net.frames_dropped_dead + net.frames_dropped_impaired
             + net.frames_dropped_partition + net.frames_dropped_corrupt)
-
-
-class TestTables:
-    def test_per_rank_rows(self, clean_run):
-        out = per_rank_table(clean_run)
-        assert out.count("\n") >= 5  # header + sep + 4 ranks
-        assert "recoveries" in out
-
-    def test_compare(self, clean_run, faulted_run):
-        out = compare({"clean": clean_run, "faulted": faulted_run})
-        assert "clean" in out and "faulted" in out
-        assert "pb ids/msg" in out

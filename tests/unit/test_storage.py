@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.watchdog import SimulationError, StorageLossError
 from repro.metrics.costs import CostModel
+from repro.metrics.counters import RankMetrics
 from repro.protocols.base import PeerCounts
 from repro.protocols.checkpoint import (
     Checkpoint,
@@ -62,7 +63,7 @@ class TestTwoPhaseWrite:
         assert store.latest(0) is None  # not durable until committed
         assert store.commit(gen) is True
         assert store.latest(0).seq == 1
-        assert store.commits == 1
+        assert [g.committed for g in store.generations(0)] == [True]
 
     def test_uncommitted_write_never_clobbers_previous(self):
         store = CheckpointStore(CostModel())
@@ -80,7 +81,6 @@ class TestTwoPhaseWrite:
         gen, _ = store.begin_write(ckpt(seq=2))
         gen.pending = "fail"
         assert store.commit(gen) is False
-        assert store.write_failures == 1
         assert [g.ckpt.seq for g in store.generations(0)] == [1]
 
     def test_retry_twin_is_distinct_from_failed_attempt(self):
@@ -143,7 +143,6 @@ class TestReadFallback:
         result = store.read(0)
         assert result.ckpt.seq == 1
         assert result.fallbacks == 1
-        assert store.fallbacks == 1
 
     def test_read_pays_for_every_image_it_checksums(self):
         costs = CostModel()
@@ -206,11 +205,12 @@ class TestGcLag:
 
 class TestInjection:
     def test_corrupt_strikes_newest_readable(self):
-        store = CheckpointStore(CostModel(), history=3)
+        metrics = [RankMetrics(rank=0)]
+        store = CheckpointStore(CostModel(), history=3, metrics=metrics)
         store.write(ckpt(seq=1))
         store.write(ckpt(seq=2))
         assert store.inject(0, "corrupt", count=1, duration=0.0) is True
-        assert store.corrupt_generations == 1
+        assert metrics[0].ckpt_corrupt_generations == 1
         assert store.read(0).ckpt.seq == 1
 
     def test_corrupt_with_nothing_readable_reports_miss(self):
@@ -228,20 +228,22 @@ class TestInjection:
 
     def test_forced_stall_stretches_the_attempt(self):
         costs = CostModel()
-        store = CheckpointStore(costs)
+        metrics = [RankMetrics(rank=0)]
+        store = CheckpointStore(costs, metrics=metrics)
         store.inject(0, "stall", count=1, duration=0.01)
         _, duration = store.begin_write(ckpt(seq=1, size=1000))
         assert duration == pytest.approx(
             costs.ckpt_write_time(1000) + 0.01)
-        assert store.stall_time == pytest.approx(0.01)
+        assert metrics[0].ckpt_stall_time == pytest.approx(0.01)
 
     def test_forced_torn_detected_only_at_read(self):
-        store = CheckpointStore(CostModel(), history=2)
+        metrics = [RankMetrics(rank=0)]
+        store = CheckpointStore(CostModel(), history=2, metrics=metrics)
         store.write(ckpt(seq=1))
         store.inject(0, "torn", count=1, duration=0.0)
         gen, _ = store.begin_write(ckpt(seq=2))
         assert store.commit(gen) is True  # looks successful
-        assert store.torn_writes == 1
+        assert metrics[0].ckpt_torn_writes == 1
         assert store.read(0).ckpt.seq == 1
 
 

@@ -13,12 +13,8 @@ from repro.verify import CausalOracle
 SRC = Path(repro.__file__).parent
 
 #: the emit sites whose kind is not a string literal -> the kinds each
-#: can produce.  ``Annotate`` is the one open site: the application
-#: chooses its kind, which therefore reaches a recording trace or a
-#: catch-all listener only (nothing in the repo yields one today).
+#: can produce
 COMPUTED_SITES = {
-    # Annotate: ``effect.kind``
-    ("mpi/endpoint.py", ast.Attribute): set(),
     # CheckpointStore._emit forwards its callers' (literal) kinds
     ("protocols/checkpoint.py", ast.Name): set(),
     # f"storage.{gen.pending}" under ``if gen.pending in ("torn", "corrupt")``
