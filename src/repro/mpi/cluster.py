@@ -100,7 +100,6 @@ class Cluster:
 
             self.fabric = ReliableTransport(
                 network=self.network,
-                config=config.transport,
                 nodes=self.nodes,
                 rng=self.rng,
                 engine=self.engine,

@@ -20,6 +20,8 @@ COMPUTED_SITES = {
     # f"storage.{gen.pending}" under ``if gen.pending in ("torn", "corrupt")``
     ("protocols/checkpoint.py", ast.JoinedStr):
         {"storage.torn", "storage.corrupt"},
+    # ReliableTransport._drop_channels_to emits the kind its caller names
+    ("simnet/transport.py", ast.Name): {"rt.reset", "rt.forget"},
 }
 
 LAYERS = {"net", "rt", "proto", "recovery", "ckpt", "storage", "detect",
