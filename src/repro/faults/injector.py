@@ -217,10 +217,13 @@ def check_schedule(specs: Sequence[EventSpec], config, *,
     Every rank must be in range for ``config.nprocs``; no rank may die
     twice, or die and gray, or gray twice at one instant; a mute that
     drops frames needs ``config.transport.enabled`` (nobody else
-    retransmits); and each rank's join/leave program must replay: no two
-    events at one instant, joins only of a deferred or departed rank,
-    leaves only of a joined one.  A rank whose earliest membership event
-    is a join starts the run deferred.
+    retransmits) — necessary but not sufficient: on an unimpaired wire
+    the transport buffers nothing, so a dropped frame is lost for good
+    (a known defect, pinned by ``test_gray_failures.py``); and each
+    rank's join/leave program must replay: no two events at one
+    instant, joins only of a deferred or departed rank, leaves only of a
+    joined one.  A rank whose earliest membership event is a join starts
+    the run deferred.
 
     ``kills`` and ``grays`` hold the ``(rank, at_time)`` keys earlier
     calls scheduled and are updated in place, so a conflict across
