@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import dataclasses
 import fnmatch
 import io
 import os
@@ -193,6 +194,23 @@ KEPT: dict[str, str] = {
     "repro/workloads/base.py:ProcessGrid.neighbours": _PENDING,
 }
 
+#: why a config field that production runs with one value only stays a
+#: field, as ``fnmatch`` patterns over its dotted leaf name
+CONFIG_KEPT: dict[str, str] = {
+    "detector.heartbeat_interval": "micro: benchmarks/e2e/micro.py reads it",
+    "detector.window": "micro: benchmarks/e2e/micro.py reads it",
+    "detector.floor": "micro: benchmarks/e2e/micro.py reads it",
+    "costs.*": "micro: benchmarks/e2e/micro.py builds a CostModel; the "
+               "overhead ablation varies evlog_latency by name",
+    "network.jitter_fraction":
+        "tests: a jitter-free wire in tests and the heartbeat matrix",
+    "network.shared_medium": "open: ROADMAP 1(d) decides its fate",
+    "eager_threshold_bytes": "fuzzer: a scenario draws it",
+    "ckpt_history": "fuzzer: a scenario draws it",
+    "max_sim_time": "bound: a per-run limit",
+    "max_events": "bound: a per-run limit",
+}
+
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 _SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -259,6 +277,19 @@ def inventory() -> list[Function]:
             for fn in functions(path, path.relative_to(PACKAGE.parent).as_posix())]
 
 
+def flatten(config: object, prefix: str = "") -> dict[str, object]:
+    """A config dataclass as ``{dotted leaf name: value}``: nested
+    dataclasses are expanded, anything else (a tuple too) is a leaf."""
+    leaves: dict[str, object] = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            leaves.update(flatten(value, f"{prefix}{f.name}."))
+        else:
+            leaves[f"{prefix}{f.name}"] = value
+    return leaves
+
+
 # ----------------------------------------------------------------------
 def _run(target: str, argv: list[str]) -> object:
     """One entry point, as ``python -m`` or ``python <script>`` would run
@@ -287,13 +318,27 @@ def _run(target: str, argv: list[str]) -> object:
     return 0
 
 
-def run_entry_points() -> tuple[set, list[str]]:
+def run_entry_points() -> tuple[set, list[str], dict[str, set[str]], int]:
     """Run ``ENTRY_POINTS`` under the hook: every code object entered,
-    and one status line per entry point."""
+    one status line per entry point, the config surface (each leaf
+    field's distinct value reprs) and the number of clusters built."""
     entered: set = set()
+    surface: dict[str, set[str]] = {}
+    clusters = 0
+    cluster_init = None
 
     def hook(frame, event, arg):
-        entered.add(frame.f_code)
+        nonlocal cluster_init, clusters
+        code = frame.f_code
+        entered.add(code)
+        if code.co_name != "__init__":
+            return
+        if cluster_init is None and "repro.mpi.cluster" in sys.modules:
+            cluster_init = sys.modules["repro.mpi.cluster"].Cluster.__init__.__code__
+        if code is cluster_init:
+            clusters += 1
+            for name, value in flatten(frame.f_locals["config"]).items():
+                surface.setdefault(name, set()).add(repr(value))
 
     status: list[str] = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -311,19 +356,20 @@ def run_entry_points() -> tuple[set, list[str]]:
                 sys.settrace(None)
             status.append(f"  {time.perf_counter() - started:6.1f} s  "
                           f"{target} {args}".rstrip() + f": {outcome}")
-    return entered, status
+    return entered, status, surface, clusters
 
 
-def why_kept(fn: Function) -> str:
-    """The ``KEPT`` reason for an unreached function, or UNDECIDED."""
-    name = f"{fn.path}:{fn.qualname}"
-    return next((reason for pattern, reason in KEPT.items()
+def why_kept(name: str, table: dict[str, str] = KEPT) -> str:
+    """The reason ``table`` gives for ``name`` (an unreached function's
+    ``file:qualname``, or a config field under ``CONFIG_KEPT``), or
+    UNDECIDED."""
+    return next((reason for pattern, reason in table.items()
                  if fnmatch.fnmatchcase(name, pattern)), "UNDECIDED")
 
 
 def main() -> int:
     started = time.perf_counter()
-    entered, status = run_entry_points()
+    entered, status, surface, clusters = run_entry_points()
     import repro
     if Path(repro.__file__).resolve().parent != PACKAGE:
         print(f"census: repro was imported from {repro.__file__}, not "
@@ -345,7 +391,7 @@ def main() -> int:
     print("\nunreached functions (file:line qualname code-lines: why kept):")
     by_reason: dict[str, list[int]] = {}
     for fn in unreached:
-        reason = why_kept(fn)
+        reason = why_kept(f"{fn.path}:{fn.qualname}")
         print(f"  {fn.path}:{fn.first} {fn.qualname} {fn.code_lines}: {reason}")
         tally = by_reason.setdefault(reason.partition(":")[0], [0, 0])
         tally[0] += 1
@@ -355,9 +401,23 @@ def main() -> int:
     print("\nunreached by reason (functions, code lines):")
     for reason, (count, lines) in sorted(by_reason.items()):
         print(f"  {reason}: {count}, {lines}")
+    print(f"\nconfig surface (leaf field: distinct values over {clusters} "
+          f"clusters):")
+    print("\n".join(f"  {name} {len(values)}"
+                     for name, values in sorted(surface.items())))
+    single = sorted(name for name, values in surface.items()
+                    if len(values) == 1)
+    print("\nsingle-valued config fields (field = value: why kept):")
+    for name in single:
+        print(f"  {name} = {next(iter(surface[name]))}: "
+              f"{why_kept(name, CONFIG_KEPT)}")
+    undecided = sum(why_kept(name, CONFIG_KEPT) == "UNDECIDED"
+                    for name in single)
     lines = sum(fn.code_lines for fn in unreached)
     print(f"\ncensus: {len(unreached)} of {len(every)} functions unreached, "
-          f"{lines} code lines, in {time.perf_counter() - started:.0f} s")
+          f"{lines} code lines; {len(single)} of {len(surface)} config "
+          f"fields single-valued, {undecided} undecided; in "
+          f"{time.perf_counter() - started:.0f} s")
     return 1 if any("RAISED" in line for line in status) else 0
 
 

@@ -3,10 +3,14 @@ inventory, and its entry points kept in step with CI's fuzz bands, the
 examples and the benchmark's workloads."""
 
 import ast
+import dataclasses
 import json
 import shlex
 from pathlib import Path
 
+from repro.config import SimulationConfig
+from repro.simnet.network import NetworkConfig, PartitionWindow
+from repro.simnet.transport import TransportConfig
 from tests.tools import census
 
 SOURCE = '''"""Module docstring."""
@@ -73,3 +77,27 @@ def test_every_example_and_benchmark_workload_is_an_entry_point():
     spec = json.loads((census.ROOT / "BENCHMARK.json").read_text(
         encoding="utf-8"))
     assert list(census.WORKLOADS) == [w["name"] for w in spec["workloads"]]
+
+
+def test_flatten_expands_nested_configs_and_keeps_tuples_whole():
+    window = PartitionWindow(0.0, 1.0, (0,), (1,))
+    config = SimulationConfig(
+        nprocs=8, network=NetworkConfig(drop_prob=0.1, partitions=(window,)),
+        transport=TransportConfig(enabled=True))
+    leaves = census.flatten(config)
+    assert leaves["nprocs"] == 8
+    assert leaves["network.drop_prob"] == 0.1
+    assert leaves["network.partitions"] == (window,)
+    assert leaves["transport.enabled"] is True
+    assert leaves["detector.enabled"] is False
+    assert "network" not in leaves and "costs" not in leaves
+    # every leaf is a field of its own dataclass, none a dataclass itself
+    assert not any(dataclasses.is_dataclass(v) for v in leaves.values())
+    assert census.flatten(window) == {
+        "start": 0.0, "end": 1.0, "side_a": (0,), "side_b": (1,)}
+
+
+def test_config_kept_reasons_match_by_pattern():
+    assert census.why_kept("costs.evlog_latency", census.CONFIG_KEPT) \
+        .startswith("micro")
+    assert census.why_kept("nprocs", census.CONFIG_KEPT) == "UNDECIDED"
