@@ -333,8 +333,10 @@ def run_entry_points() -> tuple[set, list[str], dict[str, set[str]], int]:
         entered.add(code)
         if code.co_name != "__init__":
             return
-        if cluster_init is None and "repro.mpi.cluster" in sys.modules:
-            cluster_init = sys.modules["repro.mpi.cluster"].Cluster.__init__.__code__
+        if cluster_init is None:
+            # resolved once the cluster module has finished importing
+            cls = getattr(sys.modules.get("repro.mpi.cluster"), "Cluster", None)
+            cluster_init = cls and cls.__init__.__code__
         if code is cluster_init:
             clusters += 1
             for name, value in flatten(frame.f_locals["config"]).items():
