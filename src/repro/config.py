@@ -29,47 +29,13 @@ class SimulationConfig:
     checkpoint_interval: float = 5.0
     #: sends larger than this block until *delivery* at the receiver
     #: (rendezvous); smaller ones complete locally but count against the
-    #: per-peer send window — blocking mode only
+    #: per-peer send window (``repro.core.blocking.SEND_WINDOW``) —
+    #: blocking mode only
     eager_threshold_bytes: int = 8192
-    #: blocking mode: max unacknowledged eager sends per destination
-    #: before the sender stalls (transport backpressure, as with a TCP
-    #: window in MPICH's ch3/sock); a dead peer stops acknowledging, the
-    #: window fills, and senders block — the paper's Fig. 8 phenomenon
-    send_window: int = 4
-    #: failure-detection lead time under the paper's perfect external
-    #: detection (legacy runs: the injector waits this long before even
-    #: starting the restart).  When the accrual detector is armed
-    #: (``detector.enabled``) this constant is ignored — detection
-    #: becomes emergent and its delay a *measured* quantity (MTTD).
-    #: The whole time base is compressed relative to the paper
-    #: (checkpoint interval 180 s -> 0.05 s by default) and this is
-    #: scaled with it.  ``detection_delay + restart_delay`` preserves
-    #: the pre-split ``restart_delay`` default of 2e-3.
-    detection_delay: float = 1e-3
-    #: node allocation + process restart lead time, charged between a
-    #: failure being *known* (constant detection, or condemnation by
-    #: the accrual detector) and the new incarnation starting
-    restart_delay: float = 1e-3
     #: in-band heartbeat accrual failure detection (off by default: the
-    #: paper's fail-stop/perfect-detection assumption)
+    #: paper's fail-stop/perfect-detection assumption, a scripted
+    #: ``repro.faults.injector.DETECTION_DELAY``)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    #: incarnations re-broadcast ROLLBACK to unresponsive peers at this
-    #: period (covers simultaneous-failure races, §III.D); the recovery
-    #: watchdog's base tick
-    rollback_retry_interval: float = 5e-3
-    #: watchdog backoff: the tick interval multiplies by this while the
-    #: recovery signature shows no progress, capped below
-    rollback_retry_backoff: float = 2.0
-    rollback_retry_max_interval: float = 4e-2
-    #: a recovery stalled this long (no signature change) triggers one
-    #: escalation: ROLLBACK re-broadcast to *all* peers with full epoch
-    #: state, not just the unresponsive ones
-    recovery_escalate_after: float = 6e-2
-    #: a recovery still stalled this long aborts the run with a
-    #: :class:`~repro.core.watchdog.RecoveryStallError` naming the wedged
-    #: ranks and the blocking interval entries (None: never abort —
-    #: the run then ends via engine drain or max_sim_time)
-    recovery_abort_after: float | None = 0.3
     #: ship piggybacks in the compressed wire encoding (per-channel
     #: delta/sparse varint records, repro.protocols.compression) instead
     #: of raw identifier arrays.  Off by default: the raw encoding is
@@ -111,21 +77,6 @@ class SimulationConfig:
             raise ValueError(f"unknown comm_mode {self.comm_mode!r}")
         if self.checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be > 0")
-        if self.detection_delay < 0:
-            raise ValueError("detection_delay must be >= 0")
-        if self.restart_delay < 0:
-            raise ValueError("restart_delay must be >= 0")
-        if self.rollback_retry_backoff < 1.0:
-            raise ValueError("rollback_retry_backoff must be >= 1")
-        if self.rollback_retry_max_interval < self.rollback_retry_interval:
-            raise ValueError(
-                "rollback_retry_max_interval must be >= rollback_retry_interval"
-            )
-        if (self.recovery_abort_after is not None
-                and self.recovery_abort_after <= self.recovery_escalate_after):
-            raise ValueError(
-                "recovery_abort_after must exceed recovery_escalate_after"
-            )
         if self.ckpt_history < 1:
             raise ValueError("ckpt_history must be >= 1")
         if self.network.impaired and not self.transport.enabled:

@@ -27,6 +27,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.primitives import SendOp
     from repro.simnet.proc import Task
 
+#: max unacknowledged eager sends per destination before the sender
+#: stalls (transport backpressure, as with a TCP window in MPICH's
+#: ch3/sock); a dead peer stops acknowledging, the window fills, and
+#: senders block — the paper's Fig. 8 phenomenon
+SEND_WINDOW = 4
+
 
 class BlockingSender:
     """Inline protocol work, eager window, rendezvous stall.
@@ -44,7 +50,6 @@ class BlockingSender:
     def __init__(self, host: Any) -> None:
         self.host = host
         self._eager_limit = host.config.eager_threshold_bytes
-        self._window_size = host.config.send_window
         self.reset()
 
     def reset(self) -> None:
@@ -80,7 +85,7 @@ class BlockingSender:
             self._awaiting[(op.dest, prepared.send_index)] = host.engine.now
             return
         window = self._window.setdefault(op.dest, set())
-        if len(window) < self._window_size:
+        if len(window) < SEND_WINDOW:
             window.add(prepared.send_index)
             host.ship(op, prepared, prepared.wire)
             self._task.resume(None)

@@ -20,11 +20,11 @@ the pre-failure delivery count):
    (``recovery_stalls``), traced as ``proto.recovery_stalled``, and the
    tick interval backs off exponentially (capped) while plain ROLLBACK
    retries go to the still-silent peers (``rollback_retries``);
-3. a stall that survives ``recovery_escalate_after`` triggers one
+3. a stall that survives ``RECOVERY_ESCALATE_AFTER`` triggers one
    :meth:`Protocol.escalate_recovery` (``recovery_escalations``): the
    full recovery state is re-broadcast to *every* peer, refreshing any
    answer computed against a dead incarnation;
-4. a stall that survives ``recovery_abort_after`` aborts the run with a
+4. a stall that survives ``RECOVERY_ABORT_AFTER`` aborts the run with a
    :class:`RecoveryStallError` whose message names each wedged rank,
    what it is waiting on, and — via :meth:`Protocol.explain_defer` —
    which queued frame is blocked by which interval/epoch entry.  That
@@ -42,6 +42,24 @@ from repro.simnet.engine import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.endpoint import Endpoint
+
+#: incarnations re-broadcast ROLLBACK to unresponsive peers at this
+#: period (covers simultaneous-failure races, §III.D); the watchdog's
+#: base tick
+ROLLBACK_RETRY_INTERVAL = 5e-3
+#: the tick interval multiplies by this while the recovery signature
+#: shows no progress …
+ROLLBACK_RETRY_BACKOFF = 2.0
+#: … capped here
+ROLLBACK_RETRY_MAX_INTERVAL = 4e-2
+#: a recovery stalled this long (no signature change) triggers one
+#: escalation: ROLLBACK re-broadcast to *all* peers with full epoch
+#: state, not just the unresponsive ones
+RECOVERY_ESCALATE_AFTER = 6e-2
+#: a recovery still stalled this long aborts the run with a
+#: :class:`RecoveryStallError` naming the wedged ranks and the blocking
+#: interval entries
+RECOVERY_ABORT_AFTER = 0.3
 
 
 class RecoveryStallError(SimulationError):
@@ -75,13 +93,7 @@ class RecoveryWatchdog:
         #: the incarnation this watchdog guards; a newer epoch of the
         #: same rank silently retires it
         self.epoch = epoch
-        config = endpoint.config
-        self.base_interval = config.rollback_retry_interval
-        self.backoff = config.rollback_retry_backoff
-        self.max_interval = config.rollback_retry_max_interval
-        self.escalate_after = config.recovery_escalate_after
-        self.abort_after = config.recovery_abort_after
-        self.interval = self.base_interval
+        self.interval = ROLLBACK_RETRY_INTERVAL
         self._last_signature: object = None
         self._sig_since: float = 0.0
         self._stall_reported = False
@@ -112,7 +124,7 @@ class RecoveryWatchdog:
             self._sig_since = now
             self._stall_reported = False
             self._escalated = False
-            self.interval = self.base_interval
+            self.interval = ROLLBACK_RETRY_INTERVAL
         else:
             stalled_for = now - self._sig_since
             if not self._stall_reported:
@@ -121,14 +133,15 @@ class RecoveryWatchdog:
                 ep.trace.emit("proto.recovery_stalled", ep.rank,
                               epoch=self.epoch, stalled_for=stalled_for,
                               interval=self.interval)
-            if self.abort_after is not None and stalled_for >= self.abort_after:
+            if stalled_for >= RECOVERY_ABORT_AFTER:
                 raise RecoveryStallError(self._diagnose(stalled_for))
-            if stalled_for >= self.escalate_after and not self._escalated:
+            if stalled_for >= RECOVERY_ESCALATE_AFTER and not self._escalated:
                 self._escalated = True
                 escalated_this_tick = True
                 ep.metrics.recovery_escalations += 1
                 protocol.escalate_recovery()
-            self.interval = min(self.interval * self.backoff, self.max_interval)
+            self.interval = min(self.interval * ROLLBACK_RETRY_BACKOFF,
+                                ROLLBACK_RETRY_MAX_INTERVAL)
         if protocol.recovery_pending() and not escalated_this_tick:
             protocol.retry_recovery()
             ep.metrics.rollback_retries += 1

@@ -13,13 +13,13 @@ and every member runs a phi-accrual-style suspicion estimator (Hayashibara et al
 the observed inter-arrival gaps of each peer.  Suspicion is a per-rank
 state machine::
 
-    ALIVE --(phi >= suspect_phi)--> SUSPECT --(phi >= condemn_phi)--> CONDEMNED
+    ALIVE --(phi >= SUSPECT_PHI)--> SUSPECT --(phi >= CONDEMN_PHI)--> CONDEMNED
       ^            |
       +--(fresh heartbeat)--+
 
 Condemnation — not the injector — initiates recovery: the cluster's
-``on_condemn`` callback restarts a genuinely dead rank (so
-``detection_delay`` becomes a *measured* quantity, MTTD) or fences and
+``on_condemn`` callback restarts a genuinely dead rank (so the
+injector's ``DETECTION_DELAY`` becomes a *measured* quantity, MTTD) or fences and
 force-restarts a zombie (a condemned-but-actually-alive rank).  A
 ``CONDEMNED`` verdict is sticky for the incarnation: it only resets when
 the rank's replacement comes up (``observe_recovery``) or the rank
@@ -53,24 +53,29 @@ CONDEMNED = "condemned"
 _P_FLOOR = 1e-300
 
 
+#: phi at which a peer becomes SUSPECT (informational; a fresh
+#: heartbeat clears it)
+SUSPECT_PHI = 2.0
+#: phi at which a peer is CONDEMNED and recovery is initiated
+CONDEMN_PHI = 8.0
+#: a condemned-but-alive (zombie) rank is force-killed this long after
+#: its fence; the window models the runtime reaching the node
+FENCE_DELAY = 2e-4
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """Tuning knobs for the heartbeat accrual detector.
 
     Disabled by default: legacy runs keep the paper's perfect external
     detection (the injector schedules the incarnation itself after a
-    constant ``detection_delay + restart_delay``).
+    constant ``DETECTION_DELAY + RESTART_DELAY``).
     """
 
     enabled: bool = False
     #: period of each member's heartbeat broadcast; also the estimator's
     #: bootstrap mean before any gap has been observed
     heartbeat_interval: float = 5e-4
-    #: phi at which a peer becomes SUSPECT (informational; a fresh
-    #: heartbeat clears it)
-    suspect_phi: float = 2.0
-    #: phi at which a peer is CONDEMNED and recovery is initiated
-    condemn_phi: float = 8.0
     #: lower bound on the gap standard deviation — a perfectly regular
     #: heartbeat must not make the estimator infinitely confident.
     #: Default 0.1 ms, or ``heartbeat_interval / 5`` if larger: the first
@@ -79,17 +84,10 @@ class DetectorConfig:
     floor: float | None = None
     #: number of recent inter-arrival gaps the estimator keeps
     window: int = 20
-    #: a condemned-but-alive (zombie) rank is force-killed this long
-    #: after its fence; the window models the runtime reaching the node
-    fence_delay: float = 2e-4
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be > 0")
-        if self.suspect_phi <= 0:
-            raise ValueError("suspect_phi must be > 0")
-        if self.condemn_phi < self.suspect_phi:
-            raise ValueError("condemn_phi must be >= suspect_phi")
         if self.floor is None:
             object.__setattr__(
                 self, "floor", max(1e-4, self.heartbeat_interval / 5))
@@ -97,8 +95,6 @@ class DetectorConfig:
             raise ValueError("floor must be > 0")
         if self.window < 2:
             raise ValueError("window must be >= 2")
-        if self.fence_delay < 0:
-            raise ValueError("fence_delay must be >= 0")
 
 
 class AccrualEstimator:
@@ -290,8 +286,7 @@ class FailureDetector:
 
     def evaluate(self, observer: int, now: float, subjects) -> None:
         """One suspicion sweep: ``observer`` judges each of ``subjects``."""
-        config = self.config
-        if config is None:
+        if self.config is None:
             return
         if now != self._heard_at:
             # once per instant, for every observer at once: a SUSPECT
@@ -307,9 +302,9 @@ class FailureDetector:
             est = (estimators.get((observer, subject))
                    or self._monitor(observer, subject, now))
             phi = est.phi(now)
-            if phi >= config.condemn_phi:
+            if phi >= CONDEMN_PHI:
                 self._condemn(subject, observer, now)
-            elif phi >= config.suspect_phi:
+            elif phi >= SUSPECT_PHI:
                 suspicion[subject] = SUSPECT
 
     def clear(self, rank: int) -> None:

@@ -2,8 +2,8 @@
 
 A :class:`FaultSpec` kills one rank at one simulated time; the injector
 schedules the kill and — under the paper's perfect-detection assumption
-— the subsequent incarnation (detection + restart lead time comes from
-``config.detection_delay + config.restart_delay``).  When the accrual
+— the subsequent incarnation (detection + restart lead time is
+``DETECTION_DELAY + RESTART_DELAY``).  When the accrual
 detector is armed (``config.detector.enabled``) the injector only
 kills: *condemnation* by the surviving peers initiates the restart, so
 detection delay is measured, not assumed.  Multiple specs with the same
@@ -42,6 +42,19 @@ from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.cluster import Cluster
+
+#: failure-detection lead time under the paper's perfect external
+#: detection: the injector waits this long before even starting the
+#: restart.  An armed accrual detector (``DetectorConfig.enabled``)
+#: replaces it with a *measured* delay (MTTD).  The whole time base is
+#: compressed relative to the paper (checkpoint interval 180 s -> 0.05 s
+#: by default) and this is scaled with it; ``DETECTION_DELAY +
+#: RESTART_DELAY`` preserves the pre-split restart delay of 2e-3.
+DETECTION_DELAY = 1e-3
+#: node allocation + process restart lead time, charged between a
+#: failure being *known* (scripted detection, or condemnation by the
+#: accrual detector) and the new incarnation starting
+RESTART_DELAY = 1e-3
 
 
 @dataclass(frozen=True)
@@ -360,11 +373,8 @@ class FaultInjector:
             # silence and condemn before anyone schedules an incarnation
             # (see Cluster._on_condemned) — MTTD is measured, not assumed
             return
-        self.cluster.engine.schedule(
-            self.cluster.config.detection_delay
-            + self.cluster.config.restart_delay,
-            endpoint.incarnate,
-        )
+        self.cluster.engine.schedule(DETECTION_DELAY + RESTART_DELAY,
+                                     endpoint.incarnate)
 
     def _gray(self, spec: GrayFaultSpec) -> None:
         endpoint = self.cluster.endpoints[spec.rank]

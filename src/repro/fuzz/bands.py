@@ -142,9 +142,10 @@ def pick_bands(**values) -> tuple[Band, ...]:
 # ----------------------------------------------------------------------
 
 def _stagger_overlap(rng, nprocs: int) -> tuple:
-    # gaps straddling restart_delay (default 2 ms): the next victim dies
-    # while the previous incarnation is reading its checkpoint or rolling
-    # forward — the deadlock's regime; victims always distinct
+    # gaps straddling the injector's DETECTION_DELAY + RESTART_DELAY
+    # (2 ms): the next victim dies while the previous incarnation is
+    # reading its checkpoint or rolling forward — the deadlock's regime;
+    # victims always distinct
     gap = rng.uniform(2e-4, 2.5e-3)
     return gap, rng.sample(range(nprocs), min(rng.randint(2, 3), nprocs))
 

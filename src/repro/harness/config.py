@@ -10,7 +10,7 @@ ratios the figures are sensitive to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 PAPER_SCALES = (4, 8, 16, 32)
@@ -30,16 +30,9 @@ class ExperimentOptions:
     #: simulated seconds between checkpoints (the paper's 180 s, scaled)
     checkpoint_interval: float = 0.05
     seed: int = 1
-    #: Fig. 8 only: where in the checkpoint cycle the fault lands, as a
-    #: fraction of the interval past the last checkpoint (the paper lets
-    #: a full interval of work accumulate before killing)
-    fault_fraction: float = 0.95
-    #: Fig. 8 only: which rank is killed
-    fault_rank: int | None = None
     #: run every cell under the causal-consistency oracle (repro.verify);
     #: any invariant violation aborts the experiment
     verify: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 FAST_OPTIONS = ExperimentOptions(preset="fast", scales=(4, 8), checkpoint_interval=0.02)

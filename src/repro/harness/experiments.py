@@ -38,6 +38,12 @@ from repro.harness.executor import execute
 from repro.harness.runner import Cell, RunRequest, checkpoint_intervals_elapsed
 from repro.harness.tables import FigureResult
 
+#: where in the checkpoint cycle Fig. 8's and the overhead table's fault
+#: lands, as a fraction of the interval past the last checkpoint (the
+#: paper lets a full interval of work accumulate before killing); the
+#: killed rank is the middle one, ``nprocs // 2``
+FAULT_FRACTION = 0.95
+
 
 def _matrix_requests(options: ExperimentOptions) -> list[RunRequest]:
     """The shared Fig. 6/7 matrix: workloads × scales × protocols."""
@@ -135,7 +141,7 @@ def fig8(options: ExperimentOptions = ExperimentOptions(), *,
 
     For each benchmark and scale, four TDI runs: blocking and
     non-blocking middleware, each failure-free and with one fault
-    injected ``fault_fraction`` of a checkpoint interval after the
+    injected ``FAULT_FRACTION`` of a checkpoint interval after the
     second checkpoint (the paper lets one interval of work accumulate,
     then kills and immediately recovers).  As in the paper, both faulted
     runs are normalized against the *blocking* faulted time, and the
@@ -168,11 +174,8 @@ def _fig8_plan(options: ExperimentOptions):
 
     requests = []
     for workload, nprocs in points:
-        fault_rank = options.fault_rank
-        if fault_rank is None:
-            fault_rank = nprocs // 2
         interval = probe_runs[("probe", workload, nprocs)].accomplishment_time / 6.0
-        fault_time = (1.0 + options.fault_fraction) * interval
+        fault_time = (1.0 + FAULT_FRACTION) * interval
         for mode in ("blocking", "nonblocking"):
             for faulted in (False, True):
                 requests.append(RunRequest(
@@ -181,7 +184,7 @@ def _fig8_plan(options: ExperimentOptions):
                     preset=options.preset,
                     checkpoint_interval=interval,
                     seed=options.seed,
-                    faults=(FaultSpec(rank=fault_rank, at_time=fault_time),)
+                    faults=(FaultSpec(rank=nprocs // 2, at_time=fault_time),)
                     if faulted else (),
                     verify=options.verify,
                 ))
@@ -266,12 +269,9 @@ def _overhead_plan(options: ExperimentOptions):
     for workload, nprocs in points:
         t_none = baseline_runs[("baseline", workload, nprocs)].accomplishment_time
         fault_time = min(
-            (1.0 + options.fault_fraction) * options.checkpoint_interval,
+            (1.0 + FAULT_FRACTION) * options.checkpoint_interval,
             0.5 * t_none,
         )
-        fault_rank = options.fault_rank
-        if fault_rank is None:
-            fault_rank = nprocs // 2
         for protocol in protocols:
             for faulted in (False, True):
                 requests.append(RunRequest(
@@ -281,7 +281,7 @@ def _overhead_plan(options: ExperimentOptions):
                     preset=options.preset,
                     checkpoint_interval=options.checkpoint_interval,
                     seed=options.seed,
-                    faults=(FaultSpec(rank=fault_rank, at_time=fault_time),)
+                    faults=(FaultSpec(rank=nprocs // 2, at_time=fault_time),)
                     if faulted else (),
                     verify=options.verify,
                 ))

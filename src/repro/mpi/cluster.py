@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence, TYPE_CHECKING
 
 from repro.config import SimulationConfig
-from repro.faults.detector import FailureDetector, HeartbeatChain
-from repro.faults.injector import EventSpec, FaultInjector
+from repro.faults.detector import FENCE_DELAY, FailureDetector, HeartbeatChain
+from repro.faults.injector import RESTART_DELAY, EventSpec, FaultInjector
 from repro.metrics.counters import MetricsAggregate, RankMetrics, aggregate
 from repro.mpi.endpoint import Endpoint
 from repro.protocols.base import MembershipView
@@ -275,14 +275,14 @@ class Cluster:
 
             def force_kill() -> None:
                 endpoint.fail()
-                self.engine.schedule(self.config.restart_delay, restart)
+                self.engine.schedule(RESTART_DELAY, restart)
 
             # dropped if the zombie dies on its own inside the fence window
-            endpoint.later(self.config.detector.fence_delay, force_kill)
+            endpoint.later(FENCE_DELAY, force_kill)
         elif node.state is NodeState.DEAD:
             # detected a real death: MTTD already recorded by the
             # detector; allocation + process restart remain
-            self.engine.schedule(self.config.restart_delay, restart)
+            self.engine.schedule(RESTART_DELAY, restart)
         # a LEFT rank needs nothing: the condemnation was a stale-history
         # artifact and membership already excludes it
 

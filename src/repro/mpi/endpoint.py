@@ -603,8 +603,8 @@ class Endpoint:
         self.trace.emit("member.leave", self.rank)
 
     def incarnate(self) -> None:
-        """Start the incarnation (called ``restart_delay`` after the
-        fault): read the newest *readable* checkpoint generation from
+        """Start the incarnation (called ``RESTART_DELAY`` after the
+        failure is known): read the newest *readable* checkpoint generation from
         stable storage — falling back through the retained chain past
         torn or corrupt images, which only deepens log replay — then
         restore protocol and application state, announce the rollback,

@@ -28,8 +28,8 @@ enabling one knob never shifts another's draws):
   torn: its stored checksum no longer matches, detected only at read;
 * ``latent_corrupt_prob`` — bit rot: the committed image decays in
   place, again detected only by checksum at read;
-* ``stall_prob`` / ``stall_max`` — the device hiccups, stretching the
-  attempt by a uniform stall.
+* ``stall_prob`` — the device hiccups, stretching the attempt by a
+  uniform stall of up to ``STALL_MAX``.
 
 The read path (:meth:`CheckpointStore.read`) verifies checksums newest
 generation first and falls back through the retained ``history`` chain;
@@ -61,6 +61,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.trace import Trace
 
 
+#: a device stall's length is uniform in [0, STALL_MAX] simulated seconds
+STALL_MAX = 2e-3
+#: visible write failures are retried this many times before the
+#: checkpoint is skipped (degraded mode)
+MAX_WRITE_RETRIES = 3
+#: base delay before the first retry, doubling per attempt …
+RETRY_BACKOFF = 5e-4
+#: … capped here
+RETRY_BACKOFF_MAX = 4e-3
+
+
 @dataclass(frozen=True)
 class StorageConfig:
     """Stable-storage impairment knobs (all off by default).
@@ -77,17 +88,9 @@ class StorageConfig:
     torn_write_prob: float = 0.0
     #: per-commit probability of latent bit rot (detected at read)
     latent_corrupt_prob: float = 0.0
-    #: per-attempt probability of a device stall window
+    #: per-attempt probability of a device stall window (its length is
+    #: ``STALL_MAX``)
     stall_prob: float = 0.0
-    #: stall length is uniform in [0, stall_max] simulated seconds
-    stall_max: float = 2e-3
-    #: visible write failures are retried this many times before the
-    #: checkpoint is skipped (degraded mode)
-    max_write_retries: int = 3
-    #: base delay before the first retry, doubling per attempt …
-    retry_backoff: float = 5e-4
-    #: … capped here
-    retry_backoff_max: float = 4e-3
 
     def __post_init__(self) -> None:
         for name in ("write_fail_prob", "torn_write_prob",
@@ -95,14 +98,6 @@ class StorageConfig:
             p = getattr(self, name)
             if not (0.0 <= p < 1.0):
                 raise ValueError(f"{name} must be in [0, 1), got {p}")
-        if self.stall_max < 0:
-            raise ValueError("stall_max must be >= 0")
-        if self.max_write_retries < 0:
-            raise ValueError("max_write_retries must be >= 0")
-        if self.retry_backoff <= 0:
-            raise ValueError("retry_backoff must be > 0")
-        if self.retry_backoff_max < self.retry_backoff:
-            raise ValueError("retry_backoff_max must be >= retry_backoff")
 
     @property
     def impaired(self) -> bool:
@@ -278,7 +273,7 @@ class CheckpointStore:
             elif u_corrupt < self.config.latent_corrupt_prob:
                 gen.pending = "corrupt"
             if u_stall < self.config.stall_prob:
-                stall = u_len * self.config.stall_max
+                stall = u_len * STALL_MAX
         forced = self._forced.get(ckpt.rank)
         if forced:
             kind, forced_duration = forced.pop(0)
@@ -509,15 +504,13 @@ class CheckpointWriter:
             host.protocol.after_checkpoint()
             return
         host.metrics.ckpt_write_failures += 1
-        scfg = self.store.config
-        if attempt > scfg.max_write_retries:
+        if attempt > MAX_WRITE_RETRIES:
             host.metrics.ckpt_skipped += 1
             host.metrics.storage_exposure_time += now - self.commit_time
             host.trace.emit("storage.ckpt_skipped", host.rank,
                             seq=gen.ckpt.seq, attempts=attempt)
             return
-        backoff = min(scfg.retry_backoff * (2 ** (attempt - 1)),
-                      scfg.retry_backoff_max)
+        backoff = min(RETRY_BACKOFF * (2 ** (attempt - 1)), RETRY_BACKOFF_MAX)
         host.metrics.ckpt_write_retries += 1
         host.trace.emit("storage.ckpt_retry", host.rank, seq=gen.ckpt.seq,
                         attempt=attempt, backoff=backoff)

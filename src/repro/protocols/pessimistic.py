@@ -18,7 +18,7 @@ The trade-off is the mirror image of the causal protocols:
 Safety argument for the simulation model: the delivery cost charged to
 the application is the *estimated* round trip (one-way + write latency
 + one-way), while the determinant frame departs immediately.  Network
-jitter is bounded by ``jitter_fraction * base_latency`` (< one-way +
+jitter is bounded by ``jitter_fraction * BASE_LATENCY`` (< one-way +
 write latency), so the determinant is always at the logger — which
 stores on arrival and only delays the acknowledgement — before the
 application resumes and can emit any message that causally depends on

@@ -34,7 +34,8 @@ from repro.metrics.costs import CostModel
 from repro.core.recovery import DET_IDENTIFIERS
 from repro.protocols.pwd import Determinant, PwdCausalProtocol
 from repro.simnet.engine import Engine
-from repro.simnet.network import Frame, Network
+from repro.simnet.network import (BANDWIDTH_BYTES_PER_S, BASE_LATENCY, Frame,
+                                  Network)
 from repro.simnet.trace import Trace
 
 EVLOG = "EVLOG"
@@ -65,10 +66,11 @@ class EventLoggerClient(PwdCausalProtocol):
         """Deterministic upper estimate of the logger round trip a
         synchronous stable write blocks the application for."""
         det_bytes = DET_IDENTIFIERS * self.costs.identifier_bytes
-        # mirrors NetworkConfig defaults; the endpoint's network applies
-        # jitter bounded by half a base latency, which the write latency
-        # absorbs (see the pessimistic module docstring's safety argument)
-        one_way = 100e-6 + det_bytes / 12.5e6 + 50e-6
+        # the wire's latency and bandwidth, plus the default jitter bound
+        # of half a base latency, which the write latency absorbs (see
+        # the pessimistic module docstring's safety argument)
+        one_way = (BASE_LATENCY + det_bytes / BANDWIDTH_BYTES_PER_S
+                   + 0.5 * BASE_LATENCY)
         return 2.0 * one_way + self.costs.evlog_latency
 
     def _on_logger_ack(self, stable_upto: int) -> None:

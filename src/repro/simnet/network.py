@@ -3,7 +3,7 @@
 Models the paper's testbed interconnect (100 Mb Ethernet between
 commodity PCs) at the level the experiments are sensitive to:
 
-* per-frame delay = ``base_latency`` + ``size_bytes / bandwidth`` + seeded
+* per-frame delay = ``BASE_LATENCY`` + ``size_bytes / bandwidth`` + seeded
   jitter, so piggyback bytes directly cost transmission time;
 * **per-channel FIFO**: frames between a given (src, dst) pair never
   overtake each other, as in MPICH over TCP.  Jitter across *different*
@@ -60,6 +60,13 @@ from repro.simnet.node import NodeSet
 from repro.simnet.rng import RngStreams
 from repro.simnet.trace import Trace
 
+#: the paper's 100 Mb switched Ethernet: ~100 µs one-way latency …
+BASE_LATENCY = 100e-6
+#: … 12.5 MB/s payload bandwidth …
+BANDWIDTH_BYTES_PER_S = 12.5e6
+#: … and a fixed per-frame header charged on top of the payload
+HEADER_BYTES = 32
+
 #: minimum spacing enforced between two arrivals on one channel, to keep
 #: FIFO order strict even under jitter
 _FIFO_EPSILON = 1e-9
@@ -111,16 +118,14 @@ class PartitionWindow:
 class NetworkConfig:
     """Interconnect parameters.
 
-    Defaults approximate the paper's 100 Mb switched Ethernet: ~100 µs
-    one-way latency, 12.5 MB/s payload bandwidth, and a *reliable* wire
-    (all impairment probabilities zero, no partition windows).
+    Defaults are a *reliable* wire (all impairment probabilities zero,
+    no partition windows); latency, bandwidth and header size are the
+    module constants ``BASE_LATENCY``, ``BANDWIDTH_BYTES_PER_S`` and
+    ``HEADER_BYTES``.
     """
 
-    base_latency: float = 100e-6
-    bandwidth_bytes_per_s: float = 12.5e6
-    #: jitter is uniform in [0, jitter_fraction * base_latency]
+    #: jitter is uniform in [0, jitter_fraction * BASE_LATENCY]
     jitter_fraction: float = 0.5
-    header_bytes: int = 32
     #: model a shared medium (hub / half-duplex segment): transmissions
     #: serialize through one collision domain instead of enjoying
     #: per-channel bandwidth.  Off by default — the paper's testbed is
@@ -136,14 +141,8 @@ class NetworkConfig:
     partitions: tuple[PartitionWindow, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.base_latency < 0:
-            raise ValueError("base_latency must be >= 0")
-        if self.bandwidth_bytes_per_s <= 0:
-            raise ValueError("bandwidth must be > 0")
         if self.jitter_fraction < 0:
             raise ValueError("jitter_fraction must be >= 0")
-        if self.header_bytes < 0:
-            raise ValueError("header_bytes must be >= 0")
         for name in ("drop_prob", "dup_prob", "corrupt_prob"):
             p = getattr(self, name)
             if not (0.0 <= p < 1.0):
@@ -317,8 +316,7 @@ class Network:
     # ------------------------------------------------------------------
     def delay_for(self, size_bytes: int) -> float:
         """Deterministic part of the transit delay for a frame."""
-        cfg = self.config
-        return cfg.base_latency + (size_bytes + cfg.header_bytes) / cfg.bandwidth_bytes_per_s
+        return BASE_LATENCY + (size_bytes + HEADER_BYTES) / BANDWIDTH_BYTES_PER_S
 
     def partitioned(self, src: int, dst: int) -> bool:
         """Whether a ``src -> dst`` frame is inside a partition window now."""
@@ -346,7 +344,7 @@ class Network:
             jitter_stream = self._jitter
             channel = (frame.src, frame.dst)
         cfg = self.config
-        jitter = (float(jitter_stream.uniform(0.0, cfg.jitter_fraction * cfg.base_latency))
+        jitter = (float(jitter_stream.uniform(0.0, cfg.jitter_fraction * BASE_LATENCY))
                   if cfg.jitter_fraction > 0 else 0.0)
         self._schedule(frame, lane, channel, jitter, *verdict)
 
@@ -421,7 +419,7 @@ class Network:
         cfg = self.config
         if cfg.jitter_fraction > 0:
             return self._hb_jitter.uniform(
-                0.0, cfg.jitter_fraction * cfg.base_latency, size=count).tolist()
+                0.0, cfg.jitter_fraction * BASE_LATENCY, size=count).tolist()
         return [0.0] * count
 
     # ------------------------------------------------------------------
@@ -534,7 +532,7 @@ class Network:
                 stats.frames_duplicated += 1
                 trace.emit("net.impair.dup", frame.src, dst=frame.dst,
                            frame_kind=frame.kind, frame_id=frame.frame_id)
-                replay = float(self._impair.uniform(0.0, 2.0 * cfg.base_latency))
+                replay = float(self._impair.uniform(0.0, 2.0 * BASE_LATENCY))
         return gray_delay, replay
 
     def _schedule(self, frame: Frame, lane: dict, channel: Any, jitter: float,
@@ -549,7 +547,7 @@ class Network:
             # one collision domain: the frame's wire time starts when the
             # medium frees up, so concurrent senders queue behind each
             # other instead of transmitting in parallel
-            wire_time = (frame.size_bytes + cfg.header_bytes) / cfg.bandwidth_bytes_per_s
+            wire_time = (frame.size_bytes + HEADER_BYTES) / BANDWIDTH_BYTES_PER_S
             start = max(now, self._medium_free_at)
             self._medium_free_at = start + wire_time
             arrival = start + delay

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.simnet.engine import Engine, EventHandle, SimulationError
-from repro.simnet.network import MUTE_STAMPS, Frame, Network, ReceiveCallback
+from repro.simnet.network import (BASE_LATENCY, MUTE_STAMPS, Frame, Network,
+                                  ReceiveCallback)
 from repro.simnet.node import NodeSet
 from repro.simnet.rng import RngStreams
 from repro.simnet.trace import Trace
@@ -312,10 +313,9 @@ class ReliableTransport:
             # the initial timeout covers the frame's round trip and the
             # worst-case coalesced ack: a deliberately held-back
             # cumulative ack must never look like a lost frame
-            net = self.network.config
             rtt = (self.network.delay_for(record.frame.size_bytes)
                    + self.network.delay_for(ACK_FRAME_BYTES)
-                   + 2.0 * net.jitter_fraction * net.base_latency)
+                   + 2.0 * self.network.config.jitter_fraction * BASE_LATENCY)
             ch.interval = RTO_MIN + rtt + ACK_DELAY_MAX
         delay = ch.interval * (1.0 + float(self._rng.uniform(0.0, RTO_JITTER)))
         ch.timer = self.engine.schedule(delay, lambda: self._retransmit_tick(ch))

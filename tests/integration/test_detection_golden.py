@@ -11,7 +11,7 @@ heartbeats themselves are traffic.)
 
 Under a real kill the armed run must still match the fault-free
 answers, but recovery is condemnation-initiated: the run records a
-measured MTTD instead of the scripted ``detection_delay``.
+measured MTTD instead of the injector's scripted ``DETECTION_DELAY``.
 
 Unobserved, an armed run holds its heartbeats on their lanes instead of
 scheduling an engine event per arrival (``simnet/network.py``, "Held
@@ -103,7 +103,7 @@ class TestCondemnationInitiatedRecovery:
                              faults=(FaultSpec(rank=2, at_time=0.004),))
         mttd = result.detector.mean_time_to_detect()
         # the accrual walk takes ~1.1 ms at the defaults — far from the
-        # legacy scripted detection_delay of exactly 1 ms only in that
+        # legacy scripted DETECTION_DELAY of exactly 1 ms only in that
         # it is an emergent quantity; assert the plausible band
         assert mttd is not None
         assert 1e-4 < mttd < 5e-3
@@ -111,12 +111,13 @@ class TestCondemnationInitiatedRecovery:
         assert len(result.detector.fences) == 0
 
     def test_legacy_split_preserves_total_delay(self):
-        """Unarmed runs schedule the restart after detection_delay +
-        restart_delay, preserving the pre-split 2 ms default."""
+        """Unarmed runs schedule the restart after DETECTION_DELAY +
+        RESTART_DELAY, preserving the pre-split 2 ms default; neither is
+        a config field."""
         from repro.config import SimulationConfig
-        cfg = SimulationConfig()
-        assert cfg.detection_delay + cfg.restart_delay == pytest.approx(2e-3)
-        with pytest.raises(ValueError):
+        from repro.faults.injector import DETECTION_DELAY, RESTART_DELAY
+        assert DETECTION_DELAY + RESTART_DELAY == pytest.approx(2e-3)
+        with pytest.raises(TypeError):
             SimulationConfig(detection_delay=-1e-3)
 
 

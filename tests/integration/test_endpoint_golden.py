@@ -14,6 +14,8 @@ uniform — a failed, a departed and a freshly incarnated rank all hold
 exactly the volatile state of a newly constructed endpoint.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.config import SimulationConfig
@@ -26,7 +28,7 @@ from repro.faults.injector import (
     StorageFaultSpec,
 )
 from repro.mpi.cluster import Cluster
-from repro.protocols.checkpoint import StorageConfig
+from repro.protocols import checkpoint
 from repro.simnet.network import Frame, NetworkConfig
 from repro.simnet.primitives import RecvOp, SendOp
 from repro.simnet.transport import TransportConfig
@@ -63,15 +65,15 @@ CASES = {
         (LeaveSpec(rank=2, at_time=0.003), JoinSpec(rank=2, at_time=0.006)),
         {}),
     # rank 1: one visible failure, the retry commits; rank 2: every
-    # attempt fails, the checkpoint is skipped past the retry cap; the
-    # kill then recovers rank 2 from the generation before the skip
+    # attempt fails, the checkpoint is skipped past the retry cap (one
+    # retry: see RETRIES); the kill then recovers rank 2 from the
+    # generation before the skip
     "hostile-storage": (
         "lu", 4,
         (StorageFaultSpec(rank=1, at_time=0.0, kind="write_fail", count=1),
          StorageFaultSpec(rank=2, at_time=0.0, kind="write_fail", count=2),
          FaultSpec(rank=2, at_time=0.015)),
-        {"checkpoint_interval": 0.003,
-         "storage": StorageConfig(max_write_retries=1)}),
+        {"checkpoint_interval": 0.003}),
     "lossy": (
         "reduce", 6, (FaultSpec(rank=4, at_time=0.003),),
         {"network": NetworkConfig(drop_prob=0.01),
@@ -87,10 +89,16 @@ def _cluster(workload, nprocs, comm_mode, **overrides):
                    workload_factory(workload, scale="fast"))
 
 
+#: name -> the ``checkpoint.MAX_WRITE_RETRIES`` the case runs with
+RETRIES = {"hostile-storage": 1}
+
+
 def _outcome(name, comm_mode):
     workload, nprocs, faults, overrides = CASES[name]
-    result = _cluster(workload, nprocs, comm_mode, **overrides).run(
-        list(faults))
+    retries = RETRIES.get(name, checkpoint.MAX_WRITE_RETRIES)
+    with mock.patch.object(checkpoint, "MAX_WRITE_RETRIES", retries):
+        result = _cluster(workload, nprocs, comm_mode, **overrides).run(
+            list(faults))
     total = result.metrics.total
     return (
         result.events_fired,

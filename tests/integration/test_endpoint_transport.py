@@ -6,6 +6,7 @@ import pytest
 
 from repro import api
 from repro.config import SimulationConfig
+from repro.core import blocking
 from repro.mpi.cluster import Cluster
 from repro.workloads.base import Application
 
@@ -51,40 +52,45 @@ def burst_factory(**kw):
 
 
 class TestSendWindow:
-    def test_burst_within_window_never_blocks(self):
+    def test_burst_within_window_never_blocks(self, monkeypatch):
+        monkeypatch.setattr(blocking, "SEND_WINDOW", 16)
         cfg = SimulationConfig(nprocs=2, protocol="tdi", comm_mode="blocking",
-                               send_window=16, seed=1)
+                               seed=1)
         r = api.run_app(burst_factory(count=10), cfg)
         assert r.results[1] == list(range(10))
         assert r.stats.total("blocked_time") == 0.0
 
-    def test_burst_beyond_window_blocks(self):
+    def test_burst_beyond_window_blocks(self, monkeypatch):
+        monkeypatch.setattr(blocking, "SEND_WINDOW", 2)
         cfg = SimulationConfig(nprocs=2, protocol="tdi", comm_mode="blocking",
-                               send_window=2, seed=1)
+                               seed=1)
         r = api.run_app(burst_factory(count=10), cfg)
         assert r.results[1] == list(range(10))
         assert r.stats.total("blocked_time") > 0.0
 
-    def test_window_preserves_order(self):
+    def test_window_preserves_order(self, monkeypatch):
         for window in (1, 2, 4, 64):
+            monkeypatch.setattr(blocking, "SEND_WINDOW", window)
             cfg = SimulationConfig(nprocs=2, protocol="tdi", comm_mode="blocking",
-                                   send_window=window, seed=1)
+                                   seed=1)
             r = api.run_app(burst_factory(count=12), cfg)
             assert r.results[1] == list(range(12))
 
-    def test_nonblocking_ignores_window(self):
+    def test_nonblocking_ignores_window(self, monkeypatch):
+        monkeypatch.setattr(blocking, "SEND_WINDOW", 1)
         cfg = SimulationConfig(nprocs=2, protocol="tdi", comm_mode="nonblocking",
-                               send_window=1, seed=1)
+                               seed=1)
         r = api.run_app(burst_factory(count=10), cfg)
         assert r.results[1] == list(range(10))
         assert r.stats.total("blocked_time") == 0.0
 
-    def test_window_fills_when_receiver_dies(self):
+    def test_window_fills_when_receiver_dies(self, monkeypatch):
         """The Fig. 8 mechanism in isolation: acks stop while the peer is
         down, the window fills, and the sender stalls until the
         incarnation's dup-acks drain it."""
+        monkeypatch.setattr(blocking, "SEND_WINDOW", 2)
         cfg = SimulationConfig(nprocs=2, protocol="tdi", comm_mode="blocking",
-                               send_window=2, seed=1, checkpoint_interval=1e9)
+                               seed=1, checkpoint_interval=1e9)
         no_fault = api.run_app(burst_factory(count=20, receiver_delay=0.001), cfg)
         faulted = api.run_app(
             burst_factory(count=20, receiver_delay=0.001), cfg,

@@ -15,6 +15,7 @@ from repro import api
 from repro.config import SimulationConfig
 from repro.core.watchdog import StorageLossError
 from repro.mpi.cluster import Cluster
+from repro.protocols import checkpoint
 from repro.protocols.checkpoint import StorageConfig
 from repro.workloads.presets import workload_factory
 
@@ -57,15 +58,16 @@ def reference(protocol, **kw):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("comm_mode", ("nonblocking", "blocking"))
-def test_unfired_storage_knobs_are_byte_identical(protocol, comm_mode):
+def test_unfired_storage_knobs_are_byte_identical(protocol, comm_mode,
+                                                  monkeypatch):
     """All probabilities zero => the impairment substream is never
-    consulted, whatever the auxiliary knobs say — the run is identical
-    to one with the default perfect device, event for event."""
+    consulted, whatever the stall and retry constants say — the run is
+    identical to one with the default perfect device, event for event."""
     base = run(protocol, comm_mode=comm_mode)
-    armed = run(protocol, comm_mode=comm_mode,
-                storage=StorageConfig(stall_max=9e-3, max_write_retries=7,
-                                      retry_backoff=1e-3,
-                                      retry_backoff_max=8e-3))
+    for name, value in (("STALL_MAX", 9e-3), ("MAX_WRITE_RETRIES", 7),
+                        ("RETRY_BACKOFF", 1e-3), ("RETRY_BACKOFF_MAX", 8e-3)):
+        monkeypatch.setattr(checkpoint, name, value)
+    armed = run(protocol, comm_mode=comm_mode)
     assert armed.results == base.results
     assert armed.accomplishment_time == base.accomplishment_time
     assert armed.events_fired == base.events_fired

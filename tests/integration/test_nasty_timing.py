@@ -8,7 +8,7 @@ moment an incarnation comes back up — and demands exact recovery.
 import pytest
 
 from repro import api
-from repro.config import SimulationConfig
+from repro.core.watchdog import ROLLBACK_RETRY_INTERVAL
 
 
 def reference(workload="lu", nprocs=4, seed=131, **kw):
@@ -65,7 +65,7 @@ class TestFragileInstants:
         timer fires, exercising the retry path for real."""
         cfg_kw = dict(nprocs=4, protocol="tdi", seed=131, iterations=12)
         ref = reference(iterations=12)
-        retry = SimulationConfig().rollback_retry_interval
+        retry = ROLLBACK_RETRY_INTERVAL
         r = api.run_workload(
             "lu", **cfg_kw,
             faults=[api.FaultSpec(rank=1, at_time=0.004),

@@ -17,6 +17,7 @@ import pytest
 from repro import api
 from repro.config import SimulationConfig
 from repro.core.tdi import TdiProtocol
+from repro.core import watchdog
 from repro.core.watchdog import RecoveryStallError
 from repro.protocols.base import DeliveryVerdict
 
@@ -89,13 +90,14 @@ class TestOverlappingRecovery:
         assert r.violations == []
         assert r.stats.total("recovery_count") == 3
 
-    def test_epoch_blind_gate_aborts_via_watchdog_with_diagnosis(self):
+    def test_epoch_blind_gate_aborts_via_watchdog_with_diagnosis(self, monkeypatch):
         """Induced deadlock: with the epoch clamp removed, the run must
         *terminate* through the watchdog — escalation first, then a
         RecoveryStallError naming the wedged ranks and the blocking
         interval requirements — instead of wedging silently."""
-        config = overlap_config(recovery_escalate_after=0.02,
-                                recovery_abort_after=0.08)
+        monkeypatch.setattr(watchdog, "RECOVERY_ESCALATE_AFTER", 0.02)
+        monkeypatch.setattr(watchdog, "RECOVERY_ABORT_AFTER", 0.08)
+        config = overlap_config()
         gate, merge, observe = epoch_blind_protocol()
         with gate, merge, observe:
             with pytest.raises(RecoveryStallError) as exc:

@@ -15,7 +15,8 @@ import math
 
 from hypothesis import example, given, strategies as st
 
-from repro.faults.detector import _P_FLOOR, AccrualEstimator, DetectorConfig
+from repro.faults.detector import (_P_FLOOR, CONDEMN_PHI, AccrualEstimator,
+                                   DetectorConfig)
 
 HB = 5e-4
 FLOOR = 1e-4
@@ -81,7 +82,7 @@ def test_bounded_jitter_never_condemns(gaps):
     for gap in gaps:
         # evaluate at the instant *before* the beat lands — the worst
         # moment of each interval — then deliver the beat
-        assert est.phi(t + gap) < cfg.condemn_phi
+        assert est.phi(t + gap) < CONDEMN_PHI
         t += gap
         est.heartbeat(t)
 
@@ -102,7 +103,7 @@ def test_real_silence_still_condemns_after_bounded_jitter(gaps, silence):
     for gap in gaps:
         t += gap
         est.heartbeat(t)
-    assert est.phi(t + silence) >= cfg.condemn_phi
+    assert est.phi(t + silence) >= CONDEMN_PHI
 
 
 def _reference_phi(gaps, silence, *, bootstrap_mean=HB, floor=FLOOR):

@@ -20,9 +20,11 @@ stamps that put held and event beats on one channel.
 """
 
 import dataclasses
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.faults import detector as detector_module
 from repro.faults.detector import DetectorConfig, FailureDetector
 from repro.simnet.engine import Engine
 from repro.simnet.network import Frame, Network, NetworkConfig, PartitionWindow
@@ -112,13 +114,14 @@ def test_fanout_equals_per_frame_loop(config, seed, ticks):
 
 ranks = st.integers(0, NPROCS - 1)
 
-#: quick to suspect and to condemn, and a window that never forgets: the
+#: quick to suspect and to condemn (``_run_script`` substitutes these
+#: thresholds for the module's), and a window that never forgets: the
 #: estimators end up holding every arrival stamp in the order it was
 #: heard, so a beat heard late, out of channel order or at the wrong
 #: time shows in the final state
 DETECTOR = DetectorConfig(enabled=True, heartbeat_interval=1e-4,
-                          suspect_phi=0.5, condemn_phi=3.0, floor=2e-5,
-                          window=10_000)
+                          floor=2e-5, window=10_000)
+FAST_PHI = {"SUSPECT_PHI": 0.5, "CONDEMN_PHI": 3.0}
 
 #: what can happen between two clock advances.  A beat's wire delay is
 #: 103-153 us at the default jitter, so most advances are shorter than
@@ -151,6 +154,7 @@ def _ignore(event):
     """A listener that wants nothing."""
 
 
+@mock.patch.multiple(detector_module, **FAST_PHI)
 def _run_script(config, seed, script, hold):
     """Play ``script`` on a fresh, unrecorded network under an armed
     detector — which reads held heartbeats off the wire (fan-out API),

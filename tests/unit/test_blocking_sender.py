@@ -3,6 +3,7 @@ protocol work, the per-peer eager window, the rendezvous stall."""
 
 import pytest
 
+from repro.core import blocking
 from repro.core.blocking import BlockingSender
 from repro.simnet.primitives import SendOp
 from tests.conftest import RecordingTask, SenderHost
@@ -16,9 +17,9 @@ def op(payload, dest=1, size=64):
 
 
 @pytest.fixture
-def host(engine):
-    return SenderHost(engine, cost=COST, send_window=2,
-                      eager_threshold_bytes=8192)
+def host(engine, monkeypatch):
+    monkeypatch.setattr(blocking, "SEND_WINDOW", 2)
+    return SenderHost(engine, cost=COST, eager_threshold_bytes=8192)
 
 
 @pytest.fixture

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.faults.detector import (ALIVE, CONDEMNED, SUSPECT,
-                                   AccrualEstimator, DetectorConfig,
-                                   FailureDetector)
+from repro.faults.detector import (ALIVE, CONDEMN_PHI, CONDEMNED, SUSPECT,
+                                   SUSPECT_PHI, AccrualEstimator,
+                                   DetectorConfig, FailureDetector)
 from repro.faults.injector import FaultInjector, FaultSpec, GrayFaultSpec
 
 HB = 5e-4  # the default heartbeat interval
@@ -14,7 +14,7 @@ class TestDetectorConfig:
     def test_defaults_valid(self):
         cfg = DetectorConfig()
         assert not cfg.enabled
-        assert cfg.condemn_phi >= cfg.suspect_phi
+        assert CONDEMN_PHI >= SUSPECT_PHI > 0
 
     def test_floor_defaults_to_a_fifth_of_the_beat_above_100us(self):
         assert DetectorConfig().floor == 1e-4
@@ -33,7 +33,9 @@ class TestDetectorConfig:
         {"fence_delay": -1e-4},
     ])
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # the phi thresholds and the fence delay are module constants now
+        constants = {"suspect_phi", "condemn_phi", "fence_delay"}
+        with pytest.raises(TypeError if constants & set(kwargs) else ValueError):
             DetectorConfig(**kwargs)
 
 

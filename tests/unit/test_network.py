@@ -119,12 +119,13 @@ class TestStats:
 
 
 class TestConfigValidation:
+    # latency, bandwidth and header size are module constants now
     def test_bad_latency(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             NetworkConfig(base_latency=-1.0)
 
     def test_bad_bandwidth(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             NetworkConfig(bandwidth_bytes_per_s=0)
 
     def test_bad_jitter(self):
@@ -132,7 +133,7 @@ class TestConfigValidation:
             NetworkConfig(jitter_fraction=-0.1)
 
     def test_negative_header_bytes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             NetworkConfig(header_bytes=-1)
 
     @pytest.mark.parametrize("knob", ["drop_prob", "dup_prob", "corrupt_prob"])

@@ -44,12 +44,13 @@ class TestStorageConfig:
         with pytest.raises(ValueError, match=knob):
             StorageConfig(**{knob: -0.1})
 
+    # the retry policy is module constants now, not config fields
     def test_backoff_cap_validated(self):
-        with pytest.raises(ValueError, match="retry_backoff_max"):
+        with pytest.raises(TypeError, match="retry_backoff"):
             StorageConfig(retry_backoff=1e-3, retry_backoff_max=1e-4)
 
     def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError, match="max_write_retries"):
+        with pytest.raises(TypeError, match="max_write_retries"):
             StorageConfig(max_write_retries=-1)
 
 

@@ -6,11 +6,13 @@ escalate/abort deadlines measured in simulated time) is exactly what a
 cluster run sees.
 """
 
+import math
 from typing import Any
 
 import pytest
 
 from repro.config import SimulationConfig
+from repro.core import watchdog
 from repro.core.watchdog import RecoveryStallError, RecoveryWatchdog
 from repro.metrics.counters import RankMetrics
 from repro.simnet.engine import Engine
@@ -99,24 +101,26 @@ class StubEndpoint:
         return "recv(source=2, tag=0)"
 
 
-def make_watchdog(abort_after=None, escalate_after=0.06,
-                  base=0.005, backoff=2.0, max_interval=0.04):
-    config = SimulationConfig(
-        nprocs=4, protocol="tdi",
-        rollback_retry_interval=base,
-        rollback_retry_backoff=backoff,
-        rollback_retry_max_interval=max_interval,
-        recovery_escalate_after=escalate_after,
-        recovery_abort_after=abort_after,
-    )
-    engine = Engine()
-    ep = StubEndpoint(engine, config)
-    dog = RecoveryWatchdog(ep, epoch=ep.node.epoch)
-    return dog, ep, engine
+@pytest.fixture
+def make_watchdog(monkeypatch):
+    """``make(abort_after, escalate_after) -> (dog, endpoint, engine)``
+    with the deadlines substituted for the module's constants (the
+    default never aborts) and the tick timing at its constants: base
+    5 ms, doubling, capped at 40 ms."""
+
+    def make(abort_after=math.inf, escalate_after=0.06):
+        monkeypatch.setattr(watchdog, "RECOVERY_ABORT_AFTER", abort_after)
+        monkeypatch.setattr(watchdog, "RECOVERY_ESCALATE_AFTER", escalate_after)
+        engine = Engine()
+        ep = StubEndpoint(engine, SimulationConfig(nprocs=4, protocol="tdi"))
+        dog = RecoveryWatchdog(ep, epoch=ep.node.epoch)
+        return dog, ep, engine
+
+    return make
 
 
 class TestBackoff:
-    def test_tick_interval_backs_off_exponentially_to_the_cap(self):
+    def test_tick_interval_backs_off_exponentially_to_the_cap(self, make_watchdog):
         dog, ep, engine = make_watchdog()
         ticks = []
         orig = dog._tick
@@ -136,7 +140,7 @@ class TestBackoff:
         assert gaps[2] == pytest.approx(0.020)
         assert all(g == pytest.approx(0.040) for g in gaps[3:])
 
-    def test_progress_resets_the_backoff(self):
+    def test_progress_resets_the_backoff(self, make_watchdog):
         dog, ep, engine = make_watchdog(escalate_after=10.0)
         intervals = []
         orig = dog._tick
@@ -158,7 +162,7 @@ class TestBackoff:
 
 
 class TestStallAccounting:
-    def test_stall_episode_counted_and_traced_once(self):
+    def test_stall_episode_counted_and_traced_once(self, make_watchdog):
         dog, ep, engine = make_watchdog(escalate_after=10.0)
         dog.arm()
         engine.run(until=0.3)
@@ -168,7 +172,7 @@ class TestStallAccounting:
         assert len(stalls) == 1
         assert stalls[0]["epoch"] == 1
 
-    def test_new_stall_after_progress_counts_again(self):
+    def test_new_stall_after_progress_counts_again(self, make_watchdog):
         dog, ep, engine = make_watchdog(escalate_after=10.0)
         dog.arm()
         engine.run(until=0.1)
@@ -176,14 +180,14 @@ class TestStallAccounting:
         engine.run(until=0.3)
         assert ep.metrics.recovery_stalls == 2
 
-    def test_retries_fire_while_pending_and_are_counted(self):
+    def test_retries_fire_while_pending_and_are_counted(self, make_watchdog):
         dog, ep, engine = make_watchdog(escalate_after=10.0)
         dog.arm()
         engine.run(until=0.1)
         assert ep.protocol.retries > 0
         assert ep.metrics.rollback_retries == ep.protocol.retries
 
-    def test_no_retries_once_responses_are_all_in(self):
+    def test_no_retries_once_responses_are_all_in(self, make_watchdog):
         dog, ep, engine = make_watchdog(escalate_after=10.0)
         ep.protocol.pending = False  # still rolling forward, though
         dog.arm()
@@ -193,14 +197,14 @@ class TestStallAccounting:
 
 
 class TestEscalation:
-    def test_escalates_once_past_the_deadline(self):
+    def test_escalates_once_past_the_deadline(self, make_watchdog):
         dog, ep, engine = make_watchdog(escalate_after=0.03)
         dog.arm()
         engine.run(until=0.5)
         assert ep.protocol.escalations == 1
         assert ep.metrics.recovery_escalations == 1
 
-    def test_escalation_rearms_after_progress(self):
+    def test_escalation_rearms_after_progress(self, make_watchdog):
         dog, ep, engine = make_watchdog(escalate_after=0.03)
         dog.arm()
         engine.run(until=0.2)
@@ -210,7 +214,7 @@ class TestEscalation:
 
 
 class TestAbort:
-    def test_abort_raises_with_cluster_diagnosis(self):
+    def test_abort_raises_with_cluster_diagnosis(self, make_watchdog):
         dog, ep, engine = make_watchdog(abort_after=0.1, escalate_after=0.03)
         ep.queue = StubQueue([StubFrame(src=2, need=12)])
         dog.arm()
@@ -225,15 +229,15 @@ class TestAbort:
         # the fabric's in-flight backlog is folded in, indented
         assert message.endswith("\n  transport 0->2: 3 unacked frame(s)")
 
-    def test_no_abort_when_deadline_disabled(self):
-        dog, ep, engine = make_watchdog(abort_after=None)
+    def test_no_abort_when_deadline_disabled(self, make_watchdog):
+        dog, ep, engine = make_watchdog()
         dog.arm()
         engine.run(until=1.0)  # must not raise
         assert ep.metrics.recovery_escalations == 1
 
 
 class TestDisarm:
-    def test_disarms_when_recovery_completes(self):
+    def test_disarms_when_recovery_completes(self, make_watchdog):
         dog, ep, engine = make_watchdog()
         dog.arm()
         engine.run(until=0.02)
@@ -242,14 +246,14 @@ class TestDisarm:
         engine.run()  # drains: the watchdog stopped rescheduling
         assert engine.pending_events == 0
 
-    def test_disarms_when_app_finishes(self):
+    def test_disarms_when_app_finishes(self, make_watchdog):
         dog, ep, engine = make_watchdog()
         dog.arm()
         ep.app_done = True
         engine.run()
         assert engine.pending_events == 0
 
-    def test_newer_incarnation_retires_the_watchdog(self):
+    def test_newer_incarnation_retires_the_watchdog(self, make_watchdog):
         dog, ep, engine = make_watchdog()
         dog.arm()
         ep.node.epoch = 2  # a new incarnation armed its own watchdog
@@ -257,7 +261,7 @@ class TestDisarm:
         assert engine.pending_events == 0
         assert ep.metrics.recovery_stalls == 0
 
-    def test_dead_node_retires_the_watchdog(self):
+    def test_dead_node_retires_the_watchdog(self, make_watchdog):
         dog, ep, engine = make_watchdog()
         dog.arm()
         ep.node.alive = False
