@@ -21,7 +21,8 @@ class SimulationConfig:
     """Everything the cluster needs besides the application itself."""
 
     nprocs: int = 4
-    #: one of ``"tdi"``, ``"tag"``, ``"tel"``, ``"none"``
+    #: a registered protocol name (``repro.protocols.registry``):
+    #: ``"tdi"``, ``"tag"``, ``"tel"``, ``"pess"``, ``"part"`` or ``"none"``
     protocol: str = "tdi"
     #: ``"blocking"`` (paper Fig. 4a) or ``"nonblocking"`` (Fig. 4b)
     comm_mode: str = "nonblocking"

@@ -19,6 +19,7 @@ from repro.metrics.counters import MetricsAggregate, RankMetrics, aggregate
 from repro.mpi.endpoint import Endpoint
 from repro.protocols.base import MembershipView
 from repro.protocols.checkpoint import CheckpointStore
+from repro.protocols.registry import protocol_class
 from repro.simnet.engine import Engine, SimulationError
 from repro.simnet.network import Network, NetworkStats
 from repro.simnet.node import NodeSet, NodeState
@@ -79,8 +80,8 @@ class Cluster:
         self.trace = Trace(enabled=config.trace_enabled)
         self.trace.bind_clock(lambda: self.engine.now)
 
-        needs_logger = config.protocol in ("tel", "pess", "part")
-        self.nodes = NodeSet(config.nprocs + (1 if needs_logger else 0))
+        needs_logger = protocol_class(config.protocol).needs_logger
+        self.nodes = NodeSet(config.nprocs + needs_logger)
         self.network = Network(self.engine, self.nodes, config.network, self.rng, self.trace)
         self.detector = FailureDetector()
         self.metrics = [RankMetrics(rank=r) for r in range(config.nprocs)]

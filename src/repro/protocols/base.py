@@ -168,6 +168,9 @@ class Protocol(abc.ABC):
 
     #: registry key; subclasses override
     name: str = "abstract"
+    #: whether the cluster must host an event-logger service node for
+    #: this protocol (at rank ``nprocs``)
+    needs_logger: bool = False
 
     def __init__(
         self,

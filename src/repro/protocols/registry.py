@@ -1,8 +1,9 @@
 """Protocol registry: name → constructor.
 
 The harness and the public API select protocols by short name
-(``"tdi"``, ``"tag"``, ``"tel"``, ``"none"``).  Imports are deferred so
-that the registry module itself stays dependency-light.
+(``"tdi"``, ``"tag"``, ``"tel"``, ``"pess"``, ``"part"``, ``"none"``).
+Imports are deferred so that the registry module itself stays
+dependency-light.
 """
 
 from __future__ import annotations

@@ -51,6 +51,8 @@ class EventLoggerClient(PwdCausalProtocol):
     stable history (``EVLOG_QUERY`` → ``EVLOG_HISTORY``), and checkpoints
     bound its store (``EVLOG_PRUNE``)."""
 
+    needs_logger = True
+
     @property
     def logger_rank(self) -> int:
         """The event-logger service node sits just past the app ranks."""

@@ -183,7 +183,6 @@ KEPT: dict[str, str] = {
     "repro/protocols/checkpoint.py:CheckpointStore.read_time": _PENDING,
     "repro/protocols/partitioned.py:partitioned_protocol": _PENDING,
     "repro/protocols/queue.py:ReceivingQueue.clear": _PENDING,
-    "repro/protocols/registry.py:protocol_class": _PENDING,
     "repro/simnet/engine.py:Engine.stop": _PENDING,
     "repro/simnet/network.py:Network.describe_pending": _PENDING,
     "repro/simnet/transport.py:ReliableTransport.describe_pending": _PENDING,

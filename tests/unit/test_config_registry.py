@@ -3,12 +3,14 @@
 import pytest
 
 from repro.config import SimulationConfig
+from repro.mpi.cluster import Cluster
 from repro.protocols.registry import (
     available_protocols,
     create_protocol,
     protocol_class,
     validate_protocols,
 )
+from repro.workloads.presets import workload_factory
 
 
 class TestSimulationConfig:
@@ -50,6 +52,15 @@ class TestRegistry:
     def test_protocol_class_names(self):
         for name in ("tdi", "tag", "tel", "none"):
             assert protocol_class(name).name == name
+
+    @pytest.mark.parametrize("name", available_protocols())
+    def test_cluster_hosts_a_logger_node_when_the_protocol_needs_one(self, name):
+        needs_logger = protocol_class(name).needs_logger
+        assert needs_logger == (name in ("tel", "pess", "part"))
+        cluster = Cluster(SimulationConfig(nprocs=3, protocol=name),
+                          workload_factory("lu", scale="fast"))
+        assert len(cluster.nodes) == 3 + needs_logger
+        assert len(cluster.services) == needs_logger
 
     def test_create_protocol_unknown(self):
         with pytest.raises(ValueError):
