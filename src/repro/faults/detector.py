@@ -19,8 +19,9 @@ state machine::
 
 Condemnation — not the injector — initiates recovery: the cluster's
 ``on_condemn`` callback restarts a genuinely dead rank (so the
-injector's ``DETECTION_DELAY`` becomes a *measured* quantity, MTTD) or fences and
-force-restarts a zombie (a condemned-but-actually-alive rank).  A
+injector's ``DETECTION_DELAY`` becomes a *measured* quantity, MTTD) or
+fences and force-restarts a zombie (a condemned-but-actually-alive
+rank).  A
 ``CONDEMNED`` verdict is sticky for the incarnation: it only resets when
 the rank's replacement comes up (``observe_recovery``) or the rank
 departs.  Estimators are windowed (``window`` recent gaps) with a

@@ -604,11 +604,11 @@ class Endpoint:
 
     def incarnate(self) -> None:
         """Start the incarnation (called ``RESTART_DELAY`` after the
-        failure is known): read the newest *readable* checkpoint generation from
-        stable storage — falling back through the retained chain past
-        torn or corrupt images, which only deepens log replay — then
-        restore protocol and application state, announce the rollback,
-        re-execute.  Raises a diagnosed
+        failure is known): read the newest *readable* checkpoint
+        generation from stable storage — falling back through the
+        retained chain past torn or corrupt images, which only deepens
+        log replay — then restore protocol and application state,
+        announce the rollback, re-execute.  Raises a diagnosed
         :class:`~repro.core.watchdog.StorageLossError` when no readable
         generation remains."""
         if self.node.alive:

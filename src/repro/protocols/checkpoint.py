@@ -88,7 +88,7 @@ class StorageConfig:
     torn_write_prob: float = 0.0
     #: per-commit probability of latent bit rot (detected at read)
     latent_corrupt_prob: float = 0.0
-    #: per-attempt probability of a device stall window (its length is
+    #: per-attempt probability of a device stall window (of up to
     #: ``STALL_MAX``)
     stall_prob: float = 0.0
 
