@@ -16,8 +16,8 @@ import pytest
 
 from repro import api
 from repro.config import SimulationConfig
-from repro.core.tdi import TdiProtocol
 from repro.core import watchdog
+from repro.core.tdi import TdiProtocol
 from repro.core.watchdog import RecoveryStallError
 from repro.protocols.base import DeliveryVerdict
 
