@@ -11,7 +11,6 @@ from typing import Any
 
 import pytest
 
-from repro.config import SimulationConfig
 from repro.core import watchdog
 from repro.core.watchdog import RecoveryStallError, RecoveryWatchdog
 from repro.metrics.counters import RankMetrics
@@ -83,11 +82,9 @@ class StubCluster:
 class StubEndpoint:
     """The slice of Endpoint the watchdog touches."""
 
-    def __init__(self, engine: Engine, config: SimulationConfig,
-                 rank: int = 0) -> None:
+    def __init__(self, engine: Engine, rank: int = 0) -> None:
         self.rank = rank
         self.engine = engine
-        self.config = config
         self.node = StubNode()
         self.protocol = StubProtocol()
         self.metrics = RankMetrics(rank=rank)
@@ -112,7 +109,7 @@ def make_watchdog(monkeypatch):
         monkeypatch.setattr(watchdog, "RECOVERY_ABORT_AFTER", abort_after)
         monkeypatch.setattr(watchdog, "RECOVERY_ESCALATE_AFTER", escalate_after)
         engine = Engine()
-        ep = StubEndpoint(engine, SimulationConfig(nprocs=4, protocol="tdi"))
+        ep = StubEndpoint(engine)
         dog = RecoveryWatchdog(ep, epoch=ep.node.epoch)
         return dog, ep, engine
 
