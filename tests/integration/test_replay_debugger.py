@@ -1,10 +1,15 @@
 """The record/replay debugger: standalone single-rank re-execution."""
 
+import hashlib
+
 import pytest
 
 from repro import api
 from repro.config import SimulationConfig
 from repro.debug import ReplayDivergence, replay_all, replay_rank
+from repro.faults.detector import DetectorConfig
+from repro.faults.injector import FaultSpec, GrayFaultSpec, JoinSpec, LeaveSpec
+from repro.harness.runner import canonical_repr
 from repro.simnet.rng import RngStreams
 from repro.workloads.presets import WORKLOADS, workload_factory
 
@@ -82,3 +87,72 @@ class TestDivergenceDetection:
         recording.deliveries.append(DeliveryRecord(1, 0, 42, 99))
         with pytest.raises(ReplayDivergence, match="unconsumed"):
             replay_rank(standalone_factory("synthetic"), recording, 4)
+
+
+#: name -> (faults, config overrides) for an LU-4 recorded run
+PIN_CASES = {
+    "kill": ((FaultSpec(rank=1, at_time=0.004),), {}),
+    "blocking": ((FaultSpec(rank=1, at_time=0.004),),
+                 {"comm_mode": "blocking"}),
+    "compressed": ((FaultSpec(rank=1, at_time=0.004),),
+                   {"compress_piggybacks": True}),
+    "leave-rejoin": ((LeaveSpec(rank=2, at_time=0.003),
+                      JoinSpec(rank=2, at_time=0.006)), {}),
+    # frozen past the accrual walk: condemned, fenced and force-killed
+    # with the effects it yielded while frozen still buffered
+    "freeze": ((GrayFaultSpec(rank=1, at_time=0.004, kind="freeze",
+                              duration=0.006),),
+               {"detector": DetectorConfig(enabled=True)}),
+}
+
+
+def recording_digest(recording, nprocs):
+    """SHA-256 over every rank's recorded sends, deliveries and result."""
+    digest = hashlib.sha256()
+    for rank in range(nprocs):
+        history = recording.rank(rank)
+        for send in history.sends:
+            digest.update(repr(("send", send.dest, send.tag,
+                                canonical_repr(send.payload),
+                                send.size_bytes)).encode())
+        for delivery in history.deliveries:
+            digest.update(repr(("deliver", delivery.source, delivery.tag,
+                                canonical_repr(delivery.payload),
+                                delivery.send_index)).encode())
+        digest.update(canonical_repr(history.result).encode())
+    return digest.hexdigest()
+
+
+def _pin_run(name):
+    faults, overrides = PIN_CASES[name]
+    settings = dict(nprocs=4, protocol="tdi", seed=7,
+                    checkpoint_interval=0.01, record=True)
+    settings.update(overrides)
+    return api.run_workload("lu", config=SimulationConfig(**settings),
+                            faults=list(faults))
+
+
+#: ``recording_digest`` of each case, pinned while the endpoint still
+#: fed the recorder by hand.  Every case records the same history: LU is
+#: send-deterministic, and a restarted or rejoined rank's recording is
+#: its last incarnation's whole stream, not the dead one's plus a replay
+PINNED = {
+    'blocking': '407b170ef96644a32ce93bfd831ebb386a53a063a216af4a33bc1ef051b2572f',
+    'compressed': '407b170ef96644a32ce93bfd831ebb386a53a063a216af4a33bc1ef051b2572f',
+    'freeze': '407b170ef96644a32ce93bfd831ebb386a53a063a216af4a33bc1ef051b2572f',
+    'kill': '407b170ef96644a32ce93bfd831ebb386a53a063a216af4a33bc1ef051b2572f',
+    'leave-rejoin': '407b170ef96644a32ce93bfd831ebb386a53a063a216af4a33bc1ef051b2572f',
+}
+
+
+class TestRecordingPin:
+    @pytest.mark.parametrize("name", sorted(PIN_CASES))
+    def test_recording_matches_pin(self, name):
+        run = _pin_run(name)
+        assert run.metrics.total("recovery_count") == 1
+        assert recording_digest(run.recording, 4) == PINNED[name]
+
+
+if __name__ == "__main__":  # re-pin: python -m tests.integration.test_replay_debugger
+    for case in sorted(PIN_CASES):
+        print(f"    {case!r}: {recording_digest(_pin_run(case).recording, 4)!r},")
