@@ -1,46 +1,34 @@
 """Recording of per-rank message streams during a live run.
 
-The recorder captures, for every rank, the *application-visible*
-history: each delivery (what ``recv`` returned) and each send the
-application issued.  That history is exactly what a message-logging
-debugger persists; replaying it through the kernel reproduces the
-original execution of that rank without the rest of the system.
+The recorder sits where a rank's kernel meets the runtime: it wraps the
+kernel's generator and keeps, for every rank, the *application-visible*
+history — each :class:`~repro.simnet.primitives.SendOp` the kernel
+yielded and each :class:`~repro.simnet.primitives.Delivered` it was
+resumed with, as the objects themselves, and the value it returned.
+That history is exactly what a message-logging debugger persists;
+replaying it through the kernel (:mod:`repro.debug.replay`, which drives
+the same generator) reproduces the original execution of that rank
+without the rest of the system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Generator
 
-
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """One message as the application received it."""
-
-    source: int
-    tag: int
-    payload: Any
-    send_index: int
-
-
-@dataclass(frozen=True)
-class SendRecord:
-    """One application-level send (suppressed re-sends included: they
-    are part of the application's deterministic behaviour)."""
-
-    dest: int
-    tag: int
-    payload: Any
-    size_bytes: int
+from repro.simnet.primitives import Delivered, SendOp
 
 
 @dataclass
 class RankRecording:
-    """One rank's application-visible history, in program order."""
+    """One rank's application-visible history, in program order.
+
+    ``sends`` holds every send the kernel issued, suppressed re-sends
+    included: they are part of its deterministic behaviour."""
 
     rank: int
-    deliveries: list[DeliveryRecord] = field(default_factory=list)
-    sends: list[SendRecord] = field(default_factory=list)
+    deliveries: list[Delivered] = field(default_factory=list)
+    sends: list[SendOp] = field(default_factory=list)
     result: Any = None
 
     def __len__(self) -> int:
@@ -50,10 +38,10 @@ class RankRecording:
 class RunRecording:
     """All ranks' histories for one run.
 
-    On a faulted run, a victim's pre-failure events are *replaced* when
-    its incarnation re-executes — the recording keeps the last
-    incarnation's history (the one that completed), which is the stream
-    a debugger would replay.
+    Each incarnation of a rank runs a new generator, so it starts a new
+    history: on a faulted run the recording keeps the last incarnation's
+    (the one that completed), which is the stream a debugger would
+    replay.
     """
 
     def __init__(self, nprocs: int) -> None:
@@ -66,25 +54,11 @@ class RunRecording:
         """The recording for one rank."""
         return self._ranks[rank]
 
-    def reset_rank(self, rank: int) -> None:
-        """A new incarnation starts a fresh history for ``rank``."""
-        self._ranks[rank] = RankRecording(rank=rank)
-
-    def record_delivery(self, rank: int, source: int, tag: int,
-                        payload: Any, send_index: int) -> None:
-        """Append one delivery to ``rank``'s stream."""
-        self._ranks[rank].deliveries.append(
-            DeliveryRecord(source, tag, payload, send_index)
-        )
-
-    def record_send(self, rank: int, dest: int, tag: int, payload: Any,
-                    size_bytes: int) -> None:
-        """Append one application send to ``rank``'s stream."""
-        self._ranks[rank].sends.append(SendRecord(dest, tag, payload, size_bytes))
-
-    def record_result(self, rank: int, result: Any) -> None:
-        """Store the rank's final return value."""
-        self._ranks[rank].result = result
+    def record(self, rank: int, run: Generator[Any, Any, Any]) -> Generator[Any, Any, Any]:
+        """Start ``rank``'s history afresh and return ``run`` wrapped so
+        that what it yields and is sent lands in that history."""
+        history = self._ranks[rank] = RankRecording(rank=rank)
+        return _recorded(history, run)
 
     def totals(self) -> dict[str, int]:
         """Aggregate event counts, for reports and tests."""
@@ -92,3 +66,19 @@ class RunRecording:
             "deliveries": sum(len(r.deliveries) for r in self._ranks.values()),
             "sends": sum(len(r.sends) for r in self._ranks.values()),
         }
+
+
+def _recorded(history: RankRecording,
+              run: Generator[Any, Any, Any]) -> Generator[Any, Any, Any]:
+    value = None
+    while True:
+        try:
+            effect = run.send(value)
+        except StopIteration as stop:
+            history.result = stop.value
+            return stop.value
+        if isinstance(effect, SendOp):
+            history.sends.append(effect)
+        value = yield effect
+        if isinstance(value, Delivered):
+            history.deliveries.append(value)

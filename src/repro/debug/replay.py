@@ -22,7 +22,6 @@ from repro.simnet.primitives import (
     ANY_TAG,
     CheckpointPoint,
     Compute,
-    Delivered,
     RecvOp,
     SendOp,
     Wait,
@@ -53,7 +52,8 @@ def replay_rank(
 ) -> Any:
     """Re-execute ``recording.rank``'s kernel against its recording.
 
-    Deliveries are served from the recorded stream in order (matching
+    Deliveries are served from the recorded stream in order, each the
+    ``Delivered`` the live kernel was resumed with (matching
     the request's source/tag — a mismatch means the kernel asked for
     something it did not ask for in the original run).  Sends are
     checked against the recorded sends when ``strict_sends`` is set.
@@ -123,13 +123,7 @@ def replay_rank(
                     f"rank {rank}: delivery #{delivered_seen} recorded tag "
                     f"{record.tag} but the kernel asked for tag {effect.tag}"
                 )
-            value = Delivered(
-                source=record.source,
-                tag=record.tag,
-                payload=record.payload,
-                size_bytes=0,
-                send_index=record.send_index,
-            )
+            value = record
         elif isinstance(effect, SendOp):
             sends_seen += 1
             if strict_sends:

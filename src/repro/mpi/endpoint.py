@@ -146,9 +146,12 @@ class Endpoint:
         self._spawn_task()
 
     def _spawn_task(self) -> None:
+        run = self.app.run(self.ctx)
+        if self.cluster.recording is not None:
+            run = self.cluster.recording.record(self.rank, run)
         task = Task(
             self.engine,
-            self.app.run(self.ctx),
+            run,
             self._handle_effect,
             name=f"app[{self.rank}]",
             epoch=self.node.epoch,
@@ -172,8 +175,6 @@ class Endpoint:
             self.result = task.result
             self.app_done = True
             self.done_at = self.engine.now
-            if self.cluster.recording is not None:
-                self.cluster.recording.record_result(self.rank, task.result)
             self.trace.emit("app.done", self.rank)
 
     def _new_protocol(self) -> Protocol:
@@ -277,10 +278,6 @@ class Endpoint:
             self.metrics.compute_time += duration
             task.resume(None, delay=duration)
         elif isinstance(effect, SendOp):
-            if self.cluster.recording is not None:
-                self.cluster.recording.record_send(
-                    self.rank, effect.dest, effect.tag, effect.payload,
-                    effect.size_bytes)
             self.sender.submit(task, effect)
         elif isinstance(effect, RecvOp):
             self._pending_recv = _PendingRecv(effect.source, effect.tag, self.engine.now)
@@ -513,10 +510,6 @@ class Endpoint:
             self._send_ack_for(frame)
         self.metrics.recv_wait_time += self.engine.now - req.posted_at
         self._pending_recv = None
-        if self.cluster.recording is not None:
-            self.cluster.recording.record_delivery(
-                self.rank, frame.src, frame.meta["tag"], frame.payload,
-                frame.meta["send_index"])
         delivered = Delivered(
             source=frame.src,
             tag=frame.meta["tag"],
@@ -634,9 +627,6 @@ class Endpoint:
         self.checkpointer.last_end = self.engine.now
         self.app_done = False
         self.recovering = True
-        if self.cluster.recording is not None:
-            # the incarnation's history replaces the dead one's
-            self.cluster.recording.reset_rank(self.rank)
         self.fabric.attach(self.rank, self._on_frame)
         self.cluster.detector.observe_recovery(self.rank, self.engine.now, epoch)
         self.trace.emit("recovery.incarnate", self.rank, epoch=epoch,

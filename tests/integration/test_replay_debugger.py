@@ -1,5 +1,6 @@
 """The record/replay debugger: standalone single-rank re-execution."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -10,13 +11,37 @@ from repro.debug import ReplayDivergence, replay_all, replay_rank
 from repro.faults.detector import DetectorConfig
 from repro.faults.injector import FaultSpec, GrayFaultSpec, JoinSpec, LeaveSpec
 from repro.harness.runner import canonical_repr
+from repro.simnet.primitives import Delivered
 from repro.simnet.rng import RngStreams
+from repro.workloads.base import Application
 from repro.workloads.presets import WORKLOADS, workload_factory
 
 
 def recorded_run(workload="lu", nprocs=4, seed=5, faults=None, **kw):
     cfg = SimulationConfig(nprocs=nprocs, protocol="tdi", seed=seed, record=True)
     return api.run_workload(workload, config=cfg, faults=faults, **kw)
+
+
+class SizeRing(Application):
+    """Pass one 100-byte message around a ring; the result is the sum of
+    the sizes received, so a replay that forgets a size diverges."""
+
+    name = "size-ring"
+
+    def run(self, ctx):
+        yield ctx.send((self.rank + 1) % self.nprocs, self.rank,
+                       size_bytes=100)
+        delivered = yield ctx.recv(source=(self.rank - 1) % self.nprocs)
+        return delivered.size_bytes
+
+    def snapshot(self):
+        return {}
+
+    def restore(self, state):
+        pass
+
+    def snapshot_size_bytes(self):
+        return 64
 
 
 def standalone_factory(workload, seed=5):
@@ -30,6 +55,12 @@ class TestReplay:
         run = recorded_run(workload)
         results = replay_all(standalone_factory(workload), run.recording, 4)
         assert results == run.results
+
+    def test_replay_feeds_back_the_delivered_sizes(self):
+        cfg = SimulationConfig(nprocs=3, protocol="tdi", seed=5, record=True)
+        run = api.run_app(lambda rank, n, rng: SizeRing(rank, n), cfg)
+        assert run.results == [100, 100, 100]
+        assert replay_all(SizeRing, run.recording, 3) == run.results
 
     def test_replay_after_fault_uses_incarnation_history(self):
         run = recorded_run("lu", faults=[api.FaultSpec(rank=1, at_time=0.004)])
@@ -67,24 +98,20 @@ class TestDivergenceDetection:
             replay_rank(standalone_factory("synthetic"), recording, 4)
 
     def test_corrupted_delivery_source_detected(self):
-        from repro.debug.recorder import DeliveryRecord
-
         run = recorded_run("lu")
         recording = run.recording.rank(1)
         original = recording.deliveries[0]
         # LU receives from a named neighbour; mislabel the source
-        wrong = DeliveryRecord((original.source + 2) % 4, original.tag,
-                               original.payload, original.send_index)
-        recording.deliveries[0] = wrong
+        recording.deliveries[0] = dataclasses.replace(
+            original, source=(original.source + 2) % 4)
         with pytest.raises(ReplayDivergence, match="asked for source|asked for tag"):
             replay_rank(standalone_factory("lu"), recording, 4)
 
     def test_extra_deliveries_detected(self):
-        from repro.debug.recorder import DeliveryRecord
-
         run = recorded_run("synthetic")
         recording = run.recording.rank(0)
-        recording.deliveries.append(DeliveryRecord(1, 0, 42, 99))
+        recording.deliveries.append(Delivered(
+            source=1, tag=0, payload=42, size_bytes=64, send_index=99))
         with pytest.raises(ReplayDivergence, match="unconsumed"):
             replay_rank(standalone_factory("synthetic"), recording, 4)
 
