@@ -42,9 +42,9 @@ beat toward an attached, never-grayed receiver is *held* on its lane —
 an ``(arrival, src, dst, ...)`` record handed to the reader by
 :meth:`Network.deliver_heartbeats` — instead of costing an engine event.
 A beat is held only while nothing can change what its arrival does;
-everything that can (receiver turnover, a gray gate, an impaired or
-shared wire, a mute stamp, a trace that wants ``net.transmit`` or
-``net.arrive``, the end of the run) turns it back into an ordinary
+everything that can (receiver turnover, a gray gate, an impaired wire,
+a mute stamp, a trace that wants ``net.transmit`` or ``net.arrive``,
+the end of the run) turns it back into an ordinary
 arrival event first.  The table is in ``docs/PROTOCOLS.md``, "Held and
 event beats".
 """
@@ -126,11 +126,6 @@ class NetworkConfig:
 
     #: jitter is uniform in [0, jitter_fraction * BASE_LATENCY]
     jitter_fraction: float = 0.5
-    #: model a shared medium (hub / half-duplex segment): transmissions
-    #: serialize through one collision domain instead of enjoying
-    #: per-channel bandwidth.  Off by default — the paper's testbed is
-    #: switched Ethernet — but available for contention ablations.
-    shared_medium: bool = False
     #: per-frame probability of loss in transit
     drop_prob: float = 0.0
     #: per-frame probability of a one-shot replay (delivered twice)
@@ -277,8 +272,6 @@ class Network:
         #: the same for the ``hb`` lane, per sender and keyed by
         #: destination: held and event beats clamp against one entry
         self._hb_last_arrival: list[dict[int, float]] = [{} for _ in nodes.nodes]
-        #: shared-medium mode: when the collision domain frees up
-        self._medium_free_at: float = 0.0
         #: who reads held heartbeats (:meth:`hold_heartbeats`)
         self._hb_reader: Callable[[list[tuple]], None] | None = None
         #: held heartbeats per receiver, in send order (so FIFO per
@@ -366,9 +359,8 @@ class Network:
         ``k`` consecutive ids) and each beat waits on its lane for
         :meth:`deliver_heartbeats`, or is an arrival event when its
         receiver cannot have beats held (:meth:`stop_holding`)."""
-        cfg = self.config
         lane = self._hb_last_arrival[src]
-        if (muted or self._impair is not None or cfg.shared_medium
+        if (muted or self._impair is not None
                 or not self.trace.wanted.isdisjoint(_FRAME_KINDS)
                 or self._hb_reader is None):
             if muted:
@@ -397,7 +389,7 @@ class Network:
         stats.ctl_frames += count
         stats.ctl_bytes += count * size_bytes
         now = self.engine.now
-        # _schedule's arithmetic with no mute delay and a private medium
+        # _schedule's arithmetic with no mute delay
         base = self.delay_for(size_bytes)
         held = self._held
         holdable = self._holdable
@@ -540,19 +532,8 @@ class Network:
         """Scheduling half: modelled delay, FIFO clamp on ``channel`` of
         ``lane``, and the arrival event (plus the replay's, for a
         duplicate)."""
-        cfg = self.config
-        now = self.engine.now
         delay = self.delay_for(frame.size_bytes) + gray_delay + jitter
-        if cfg.shared_medium:
-            # one collision domain: the frame's wire time starts when the
-            # medium frees up, so concurrent senders queue behind each
-            # other instead of transmitting in parallel
-            wire_time = (frame.size_bytes + HEADER_BYTES) / BANDWIDTH_BYTES_PER_S
-            start = max(now, self._medium_free_at)
-            self._medium_free_at = start + wire_time
-            arrival = start + delay
-        else:
-            arrival = now + delay
+        arrival = self.engine.now + delay
         prev = lane.get(channel, -1.0)
         if arrival <= prev:
             arrival = prev + _FIFO_EPSILON

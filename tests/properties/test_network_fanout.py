@@ -42,7 +42,6 @@ probabilities = st.sampled_from([0.0, 0.2, 0.5])
 network_configs = st.builds(
     NetworkConfig,
     jitter_fraction=st.sampled_from([0.0, 0.5, 2.0]),
-    shared_medium=st.booleans(),
     drop_prob=probabilities,
     dup_prob=probabilities,
     corrupt_prob=probabilities,

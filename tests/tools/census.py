@@ -150,8 +150,6 @@ KEPT: dict[str, str] = {
     "repro/simnet/network.py:Network.partitioned": "inputs: a partition window",
     "repro/simnet/transport.py:ReliableTransport.forget_peer":
         "inputs: a leave under the reliable transport",
-    "repro/debug/recorder.py:RunRecording.reset_rank":
-        "inputs: recording a run in which a rank restarts",
     "repro/verify/oracle.py:CausalOracle._on_degrade":
         "inputs: a recovery escalation under the oracle",
     "repro/faults/schedules.py:weibull_schedule":
@@ -203,7 +201,6 @@ CONFIG_KEPT: dict[str, str] = {
                "overhead ablation varies evlog_latency by name",
     "network.jitter_fraction":
         "tests: a jitter-free wire in tests and the heartbeat matrix",
-    "network.shared_medium": "open: ROADMAP 1(d) decides its fate",
     "network.partitions": "fuzzer: the lossy band draws windows from seed 8 "
                           "on, past the eight seeds run here",
     "max_sim_time": "bound: a per-run limit",

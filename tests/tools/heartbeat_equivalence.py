@@ -23,13 +23,13 @@ equal and is listed.
 every fault shape that can intersect a held beat (double kill with the
 second during the first's recovery, freeze short and long, stutter,
 slow, mute delay and drop, lossy wire + transport, a partition window,
-a shared medium, leave + rejoin slow and between two sweeps, a deferred
+leave + rejoin slow and between two sweeps, a deferred
 join, a run cut short by ``max_sim_time``) x ``heartbeat_interval`` in
 {5e-5, 1e-4, 1.5e-4, 5e-4} (three of them below the wire delay), plus
 the first 100 ``--fault-bias gray`` fuzz scenarios under tdi and tel:
-278 cells x 3 runs, about a minute — prints the first differing field of
+277 cells x 3 runs, about a minute — prints the first differing field of
 every mismatching cell and exits non-zero if there is one.
-``TIER1_CELLS`` is the 33-cell slice
+``TIER1_CELLS`` is the 32-cell slice
 ``tests/integration/test_detection_golden.py`` runs on every push.
 """
 
@@ -94,11 +94,6 @@ SHAPES: dict[str, tuple[tuple, dict[str, Any]]] = {
     "partition": ((), {"network": NetworkConfig(partitions=(
         PartitionWindow(0.006, 0.0068, (3,), _OTHERS),)),
         "transport": TransportConfig(enabled=True)}),
-    # queueing behind one collision domain looks like silence: a wide
-    # variance floor keeps the survivors from condemning each other
-    "shared-medium": ((FaultSpec(3, 0.006),),
-                      {"network": NetworkConfig(shared_medium=True),
-                       "detector": {"floor": 2e-3}}),
     "leave-rejoin": ((LeaveSpec(2, 0.006), JoinSpec(2, 0.009)), {}),
     # a turnover takes a 1.2 ms checkpoint read; only at a beat slower
     # than that does the rank come back between two sweeps, while its
@@ -155,10 +150,8 @@ def _fuzz_cells(seeds: range) -> list[Cell]:
 
 
 def _intervals(shape: str) -> tuple[float, ...]:
-    """56 beats of 3.2 us wire time per interval saturate one collision
-    domain below ~180 us: that shape runs at the default interval only,
-    like the one that sets its own."""
-    if shape in ("shared-medium", "rejoin-between-sweeps"):
+    """The shape that sets its own beat interval runs once."""
+    if shape == "rejoin-between-sweeps":
         return INTERVALS[-1:]
     return INTERVALS
 
@@ -167,7 +160,7 @@ FULL_MATRIX = ([_matrix_cell(shape, interval)
                 for shape in SHAPES for interval in _intervals(shape)]
                + _fuzz_cells(range(100)))
 #: every shape once, the intervals rotating through them, and the first
-#: six gray scenarios under both protocols: 33 cells
+#: six gray scenarios under both protocols: 32 cells
 TIER1_CELLS = ([_matrix_cell(shape, _intervals(shape)[-1 - i % len(_intervals(shape))])
                 for i, shape in enumerate(SHAPES)]
                + _fuzz_cells(range(6)))

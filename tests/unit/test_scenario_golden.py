@@ -82,34 +82,34 @@ GOLDEN = {
     'none/clean/clean/on': ('d46d41c56cfd53e1', 'b1881652c983ce81', '6c33c9dfe28dd897'),
     'none/clean/hostile/off': ('565d0e2d0656de7f', '3128fe076574a81d', '6faf9319e17bd320'),
     'none/clean/hostile/on': ('694637d33bef9a6f', '46ce279ef5e6922a', '44da1d484ea7459a'),
-    'none/lossy/clean/off': ('718c00f1e98dc67d', '674261c67d4588a7', 'd58cf9944ae9700a'),
-    'none/lossy/clean/on': ('abb9dbe986a43b9a', 'b13ed5c94c85319d', '915e0e1620913dde'),
-    'none/lossy/hostile/off': ('b02658c4f31c47c7', 'fe82a45662584df6', 'e14676bc1e1c462f'),
-    'none/lossy/hostile/on': ('3168f375ac138fcf', '031a1cd963e6d6ac', 'baf8a99aa22b4e42'),
+    'none/lossy/clean/off': ('718c00f1e98dc67d', '26c1a9a1a3640fa8', 'd58cf9944ae9700a'),
+    'none/lossy/clean/on': ('abb9dbe986a43b9a', '590a7b71afa39be9', '915e0e1620913dde'),
+    'none/lossy/hostile/off': ('b02658c4f31c47c7', 'cfd4e221096bcc68', 'e14676bc1e1c462f'),
+    'none/lossy/hostile/on': ('3168f375ac138fcf', '3a4f1178b30f080e', 'baf8a99aa22b4e42'),
     'overlap/clean/clean/off': ('161c0e4a119730b2', 'd4c5a056e08e939b', '2fdea8340e422b1c'),
     'overlap/clean/clean/on': ('bf372da9840895a5', '902fc77c0c058971', '273a98b397bfe299'),
     'overlap/clean/hostile/off': ('46f0d719b265d891', 'f09bda81dec31ad1', '74e8502735481276'),
     'overlap/clean/hostile/on': ('d81358dc5a153086', '58b692778849e773', '710c8cfe72e6f1a4'),
-    'overlap/lossy/clean/off': ('2f80e8cc9b810651', '7e4d59f952726dd2', 'fb27029b5d536f72'),
-    'overlap/lossy/clean/on': ('4a880b2c20d9c92e', '4bce89b037137208', 'e8c8306e69dfeb12'),
-    'overlap/lossy/hostile/off': ('ddb86259bdc13d47', 'c623d97404342ce2', '44198a2ab4bea2a3'),
-    'overlap/lossy/hostile/on': ('4e2a3e1760ad600d', 'de8ea870c6b2d083', '04bc6d03bcec809c'),
+    'overlap/lossy/clean/off': ('2f80e8cc9b810651', '666cfbed3a3668e2', 'fb27029b5d536f72'),
+    'overlap/lossy/clean/on': ('4a880b2c20d9c92e', '3abb4556d42257f1', 'e8c8306e69dfeb12'),
+    'overlap/lossy/hostile/off': ('ddb86259bdc13d47', 'd0dde989de9865a7', '44198a2ab4bea2a3'),
+    'overlap/lossy/hostile/on': ('4e2a3e1760ad600d', 'b89bf573bfc003b1', '04bc6d03bcec809c'),
     'churn/clean/clean/off': ('984295542b15cbf4', '820db1a8d7c23522', 'db7ee96fae1e1677'),
     'churn/clean/clean/on': ('4d627621c081d8e8', '38beb51010dfb4ee', '8329e68e4aca71ec'),
     'churn/clean/hostile/off': ('e0d500c77e48fc18', '07f6d488e7ba000e', 'da88b671c9e0a11a'),
     'churn/clean/hostile/on': ('02edec66c9619202', 'fa511d416c427ec0', '7a5d98abcf433a80'),
-    'churn/lossy/clean/off': ('3d2a97e9b5fe06a0', '2bfb79e3e12a5ea4', '0482bcf1637c16e1'),
-    'churn/lossy/clean/on': ('cfdb17b3cbedcfbe', '36c3fc75deaa1e9a', '4f1d67c4957b2eef'),
-    'churn/lossy/hostile/off': ('d097fceb8a570070', '034d7c8fe4d3893b', '51ae58464af22873'),
-    'churn/lossy/hostile/on': ('d04abb8f724f1b1e', '972cf448f4953f5e', 'd99d8e5bb25d149a'),
+    'churn/lossy/clean/off': ('3d2a97e9b5fe06a0', '0fd733073982a3e6', '0482bcf1637c16e1'),
+    'churn/lossy/clean/on': ('cfdb17b3cbedcfbe', 'fa0a939fd2af0985', '4f1d67c4957b2eef'),
+    'churn/lossy/hostile/off': ('d097fceb8a570070', '83b5e80c01f35f1d', '51ae58464af22873'),
+    'churn/lossy/hostile/on': ('d04abb8f724f1b1e', '03a41496cf8a8c15', 'd99d8e5bb25d149a'),
     'gray/clean/clean/off': ('4ce086920ca9ab40', '021e204014c48c0c', '3b1b9c9b80c9fb28'),
     'gray/clean/clean/on': ('ec4ff47c05280ce5', '528c677da2f198b7', '91c45c7c73f68a26'),
     'gray/clean/hostile/off': ('f0a947e0678e40ff', '3e81476da7b2d940', '4019e9eb827b4d4b'),
     'gray/clean/hostile/on': ('f2a7bb0349a7ef9f', 'e6333f750bd1c57f', '0b0c35d49328e7ea'),
-    'gray/lossy/clean/off': ('a9d310c47013e8ea', '71fa9fc7ae0e7979', '8b7e28ecd7f629b4'),
-    'gray/lossy/clean/on': ('3475d2c08ee272f5', 'd5169bd24e28d66b', '39bb4aafc544331c'),
-    'gray/lossy/hostile/off': ('b63644bb03655407', '52c4027d679d598f', 'cbe2c534828f5325'),
-    'gray/lossy/hostile/on': ('4af43a590168d282', '57cdaadb302be5f8', '3dadee6af843c875'),
+    'gray/lossy/clean/off': ('a9d310c47013e8ea', 'c632abee57b9cdd1', '8b7e28ecd7f629b4'),
+    'gray/lossy/clean/on': ('3475d2c08ee272f5', '4f1037142d24eb54', '39bb4aafc544331c'),
+    'gray/lossy/hostile/off': ('b63644bb03655407', '7b19611f9ed6417c', 'cbe2c534828f5325'),
+    'gray/lossy/hostile/on': ('4af43a590168d282', '4ced50dd5f4be56f', '3dadee6af843c875'),
 }
 
 #: corpus file -> digest of its loaded and re-serialised scenarios
