@@ -179,9 +179,9 @@ class TdiProtocol(SenderLoggingProtocol):
         merged = self.depend_interval.merge(piggyback)
         scanned = (2 * len(piggyback) if getattr(piggyback, "tagged", False)
                    else len(piggyback))
-        self.trace.emit(
-            "proto.deliver", self.rank, src=src, send_index=send_index, merged=merged
-        )
+        if "proto.deliver" in self.trace.wanted:
+            self.trace.emit("proto.deliver", self.rank, src=src,
+                            send_index=send_index, merged=merged)
         return self.costs.identifiers_cost(scanned)
 
     # ------------------------------------------------------------------

@@ -356,9 +356,10 @@ class Endpoint:
             pb_bytes = (stamp.piggyback_identifiers
                         * self.config.costs.identifier_bytes)
             meta["pb"] = stamp.piggyback
-        self.trace.emit("verify.send", self.rank, dest=msg.dest, tag=msg.tag,
-                        send_index=stamp.send_index, pb=stamp.piggyback,
-                        resend=resend)
+        if "verify.send" in self.trace.wanted:
+            self.trace.emit("verify.send", self.rank, dest=msg.dest, tag=msg.tag,
+                            send_index=stamp.send_index, pb=stamp.piggyback,
+                            resend=resend)
         self._transmit(Frame("app", self.rank, msg.dest, msg.payload,
                              msg.size_bytes + pb_bytes, meta))
 
@@ -503,9 +504,11 @@ class Endpoint:
             return
         cost = self.protocol.on_deliver(frame.meta, frame.src)
         self.metrics.app_delivers += 1
-        self.trace.emit("verify.deliver", self.rank, src=frame.src,
-                        tag=frame.meta["tag"], send_index=frame.meta["send_index"],
-                        pb=frame.meta["pb"])
+        if "verify.deliver" in self.trace.wanted:
+            self.trace.emit("verify.deliver", self.rank, src=frame.src,
+                            tag=frame.meta["tag"],
+                            send_index=frame.meta["send_index"],
+                            pb=frame.meta["pb"])
         if frame.meta.get("ack") == "delivery":
             self._send_ack_for(frame)
         self.metrics.recv_wait_time += self.engine.now - req.posted_at
