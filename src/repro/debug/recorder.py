@@ -70,6 +70,8 @@ class RunRecording:
 
 def _recorded(history: RankRecording,
               run: Generator[Any, Any, Any]) -> Generator[Any, Any, Any]:
+    """Drive ``run`` step for step (by ``send`` only: no runtime path
+    throws into a kernel), copying its traffic and result to ``history``."""
     value = None
     while True:
         try:
