@@ -312,8 +312,8 @@ def test_held_run_is_indistinguishable_from_the_event_run(cell):
     event, held, verified = observe_three(cell)
     assert "raised" not in event, event["raised"]
     assert first_difference(event, held) is None
-    assert (held["events_fired"] < event["events_fired"]
-            or cell.config.network.impaired)
+    assert held["events_fired"] < event["events_fired"] \
+        or cell.config.network.impaired
     # the oracle alone un-holds nothing and checks what it always did
     assert verified_difference(event, held, verified) is None
 
