@@ -108,6 +108,8 @@ KEPT: dict[str, str] = {
     "*:*._diagnose*": _STALL,
     "repro/mpi/endpoint.py:Endpoint.describe_wait": _STALL,
     "repro/protocols/queue.py:ReceivingQueue.frames": _STALL,
+    "repro/simnet/network.py:Network.describe_pending": _STALL,
+    "repro/simnet/transport.py:ReliableTransport.describe_pending": _STALL,
     "repro/protocols/base.py:EndpointServices.*": _INTERFACE,
     "repro/protocols/base.py:Protocol.*": _INTERFACE,
     "repro/core/recovery.py:SenderLoggingProtocol._*": _INTERFACE,
@@ -133,6 +135,8 @@ KEPT: dict[str, str] = {
     "repro/fuzz/differential.py:ScenarioVerdict.signature":
         "inputs: replaying an open corpus entry",
     "repro/harness/executor.py:*": "inputs: -j N > 1 (worker processes)",
+    "repro/simnet/engine.py:Engine.stop":
+        "inputs: an application error (Endpoint._on_task_done)",
     "repro/workloads/mg.py:*": "inputs: the mg workload",
     "repro/workloads/is_sort.py:*": "inputs: the is workload",
     "repro/workloads/bt.py:bt_default_params":
@@ -181,9 +185,6 @@ KEPT: dict[str, str] = {
     "repro/protocols/checkpoint.py:CheckpointStore.read_time": _PENDING,
     "repro/protocols/partitioned.py:partitioned_protocol": _PENDING,
     "repro/protocols/queue.py:ReceivingQueue.clear": _PENDING,
-    "repro/simnet/engine.py:Engine.stop": _PENDING,
-    "repro/simnet/network.py:Network.describe_pending": _PENDING,
-    "repro/simnet/transport.py:ReliableTransport.describe_pending": _PENDING,
     "repro/simnet/proc.py:Task.throw": _PENDING,
     "repro/simnet/proc.py:Task.finished": _PENDING,
     "repro/simnet/trace.py:TraceEvent.get": _PENDING,

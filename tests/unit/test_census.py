@@ -101,3 +101,17 @@ def test_config_kept_reasons_match_by_pattern():
     assert census.why_kept("costs.evlog_latency", census.CONFIG_KEPT) \
         .startswith("micro")
     assert census.why_kept("nprocs", census.CONFIG_KEPT) == "UNDECIDED"
+
+
+def _exact(table):
+    return [key for key in table if not set("*?[") & set(key)]
+
+
+def test_every_kept_entry_without_a_wildcard_names_something_that_exists():
+    """A ``KEPT`` key names a function under ``src/repro`` and a
+    ``CONFIG_KEPT`` key a config leaf; one whose function or field was
+    deleted or renamed is stale and goes with it."""
+    defined = {f"{fn.path}:{fn.qualname}" for fn in census.inventory()}
+    leaves = census.flatten(SimulationConfig())
+    assert [key for key in _exact(census.KEPT) if key not in defined] == []
+    assert [key for key in _exact(census.CONFIG_KEPT) if key not in leaves] == []
