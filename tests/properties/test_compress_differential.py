@@ -10,8 +10,8 @@ answers, wire bytes and every counter of every rank.
 
 import pytest
 
-from tests.tools.compress_equivalence import (TIER1_CELLS, first_difference,
-                                              observe_both)
+from tests.tools.compress_equivalence import TIER1_CELLS, observe_both
+from tests.tools.equivalence import first_difference
 
 
 @pytest.mark.parametrize("cell", TIER1_CELLS, ids=lambda c: "-".join(map(str, c)))

@@ -248,6 +248,11 @@ _BEAT_ALL = ("beat", (0, [1, 2], frozenset(), {}))
 @example(NetworkConfig(), 0, [
     # a recovery clears after hearing what arrived, not before
     _BEAT_ALL, ("advance", 2.5e-4), ("recover", 0), ("judge", None)])
+@example(NetworkConfig(), 0, [
+    # a sweep judges after hearing what arrived: who condemns 0, and
+    # at which tick, turns on the beats each sweep has heard
+    ("beat", (0, [1, 2, 3, 4, 5], frozenset(), {})), ("advance", 1e-4),
+    ("judge", None)] * 3)
 def test_held_beats_equal_per_frame_events(config, seed, script):
     """Counters, every arrival as (time, dst, frame id, meta), all five
     substreams and the detector's whole state — every stamp of every

@@ -9,8 +9,8 @@ violations, every counter of every rank and the whole trace.
 
 import pytest
 
-from tests.tools.tag_equivalence import (TIER1_CELLS, first_difference,
-                                         observe_both)
+from tests.tools.equivalence import first_difference
+from tests.tools.tag_equivalence import TIER1_CELLS, observe_both
 
 
 @pytest.mark.parametrize("cell", TIER1_CELLS, ids=lambda c: "-".join(map(str, c)))

@@ -16,8 +16,7 @@ condemnations, fences, failures and recoveries, ``accomplishment_time``,
 ``events_fired`` may differ, only downward and only between *event* and
 the other two: the verified run fires exactly the held run's events,
 finds no violation and makes the per-event run's checks, count for
-count.  A cell in which every side raises the same exception counts as
-equal and is listed.
+count.
 
 ``python -m tests.tools.heartbeat_equivalence`` runs the full matrix —
 every fault shape that can intersect a held beat (double kill with the
@@ -27,8 +26,9 @@ leave + rejoin slow and between two sweeps, a deferred
 join, a run cut short by ``max_sim_time``) x ``heartbeat_interval`` in
 {5e-5, 1e-4, 1.5e-4, 5e-4} (three of them below the wire delay), plus
 the first 100 ``--fault-bias gray`` fuzz scenarios under tdi and tel:
-277 cells x 3 runs, about a minute — prints the first differing field of
-every mismatching cell and exits non-zero if there is one.
+277 cells x 3 runs, about a minute — with
+:func:`tests.tools.equivalence.run_matrix`, totalling the engine events
+of each side.
 ``TIER1_CELLS`` is the 32-cell slice
 ``tests/integration/test_detection_golden.py`` runs on every push.
 """
@@ -36,8 +36,8 @@ every mismatching cell and exits non-zero if there is one.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import sys
-import time
 from typing import Any, NamedTuple
 
 from repro.config import SimulationConfig
@@ -51,6 +51,7 @@ from repro.mpi.cluster import Cluster
 from repro.simnet.network import NetworkConfig, PartitionWindow
 from repro.simnet.transport import TransportConfig
 from repro.workloads.presets import workload_factory
+from tests.tools import equivalence
 
 NPROCS = 8
 INTERVALS = (5e-5, 1e-4, 1.5e-4, 5e-4)
@@ -121,6 +122,9 @@ class Cell(NamedTuple):
     preset: str
     workload_kwargs: tuple
     faults: tuple
+
+    def __str__(self) -> str:
+        return self.name
 
 
 def _matrix_cell(shape: str, interval: float, seed: int = 1) -> Cell:
@@ -194,49 +198,32 @@ def observation(cluster: Cluster, run: Any) -> dict[str, Any]:
 
 
 def observe(cell: Cell, per_event: bool, verify: bool = False) -> dict[str, Any]:
-    """One run of ``cell``, observed; a run that raises is its message.
-    A verified run's observation also holds what its oracle found."""
+    """One run of ``cell``, observed.  A verified run's observation also
+    holds what its oracle found."""
     factory = workload_factory(cell.workload, scale=cell.preset,
                                **dict(cell.workload_kwargs))
     cluster = Cluster(dataclasses.replace(cell.config, verify=verify), factory)
     if per_event:
         cluster.trace.attach_listener(_ignore)
-    try:
-        run = cluster.run(list(cell.faults) or None)
-    except Exception as exc:  # the same failure on both sides is equality
-        return {"raised": f"{type(exc).__name__}: {exc}"}
-    observed = observation(cluster, run)
-    if verify:
-        observed["oracle"] = {"violations": [str(v) for v in run.violations],
-                              "checks": cluster.oracle.summary()["checks"]}
-    return observed
+
+    def fields(run: Any) -> dict[str, Any]:
+        observed = observation(cluster, run)
+        if verify:
+            observed["oracle"] = {"violations": [str(v) for v in run.violations],
+                                  "checks": cluster.oracle.summary()["checks"]}
+        return observed
+
+    return equivalence.observe(lambda: cluster.run(list(cell.faults) or None),
+                               fields)
 
 
-def first_difference(event: dict[str, Any], held: dict[str, Any],
-                     names: tuple[str, str] = ("event", "held")) -> str | None:
-    """``None`` when the observations are equal, else what differs first.
-    Between an event and a held run ``events_fired`` is the one field
-    allowed to move, and only down; under any other ``names`` nothing is.
-    What an oracle found is not compared here (:func:`verified_difference`)."""
-    one, other = names
-    if ("raised" in event) != ("raised" in held):
-        return (f"one side raised: {one} {event.get('raised')!r}, "
-                f"{other} {held.get('raised')!r}")
-    for field, expected in event.items():
-        if field == "oracle":
-            continue
-        got = held[field]
-        if field == "events_fired" and names == ("event", "held"):
-            if got > expected:
-                return f"events_fired: event {expected}, held {got} (more)"
-        elif got != expected:
-            if isinstance(expected, dict):
-                for key in sorted(set(expected) | set(got), key=repr):
-                    if expected.get(key) != got.get(key):
-                        return (f"{field}[{key!r}]: {one} {expected.get(key)!r}\n"
-                                f"    {other} {got.get(key)!r}")
-            return f"{field}: {one} {expected!r}\n    {other} {got!r}"
-    return None
+def first_difference(event: dict[str, Any], held: dict[str, Any]) -> str | None:
+    """``None`` when an event and a held run are equal, else what differs
+    first: ``events_fired`` is the one field allowed to move, and only
+    down.  What an oracle found is compared by :func:`verified_difference`."""
+    return equivalence.first_difference(
+        event, held, ("event", "held"),
+        {"events_fired": operator.ge, "oracle": lambda *_: True})
 
 
 def observe_three(cell: Cell) -> tuple[dict[str, Any], ...]:
@@ -252,40 +239,14 @@ def verified_difference(event: dict[str, Any], held: dict[str, Any],
     check: the verified run equals the held one in every field,
     ``events_fired`` included, and its oracle is silent after exactly
     the per-event run's checks."""
-    difference = first_difference(held, verified, ("held", "verified"))
-    if difference is None and "raised" not in verified:
-        expected = {"violations": [], "checks": event["oracle"]["checks"]}
-        if verified["oracle"] != expected:
-            return (f"oracle: event (silent) {expected!r}\n"
-                    f"    verified {verified['oracle']!r}")
-    return difference
-
-
-def main() -> int:
-    """Run the full matrix; report and count the differing cells."""
-    started = time.perf_counter()
-    differing = raised = events_event = events_held = 0
-    for cell in FULL_MATRIX:
-        event, held, verified = observe_three(cell)
-        difference = (first_difference(event, held)
-                      or verified_difference(event, held, verified))
-        if difference is not None:
-            differing += 1
-            print(f"DIFF {cell.name}: {difference}")
-        elif "raised" in event:
-            raised += 1
-            print(f"same exception on both sides, {cell.name}: "
-                  f"{event['raised'][:120]}")
-        else:
-            events_event += event["events_fired"]
-            events_held += held["events_fired"]
-    print(f"heartbeat_equivalence: {len(FULL_MATRIX)} cells x 3 runs, "
-          f"{differing} differences, {raised} raising identically, "
-          f"{events_event} engine events with a listener, {events_held} "
-          f"without or under the oracle alone, "
-          f"{time.perf_counter() - started:.1f} s")
-    return 1 if differing else 0
+    if "raised" not in held:
+        held = {**held, "oracle": {"violations": [],
+                                   "checks": event["oracle"]["checks"]}}
+    return equivalence.first_difference(held, verified, ("held", "verified"))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(equivalence.run_matrix(
+        "heartbeat_equivalence", FULL_MATRIX, observe_three,
+        lambda event, held, verified: first_difference(event, held)
+        or verified_difference(event, held, verified)))
