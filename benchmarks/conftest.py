@@ -29,42 +29,6 @@ def pytest_collection_modifyitems(items):
         item.add_marker(pytest.mark.benchmark(min_rounds=1, warmup=False))
 
 
-# ----------------------------------------------------------------------
-# Run-cell memoisation.
-#
-# The fig6 sweep, the fig6 ordering check and the fig6 LU-is-worst check
-# revisit the same simulation cells (say, TAG/LU/n=32) with identical
-# parameters — the runs are deterministic, so the results are identical
-# too.  The memo below makes every (cell, parameters, faults)
-# combination simulate exactly once per session; pytest-benchmark wall
-# numbers therefore time the *first* computation of each cell, and later
-# checks that share cells measure cache hits (their real payload is the
-# simulated metric series, which the memo does not alter).
-# ----------------------------------------------------------------------
-
-def pytest_sessionstart(session):
-    import repro.harness.runner as runner
-
-    original = runner.run_cell
-    cache: dict = {}
-
-    def cached_run_cell(cell, *, preset, checkpoint_interval, seed,
-                        faults=None, **config_overrides):
-        key = (
-            cell, preset, checkpoint_interval, seed,
-            tuple(faults) if faults else (),
-            tuple(sorted(config_overrides.items())),
-        )
-        if key not in cache:
-            cache[key] = original(
-                cell, preset=preset, checkpoint_interval=checkpoint_interval,
-                seed=seed, faults=faults, **config_overrides,
-            )
-        return cache[key]
-
-    runner.run_cell = cached_run_cell
-
-
 @pytest.fixture(scope="session")
 def figure_report():
     """Collects figure rows across benches; printed at session end."""

@@ -26,8 +26,6 @@ from repro.fuzz.scenario import (
     FUZZ_MAX_EVENTS,
     Scenario,
     generate_scenario,
-    load_scenario,
-    save_scenario,
 )
 from repro.fuzz.shrink import ShrinkResult, scenario_size, shrink_scenario
 
@@ -46,12 +44,10 @@ __all__ = [
     "default_corpus_dir",
     "generate_scenario",
     "load_corpus",
-    "load_scenario",
     "replay_entry",
     "run_campaign",
     "run_scenario",
     "save_entry",
-    "save_scenario",
     "scenario_requests",
     "scenario_size",
     "shrink_scenario",

@@ -134,22 +134,22 @@ def audit_entry(entry: CorpusEntry):
     through :mod:`repro.debug.replay` — pinpointing the first divergence
     when a kernel itself is at fault rather than a protocol.
     """
+    from repro.config import SimulationConfig
     from repro.debug.replay import audit_run
-    from repro.harness.runner import run_cell, Cell
-
-    scenario = entry.scenario
-    result = run_cell(
-        Cell(scenario.workload, scenario.nprocs, "none",
-             comm_mode=scenario.comm_mode),
-        preset=scenario.preset,
-        checkpoint_interval=scenario.checkpoint_interval,
-        seed=scenario.seed,
-        workload_kwargs=scenario.workload_kwargs,
-        eager_threshold_bytes=scenario.eager_threshold_bytes,
-        record=True,
-    )
+    from repro.mpi.cluster import run_simulation
     from repro.workloads.presets import workload_factory
 
+    scenario = entry.scenario
+    config = SimulationConfig(
+        nprocs=scenario.nprocs,
+        protocol="none",
+        comm_mode=scenario.comm_mode,
+        checkpoint_interval=scenario.checkpoint_interval,
+        eager_threshold_bytes=scenario.eager_threshold_bytes,
+        seed=scenario.seed,
+        record=True,
+    )
     factory = workload_factory(scenario.workload, scale=scenario.preset,
                                **dict(scenario.workload_kwargs))
+    result = run_simulation(config, factory)
     return audit_run(result, lambda rank, nprocs: factory(rank, nprocs, None))

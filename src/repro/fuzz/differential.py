@@ -31,9 +31,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from repro.config import SimulationConfig
 from repro.harness.cache import ResultCache
 from repro.harness.executor import run_batch
-from repro.harness.runner import Cell, RunRequest, RunSummary
+from repro.harness.runner import RunRequest, RunSummary
 from repro.fuzz.bands import BANDS
 from repro.fuzz.scenario import FUZZ_MAX_EVENTS, Scenario
 from repro.verify.violations import parse_violation
@@ -103,12 +104,7 @@ class ScenarioVerdict:
 
 def _request(scenario: Scenario, protocol: str, *, faulted: bool,
              record: bool, verify: bool) -> RunRequest:
-    overrides = [
-        ("eager_threshold_bytes", scenario.eager_threshold_bytes),
-        ("max_events", FUZZ_MAX_EVENTS),
-    ]
-    if record:
-        overrides.append(("record", True))
+    overrides: dict = {}
     for band in BANDS:
         # a band arms either every protocol leg — the ground truth keeps
         # the pristine wire, device and encoding, so anything of it that
@@ -117,23 +113,30 @@ def _request(scenario: Scenario, protocol: str, *, faulted: bool,
         # faulted legs (the armed detector)
         armed = faulted if band.legs == "faulted" else protocol != GROUND_TRUTH
         if armed and band.overrides:
-            overrides.extend(band.overrides(scenario))
+            overrides.update(band.overrides(scenario))
     return RunRequest(
         key=(scenario.name, protocol, "faulted" if faulted else "ff"),
-        cell=Cell(scenario.workload, scenario.nprocs, protocol,
-                  comm_mode=scenario.comm_mode),
+        workload=scenario.workload,
         preset=scenario.preset,
-        checkpoint_interval=scenario.checkpoint_interval,
-        seed=scenario.seed,
+        config=SimulationConfig(
+            nprocs=scenario.nprocs,
+            protocol=protocol,
+            comm_mode=scenario.comm_mode,
+            checkpoint_interval=scenario.checkpoint_interval,
+            eager_threshold_bytes=scenario.eager_threshold_bytes,
+            seed=scenario.seed,
+            verify=verify,
+            record=record,
+            max_events=FUZZ_MAX_EVENTS,
+            **overrides,
+        ),
         # membership churn rides the faulted legs only; the ground truth
         # and failure-free legs run the full fixed membership, so a join
         # or leave that perturbs application-visible behaviour diverges
         # from the reference instead of cancelling out
         faults=scenario.event_specs() if faulted else (),
-        verify=verify,
         strict_verify=False,
         workload_kwargs=scenario.workload_kwargs,
-        config_overrides=tuple(overrides),
     )
 
 

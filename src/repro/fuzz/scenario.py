@@ -22,10 +22,8 @@ windows, and the restart boundary right after a recovery.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import Any
 
 from repro.config import SimulationConfig
@@ -442,21 +440,3 @@ def generate_scenario(seed: int, fault_bias: str | None = None,
         if band in picked and band.draw:
             scenario = band.draw(rng, scenario)
     return scenario
-
-
-# ----------------------------------------------------------------------
-# Disk form
-# ----------------------------------------------------------------------
-
-def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    """Write one scenario as pretty JSON."""
-    Path(path).write_text(
-        json.dumps(scenario.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
-def load_scenario(path: str | Path) -> Scenario:
-    """Read a scenario written by :func:`save_scenario`."""
-    return Scenario.from_json_dict(
-        json.loads(Path(path).read_text(encoding="utf-8")))

@@ -5,8 +5,10 @@ Every simulation is a pure function of its materialised
 kernel-parameter overrides), the fault schedule and the seed — PR 1 made
 frame identifiers per-``Network``, so nothing outside those inputs can
 leak into a run.  That purity is what makes caching sound: the cache key
-is a SHA-256 over the canonical JSON of exactly those inputs (plus the
-package version, so a new release never reuses stale numbers), and the
+is a SHA-256 over the canonical JSON of exactly those inputs plus a
+digest of the package's own source (:func:`source_digest`), so a cache
+written by one version of the simulator is never read by another — not
+even by a commit that changed a module constant and nothing else.  The
 value is the :class:`~repro.harness.runner.RunSummary` the row-builders
 consume.
 
@@ -21,6 +23,7 @@ never leaves a torn entry behind.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -28,8 +31,28 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
-from repro._version import __version__
 from repro.harness.runner import RunRequest, RunSummary
+
+#: the ``repro`` package directory
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+
+@functools.cache
+def source_digest(root: Path = PACKAGE_ROOT) -> str:
+    """SHA-256 over every ``.py`` file under ``root``, with its path.
+
+    Computed once per process (a few milliseconds).  A run's outcome is
+    a function of its inputs *and* of the code that simulates it, so the
+    code goes into every cache key: the version string has outlived
+    many behaviour changes.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        source = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(source)}\0"
+                      .encode())
+        digest.update(source)
+    return digest.hexdigest()
 
 
 def _jsonify(value):
@@ -49,11 +72,11 @@ def request_fingerprint(request: RunRequest) -> dict:
     presentation-only fields (the request ``key``) deliberately do not.
     """
     return {
-        "version": __version__,
-        "cell": asdict(request.cell),
+        "source": source_digest(),
+        "workload": request.workload,
         "preset": request.preset,
         "workload_kwargs": sorted([list(kv) for kv in request.workload_kwargs]),
-        "config": _jsonify(asdict(request.config())),
+        "config": _jsonify(asdict(request.config)),
         # the kind discriminates event classes whose fields coincide
         # (JoinSpec and FaultSpec both serialise to {rank, at_time})
         "faults": [{"kind": type(f).__name__, **asdict(f)}

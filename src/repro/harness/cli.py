@@ -7,7 +7,7 @@ Examples::
     repro-harness fig8 --seed 7
     repro-harness all -j 0 --json results.json   # fan out over all cores
     repro-harness fig6 --cache-dir .cache        # reuse cells across runs
-    repro-harness ablations --no-cache
+    repro-harness ablations --preset fast --verify --no-cache
 
 ``--jobs``/``-j`` fans the experiment matrix out over worker processes
 (``0`` = all cores; ``1``, the default, is the serial in-process path).
@@ -20,7 +20,6 @@ points the content-addressed result cache somewhere explicit and
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -30,19 +29,23 @@ from repro.harness import experiments
 from repro.harness.config import ExperimentOptions
 from repro.harness.tables import FigureResult
 
-FIGURES = {
+#: name -> (experiment, the row field that tells a figure's lines apart);
+#: every experiment is called as ``fn(options, jobs=..., cache=...)``
+EXPERIMENTS = {
     "fig6": (experiments.fig6, "protocol"),
     "fig7": (experiments.fig7, "protocol"),
     "fig8": (experiments.fig8, "mode"),
     "overhead": (experiments.overhead, "protocol"),
+    "ablation-ckpt-interval": (experiments.ablation_checkpoint_interval,
+                               "protocol"),
+    "ablation-log-gc": (experiments.ablation_log_gc, "protocol"),
+    "ablation-evlog-latency": (experiments.ablation_evlog_latency, "protocol"),
+    "sensitivity-frequency": (experiments.sensitivity_message_frequency,
+                              "protocol"),
 }
 
-ABLATIONS = {
-    "ablation-ckpt-interval": experiments.ablation_checkpoint_interval,
-    "ablation-log-gc": experiments.ablation_log_gc,
-    "ablation-evlog-latency": experiments.ablation_evlog_latency,
-    "sensitivity-frequency": experiments.sensitivity_message_frequency,
-}
+#: what ``all`` runs; ``ablations`` runs every other entry
+FIGURES = ("fig6", "fig7", "fig8", "overhead")
 
 
 def default_cache_dir() -> str:
@@ -61,7 +64,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     )
     parser.add_argument(
         "figure",
-        choices=sorted(FIGURES) + ["all", "ablations"],
+        choices=[*FIGURES, "all", "ablations"],
         help="which experiment to run",
     )
     parser.add_argument("--preset", choices=("fast", "paper"), default="paper",
@@ -105,26 +108,16 @@ def _options(args: argparse.Namespace) -> ExperimentOptions:
     )
 
 
-def _execution_kwargs(fn, args: argparse.Namespace, cache) -> dict:
-    """``jobs``/``cache`` keywords, but only the ones ``fn`` accepts.
-
-    The ablation table is monkeypatchable (and monkeypatched in tests)
-    with plain zero-argument callables; those run serially.
-    """
-    params = inspect.signature(fn).parameters
-    kwargs = {}
-    if "jobs" in params:
-        kwargs["jobs"] = args.jobs
-    if "cache" in params:
-        kwargs["cache"] = cache
-    return kwargs
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = _parse_args(argv)
     options = _options(args)
-    names = sorted(FIGURES) if args.figure == "all" else [args.figure]
+    if args.figure == "all":
+        names = list(FIGURES)
+    elif args.figure == "ablations":
+        names = [name for name in EXPERIMENTS if name not in FIGURES]
+    else:
+        names = [args.figure]
     collected: list[FigureResult] = []
 
     cache = None
@@ -133,7 +126,10 @@ def main(argv: list[str] | None = None) -> int:
 
         cache = ResultCache(args.cache_dir)
 
-    def show(result: FigureResult, line_key: str, name: str, t0: float) -> None:
+    for name in names:
+        fn, line_key = EXPERIMENTS[name]
+        t0 = time.perf_counter()
+        result = fn(options, jobs=args.jobs, cache=cache)
         print(result.render(line_key=line_key))
         if args.plot:
             from repro.harness.plots import render_all
@@ -149,17 +145,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"[{name} took {elapsed:.1f}s]\n")
         collected.append(result)
-
-    if args.figure == "ablations":
-        for name, fn in ABLATIONS.items():
-            t0 = time.perf_counter()
-            show(fn(**_execution_kwargs(fn, args, cache)), "protocol", name, t0)
-    else:
-        for name in names:
-            fn, line_key = FIGURES[name]
-            t0 = time.perf_counter()
-            show(fn(options, **_execution_kwargs(fn, args, cache)),
-                 line_key, name, t0)
 
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

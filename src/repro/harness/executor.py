@@ -89,8 +89,8 @@ def run_request_capturing(request: RunRequest) -> RunSummary:
 def _fail(request: RunRequest, exc: BaseException) -> "SimulationError":
     """Wrap a worker failure with the failing cell named."""
     return SimulationError(
-        f"experiment cell {request.cell} "
-        f"(preset={request.preset!r}, seed={request.seed}) failed: {exc}"
+        f"experiment cell {request} "
+        f"(preset={request.preset!r}, seed={request.config.seed}) failed: {exc}"
     )
 
 

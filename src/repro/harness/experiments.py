@@ -2,10 +2,12 @@
 
 Every experiment *declares* its matrix as a plan — a generator yielding
 batches of :class:`~repro.harness.runner.RunRequest` and building rows
-from the returned summaries (see :mod:`repro.harness.executor`).  The
-public functions keep their original shapes and defaults; they gained
-``jobs`` (fan the batch out over worker processes) and ``cache`` (serve
-already-simulated cells from the on-disk result cache) keywords:
+from the returned summaries (see :mod:`repro.harness.executor`).  Every
+public function takes ``(options, *, <its sweep>, jobs, cache)``: the
+preset, seed and oracle stance come from the
+:class:`~repro.harness.config.ExperimentOptions`, ``jobs`` fans the
+batch out over worker processes and ``cache`` serves already-simulated
+cells from the on-disk result cache:
 
 * :func:`fig6` — average amount of piggyback per message (number of
   identifiers), 3 protocols × 3 benchmarks × {4, 8, 16, 32} processes;
@@ -31,12 +33,16 @@ which worker finishes first — ``jobs=8`` rows are byte-identical to
 
 from __future__ import annotations
 
+from typing import Any
+
+from repro.config import SimulationConfig
 from repro.faults.injector import FaultSpec
 from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentOptions
 from repro.harness.executor import execute
-from repro.harness.runner import Cell, RunRequest, checkpoint_intervals_elapsed
+from repro.harness.runner import RunRequest, checkpoint_intervals_elapsed
 from repro.harness.tables import FigureResult
+from repro.metrics.costs import CostModel
 
 #: where in the checkpoint cycle Fig. 8's and the overhead table's fault
 #: lands, as a fraction of the interval past the last checkpoint (the
@@ -45,17 +51,29 @@ from repro.harness.tables import FigureResult
 FAULT_FRACTION = 0.95
 
 
+def _request(options: ExperimentOptions, key: tuple, workload: str, *,
+             faults: tuple = (), workload_kwargs: tuple = (),
+             **config: Any) -> RunRequest:
+    """One run of ``workload`` at ``options``' preset, seed, oracle stance
+    and checkpoint interval; ``config`` sets the other
+    :class:`SimulationConfig` fields, or another interval."""
+    config.setdefault("checkpoint_interval", options.checkpoint_interval)
+    return RunRequest(
+        key=key,
+        workload=workload,
+        preset=options.preset,
+        config=SimulationConfig(seed=options.seed, verify=options.verify,
+                                **config),
+        faults=faults,
+        workload_kwargs=workload_kwargs,
+    )
+
+
 def _matrix_requests(options: ExperimentOptions) -> list[RunRequest]:
     """The shared Fig. 6/7 matrix: workloads × scales × protocols."""
     return [
-        RunRequest(
-            key=(workload, nprocs, protocol),
-            cell=Cell(workload, nprocs, protocol),
-            preset=options.preset,
-            checkpoint_interval=options.checkpoint_interval,
-            seed=options.seed,
-            verify=options.verify,
-        )
+        _request(options, (workload, nprocs, protocol), workload,
+                 nprocs=nprocs, protocol=protocol)
         for workload in options.workloads
         for nprocs in options.scales
         for protocol in options.protocols
@@ -160,14 +178,8 @@ def fig8(options: ExperimentOptions = ExperimentOptions(), *,
 def _fig8_plan(options: ExperimentOptions):
     points = [(w, n) for w in options.workloads for n in options.scales]
     probes = [
-        RunRequest(
-            key=("probe", workload, nprocs),
-            cell=Cell(workload, nprocs, "tdi"),
-            preset=options.preset,
-            checkpoint_interval=1e9,
-            seed=options.seed,
-            verify=options.verify,
-        )
+        _request(options, ("probe", workload, nprocs), workload,
+                 nprocs=nprocs, protocol="tdi", checkpoint_interval=1e9)
         for workload, nprocs in points
     ]
     probe_runs = yield probes
@@ -178,15 +190,14 @@ def _fig8_plan(options: ExperimentOptions):
         fault_time = (1.0 + FAULT_FRACTION) * interval
         for mode in ("blocking", "nonblocking"):
             for faulted in (False, True):
-                requests.append(RunRequest(
-                    key=(workload, nprocs, mode, "faulted" if faulted else "base"),
-                    cell=Cell(workload, nprocs, "tdi", comm_mode=mode),
-                    preset=options.preset,
-                    checkpoint_interval=interval,
-                    seed=options.seed,
+                requests.append(_request(
+                    options,
+                    (workload, nprocs, mode, "faulted" if faulted else "base"),
+                    workload,
                     faults=(FaultSpec(rank=nprocs // 2, at_time=fault_time),)
                     if faulted else (),
-                    verify=options.verify,
+                    nprocs=nprocs, protocol="tdi", comm_mode=mode,
+                    checkpoint_interval=interval,
                 ))
     runs = yield requests
 
@@ -253,14 +264,8 @@ def _overhead_plan(options: ExperimentOptions):
     points = [(w, n) for w in options.workloads for n in options.scales]
     protocols = tuple(options.protocols) + ("pess", "part")
     baselines = [
-        RunRequest(
-            key=("baseline", workload, nprocs),
-            cell=Cell(workload, nprocs, "none"),
-            preset=options.preset,
-            checkpoint_interval=options.checkpoint_interval,
-            seed=options.seed,
-            verify=options.verify,
-        )
+        _request(options, ("baseline", workload, nprocs), workload,
+                 nprocs=nprocs, protocol="none")
         for workload, nprocs in points
     ]
     baseline_runs = yield baselines
@@ -274,16 +279,14 @@ def _overhead_plan(options: ExperimentOptions):
         )
         for protocol in protocols:
             for faulted in (False, True):
-                requests.append(RunRequest(
-                    key=(workload, nprocs, protocol,
-                         "faulted" if faulted else "clean"),
-                    cell=Cell(workload, nprocs, protocol),
-                    preset=options.preset,
-                    checkpoint_interval=options.checkpoint_interval,
-                    seed=options.seed,
+                requests.append(_request(
+                    options,
+                    (workload, nprocs, protocol,
+                     "faulted" if faulted else "clean"),
+                    workload,
                     faults=(FaultSpec(rank=nprocs // 2, at_time=fault_time),)
                     if faulted else (),
-                    verify=options.verify,
+                    nprocs=nprocs, protocol=protocol,
                 ))
     runs = yield requests
 
@@ -314,13 +317,13 @@ def _overhead_plan(options: ExperimentOptions):
 # ----------------------------------------------------------------------
 
 def sensitivity_message_frequency(
+    options: ExperimentOptions = ExperimentOptions(),
+    *,
     nprocs: int = 8,
     compute_per_round: tuple[float, ...] = (2e-3, 5e-4, 1e-4, 2e-5),
     rounds: int = 40,
     fanout: int = 2,
-    seed: int = 1,
     checkpoint_interval: float = 0.01,
-    *,
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> FigureResult:
@@ -335,28 +338,24 @@ def sensitivity_message_frequency(
     interval, so both carry more determinants per message as messages
     pack more densely into those windows.
 
-    The table axis reuses ``nprocs`` for messages-per-second (rounded,
-    in thousands).
+    The sweep keeps its own ``checkpoint_interval``.  The table axis
+    reuses ``nprocs`` for messages-per-second (rounded, in thousands).
     """
     return execute(
-        _sensitivity_plan(nprocs, compute_per_round, rounds, fanout, seed,
+        _sensitivity_plan(options, nprocs, compute_per_round, rounds, fanout,
                           checkpoint_interval),
         jobs=jobs, cache=cache,
     )
 
 
-def _sensitivity_plan(nprocs, compute_per_round, rounds, fanout, seed,
+def _sensitivity_plan(options, nprocs, compute_per_round, rounds, fanout,
                       checkpoint_interval):
     requests = [
-        RunRequest(
-            key=(compute, protocol),
-            cell=Cell("synthetic", nprocs, protocol),
-            preset="paper",
-            checkpoint_interval=checkpoint_interval,
-            seed=seed,
-            workload_kwargs=(("rounds", rounds), ("fanout", fanout),
-                             ("compute_per_round", compute)),
-        )
+        _request(options, (compute, protocol), "synthetic",
+                 workload_kwargs=(("rounds", rounds), ("fanout", fanout),
+                                  ("compute_per_round", compute)),
+                 nprocs=nprocs, protocol=protocol,
+                 checkpoint_interval=checkpoint_interval)
         for compute in compute_per_round
         for protocol in ("tdi", "tel", "tag")
     ]
@@ -383,12 +382,11 @@ def _sensitivity_plan(nprocs, compute_per_round, rounds, fanout, seed,
 
 
 def ablation_checkpoint_interval(
+    options: ExperimentOptions = ExperimentOptions(),
+    *,
     workload: str = "lu",
     nprocs: int = 8,
     intervals: tuple[float, ...] = (0.01, 0.025, 0.05, 0.1),
-    preset: str = "paper",
-    seed: int = 1,
-    *,
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> FigureResult:
@@ -397,20 +395,18 @@ def ablation_checkpoint_interval(
     Checkpoints bound determinant lifetime: a longer period lets TAG's
     graph (and, to a lesser degree, TEL's unstable window) grow, while
     TDI's vector piggyback is structurally independent of the period.
+    The sweep sets the interval; ``options.checkpoint_interval`` is
+    unused.
     """
-    return execute(_ablation_ckpt_plan(workload, nprocs, intervals, preset, seed),
+    return execute(_ablation_ckpt_plan(options, workload, nprocs, intervals),
                    jobs=jobs, cache=cache)
 
 
-def _ablation_ckpt_plan(workload, nprocs, intervals, preset, seed):
+def _ablation_ckpt_plan(options, workload, nprocs, intervals):
     requests = [
-        RunRequest(
-            key=(interval, protocol),
-            cell=Cell(workload, nprocs, protocol),
-            preset=preset,
-            checkpoint_interval=interval,
-            seed=seed,
-        )
+        _request(options, (interval, protocol), workload,
+                 nprocs=nprocs, protocol=protocol,
+                 checkpoint_interval=interval)
         for interval in intervals
         for protocol in ("tdi", "tag", "tel")
     ]
@@ -433,36 +429,29 @@ def _ablation_ckpt_plan(workload, nprocs, intervals, preset, seed):
 
 
 def ablation_log_gc(
+    options: ExperimentOptions = ExperimentOptions(),
+    *,
     workload: str = "lu",
     nprocs: int = 8,
-    preset: str = "paper",
-    seed: int = 1,
-    checkpoint_interval: float = 0.05,
-    *,
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> FigureResult:
     """TDI sender-log peak memory with vs without CHECKPOINT_ADVANCE GC.
 
-    "Without GC" is modelled by a checkpoint interval longer than the
+    "With GC" checkpoints every ``options.checkpoint_interval``;
+    "without GC" is modelled by a checkpoint interval longer than the
     run, so no CHECKPOINT_ADVANCE is ever emitted.
     """
-    return execute(
-        _ablation_log_gc_plan(workload, nprocs, preset, seed, checkpoint_interval),
-        jobs=jobs, cache=cache,
-    )
+    return execute(_ablation_log_gc_plan(options, workload, nprocs),
+                   jobs=jobs, cache=cache)
 
 
-def _ablation_log_gc_plan(workload, nprocs, preset, seed, checkpoint_interval):
+def _ablation_log_gc_plan(options, workload, nprocs):
     requests = [
-        RunRequest(
-            key=(label,),
-            cell=Cell(workload, nprocs, "tdi"),
-            preset=preset,
-            checkpoint_interval=interval,
-            seed=seed,
-        )
-        for label, interval in (("gc", checkpoint_interval), ("no-gc", 1e9))
+        _request(options, (label,), workload, nprocs=nprocs, protocol="tdi",
+                 checkpoint_interval=interval)
+        for label, interval in (("gc", options.checkpoint_interval),
+                                ("no-gc", 1e9))
     ]
     runs = yield requests
     result = FigureResult(
@@ -483,36 +472,24 @@ def _ablation_log_gc_plan(workload, nprocs, preset, seed, checkpoint_interval):
 
 
 def ablation_evlog_latency(
+    options: ExperimentOptions = ExperimentOptions(),
+    *,
     workload: str = "lu",
     nprocs: int = 8,
     latencies: tuple[float, ...] = (2e-4, 1e-3, 5e-3, 2e-2),
-    preset: str = "paper",
-    seed: int = 1,
-    checkpoint_interval: float = 0.05,
-    *,
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> FigureResult:
     """TEL piggyback vs event-logger stable-write latency: the slower the
     logger, the wider the unstable window a message must carry."""
-    return execute(
-        _ablation_evlog_plan(workload, nprocs, latencies, preset, seed,
-                             checkpoint_interval),
-        jobs=jobs, cache=cache,
-    )
+    return execute(_ablation_evlog_plan(options, workload, nprocs, latencies),
+                   jobs=jobs, cache=cache)
 
 
-def _ablation_evlog_plan(workload, nprocs, latencies, preset, seed,
-                         checkpoint_interval):
+def _ablation_evlog_plan(options, workload, nprocs, latencies):
     requests = [
-        RunRequest(
-            key=(latency,),
-            cell=Cell(workload, nprocs, "tel"),
-            preset=preset,
-            checkpoint_interval=checkpoint_interval,
-            seed=seed,
-            cost_overrides=(("evlog_latency", latency),),
-        )
+        _request(options, (latency,), workload, nprocs=nprocs, protocol="tel",
+                 costs=CostModel(evlog_latency=latency))
         for latency in latencies
     ]
     runs = yield requests

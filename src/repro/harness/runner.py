@@ -1,12 +1,10 @@
-"""Run-matrix execution helpers.
+"""Run-matrix execution helpers: the vocabulary the parallel executor
+speaks.
 
-Besides the original :func:`run_cell` (one simulation, in process), this
-module now defines the vocabulary the parallel executor speaks:
-
-* :class:`RunRequest` — a fully materialisable description of one run
-  (cell + preset + interval + seed + faults + overrides).  Requests are
-  frozen, hashable and picklable, so they can be fanned out to worker
-  processes and fingerprinted by the result cache;
+* :class:`RunRequest` — one run: the workload, its preset, the
+  :class:`~repro.config.SimulationConfig` and the fault schedule.
+  Requests are frozen, hashable and picklable, so they can be fanned out
+  to worker processes and fingerprinted by the result cache;
 * :class:`RunSummary` — the picklable, JSON-able subset of a
   :class:`~repro.mpi.cluster.RunResult` that the figure row-builders
   consume (accomplishment time plus the per-rank metric counters).
@@ -18,95 +16,14 @@ module now defines the vocabulary the parallel executor speaks:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any
 
 from repro.config import SimulationConfig
-from repro.faults.injector import EventSpec
 from repro.metrics.counters import MetricsAggregate, RankMetrics, aggregate
 from repro.mpi.cluster import RunResult, run_simulation
 from repro.simnet.engine import SimulationError
 from repro.workloads.presets import workload_factory
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One point of an experiment matrix."""
-
-    workload: str
-    nprocs: int
-    protocol: str
-    comm_mode: str = "nonblocking"
-
-
-def materialize_config(
-    cell: Cell,
-    *,
-    checkpoint_interval: float,
-    seed: int,
-    cost_overrides: Sequence[tuple[str, Any]] = (),
-    **config_overrides: Any,
-) -> SimulationConfig:
-    """The :class:`SimulationConfig` a cell runs under.
-
-    Shared between :func:`run_cell` (to run it) and the result cache (to
-    fingerprint it): whatever knob can change a run's outcome must flow
-    through here, so the cache key and the simulation can never disagree.
-    """
-    config = SimulationConfig(
-        nprocs=cell.nprocs,
-        protocol=cell.protocol,
-        comm_mode=cell.comm_mode,
-        checkpoint_interval=checkpoint_interval,
-        seed=seed,
-        **config_overrides,
-    )
-    if cost_overrides:
-        config = config.with_(costs=replace(config.costs, **dict(cost_overrides)))
-    return config
-
-
-def run_cell(
-    cell: Cell,
-    *,
-    preset: str,
-    checkpoint_interval: float,
-    seed: int,
-    faults: Sequence[EventSpec] | None = None,
-    workload_kwargs: Sequence[tuple[str, Any]] = (),
-    cost_overrides: Sequence[tuple[str, Any]] = (),
-    raise_on_violation: bool = True,
-    **config_overrides,
-) -> RunResult:
-    """Run one matrix cell to completion.
-
-    With ``verify=True`` (forwarded to :class:`SimulationConfig`) the
-    causal-consistency oracle rides along and any invariant violation
-    aborts the experiment — figure numbers from a run that broke the
-    protocol's own safety obligations are worthless.  The fuzzer sets
-    ``raise_on_violation=False`` instead: there a violation is the
-    *finding*, reported on ``RunResult.violations``, not an abort.
-
-    ``workload_kwargs`` override individual kernel parameters of the
-    preset; ``cost_overrides`` replace fields of the cost model.  Both
-    are sequences of ``(name, value)`` pairs so requests stay hashable.
-    """
-    config = materialize_config(
-        cell,
-        checkpoint_interval=checkpoint_interval,
-        seed=seed,
-        cost_overrides=cost_overrides,
-        **config_overrides,
-    )
-    factory = workload_factory(cell.workload, scale=preset, **dict(workload_kwargs))
-    result = run_simulation(config, factory, faults)
-    if config.verify and raise_on_violation and result.violations:
-        shown = "\n  ".join(str(v) for v in result.violations[:5])
-        raise SimulationError(
-            f"invariant verification failed for {cell}: "
-            f"{len(result.violations)} violation(s)\n  {shown}"
-        )
-    return result
 
 
 def checkpoint_intervals_elapsed(result: "RunResult | RunSummary",
@@ -248,68 +165,43 @@ def summarize(result: RunResult) -> RunSummary:
 
 @dataclass(frozen=True)
 class RunRequest:
-    """One run of one matrix cell, fully described up front.
+    """One run, fully described up front.
 
     ``key`` identifies the request inside its figure plan (row-builders
-    look results up by it); everything else materialises the run.  The
+    look results up by it); everything else is the run itself.  The
     dataclass is frozen and built from hashable pieces so it can be
     pickled to a worker process and hashed into a cache key.
     """
 
     key: tuple
-    cell: Cell
+    workload: str
     preset: str
-    checkpoint_interval: float
-    seed: int
+    config: SimulationConfig
     faults: tuple = ()
-    verify: bool = False
     #: ``(name, value)`` kernel-parameter overrides for the workload preset
     workload_kwargs: tuple = ()
-    #: ``(name, value)`` overrides applied to the cost model
-    cost_overrides: tuple = ()
-    #: ``(name, value)`` overrides applied to remaining
-    #: :class:`SimulationConfig` fields (``record``, ``eager_threshold_bytes``,
-    #: ``max_events``, ...) — the knobs the figure matrices never vary but
-    #: the fuzzer does
-    config_overrides: tuple = ()
-    #: with ``verify=True``: abort on a violation (the harness stance) or
-    #: report it on ``RunSummary.violations`` (the fuzzer stance)
+    #: with ``config.verify``: abort on a violation (the harness stance)
+    #: or report it on ``RunSummary.violations`` (the fuzzer stance)
     strict_verify: bool = True
 
-    _RESERVED_OVERRIDES = ("nprocs", "protocol", "comm_mode",
-                           "checkpoint_interval", "seed", "verify", "costs")
-
-    def config(self) -> SimulationConfig:
-        """The materialised :class:`SimulationConfig` this request runs under."""
-        overrides = dict(self.config_overrides)
-        for name in self._RESERVED_OVERRIDES:
-            if name in overrides:
-                raise ValueError(
-                    f"config override {name!r} shadows a dedicated "
-                    f"RunRequest field; set that field instead"
-                )
-        return materialize_config(
-            self.cell,
-            checkpoint_interval=self.checkpoint_interval,
-            seed=self.seed,
-            cost_overrides=self.cost_overrides,
-            verify=self.verify,
-            **overrides,
-        )
+    def __str__(self) -> str:
+        config = self.config
+        return (f"{self.workload} n={config.nprocs} {config.protocol} "
+                f"{config.comm_mode}")
 
     def execute(self) -> RunSummary:
-        """Run the cell (in this process) and summarise the outcome."""
-        self.config()  # reject reserved/unknown overrides up front
-        result = run_cell(
-            self.cell,
-            preset=self.preset,
-            checkpoint_interval=self.checkpoint_interval,
-            seed=self.seed,
-            faults=list(self.faults) or None,
-            verify=self.verify,
-            workload_kwargs=self.workload_kwargs,
-            cost_overrides=self.cost_overrides,
-            raise_on_violation=self.strict_verify,
-            **dict(self.config_overrides),
-        )
+        """Run the request in this process and summarise the outcome.
+
+        Under a strict request a run that broke the protocol's own
+        safety obligations raises: figure numbers from it are worthless.
+        """
+        factory = workload_factory(self.workload, scale=self.preset,
+                                   **dict(self.workload_kwargs))
+        result = run_simulation(self.config, factory, list(self.faults) or None)
+        if self.config.verify and self.strict_verify and result.violations:
+            shown = "\n  ".join(str(v) for v in result.violations[:5])
+            raise SimulationError(
+                f"invariant verification failed for {self}: "
+                f"{len(result.violations)} violation(s)\n  {shown}"
+            )
         return summarize(result)

@@ -49,15 +49,6 @@ class FigureResult:
         self.rows.append(row)
 
     # ------------------------------------------------------------------
-    def series(self, workload: str, line: str,
-               line_key: str = "protocol") -> list[tuple[int, float]]:
-        """(nprocs, value) points for one plotted line."""
-        return sorted(
-            (r["nprocs"], r["value"])
-            for r in self.rows
-            if r["workload"] == workload and r[line_key] == line
-        )
-
     def value(self, workload: str, nprocs: int, line: str,
               line_key: str = "protocol") -> float:
         """The y-value at one (workload, scale, line) point."""

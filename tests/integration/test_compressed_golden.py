@@ -13,7 +13,8 @@ simulated wire is honestly faster.
 import pytest
 
 from repro.faults.injector import FaultSpec
-from repro.harness.runner import Cell, RunRequest
+from repro.config import SimulationConfig
+from repro.harness.runner import RunRequest
 from repro.simnet.network import NetworkConfig
 from repro.simnet.transport import TransportConfig
 
@@ -34,21 +35,18 @@ FAULT_SCHEDULES = {
 
 def _summary(protocol, *, compress, faults=(), nprocs=6, workload="lu",
              comm_mode="nonblocking", workload_kwargs=(), seed=3,
-             extra_overrides=()):
-    overrides = [("record", True), *extra_overrides]
-    if compress:
-        overrides.append(("compress_piggybacks", True))
+             wire=None):
     request = RunRequest(
         key=(protocol, compress),
-        cell=Cell(workload, nprocs, protocol, comm_mode=comm_mode),
+        workload=workload,
         preset="fast",
-        checkpoint_interval=0.01,
-        seed=seed,
+        config=SimulationConfig(
+            nprocs=nprocs, protocol=protocol, comm_mode=comm_mode,
+            checkpoint_interval=0.01, seed=seed, verify=True, record=True,
+            compress_piggybacks=compress, **(wire or {})),
         faults=tuple(faults),
-        verify=True,
         strict_verify=False,
         workload_kwargs=tuple(workload_kwargs),
-        config_overrides=tuple(overrides),
     )
     return request.execute()
 
@@ -97,15 +95,14 @@ class TestGoldenEquivalence:
     def test_lossy_wire_with_fault(self):
         """Compressed records ride the reliable transport over an
         impaired wire through a crash without leaking into behaviour."""
-        extra = (("network", NetworkConfig(drop_prob=0.02, dup_prob=0.02,
-                                           corrupt_prob=0.01)),
-                 ("transport", TransportConfig(enabled=True)))
+        wire = {"network": NetworkConfig(drop_prob=0.02, dup_prob=0.02,
+                                         corrupt_prob=0.01),
+                "transport": TransportConfig(enabled=True)}
         faults = (FaultSpec(rank=2, at_time=0.004),)
         for protocol in PROTOCOLS:
-            raw = _summary(protocol, compress=False, faults=faults,
-                           extra_overrides=extra)
+            raw = _summary(protocol, compress=False, faults=faults, wire=wire)
             compressed = _summary(protocol, compress=True, faults=faults,
-                                  extra_overrides=extra)
+                                  wire=wire)
             assert compressed.violations == [], protocol
             assert compressed.results == raw.results, protocol
 

@@ -31,7 +31,8 @@ import pytest
 
 from repro.faults.detector import DetectorConfig
 from repro.faults.injector import FaultSpec, GrayFaultSpec
-from repro.harness.runner import Cell, RunRequest
+from repro.config import SimulationConfig
+from repro.harness.runner import RunRequest
 from tests.tools.heartbeat_equivalence import (TIER1_CELLS, first_difference,
                                                observation, observe_three,
                                                verified_difference)
@@ -49,19 +50,16 @@ GOLDEN_COUNTERS = (
 
 def _summary(protocol, *, detect=False, faults=(), nprocs=4,
              comm_mode="nonblocking", seed=3):
-    overrides = [("record", True)]
-    if detect:
-        overrides.append(("detector", DetectorConfig(enabled=True)))
     request = RunRequest(
         key=(protocol, comm_mode, detect, bool(faults)),
-        cell=Cell("lu", nprocs, protocol, comm_mode=comm_mode),
+        workload="lu",
         preset="fast",
-        checkpoint_interval=0.01,
-        seed=seed,
+        config=SimulationConfig(
+            nprocs=nprocs, protocol=protocol, comm_mode=comm_mode,
+            checkpoint_interval=0.01, seed=seed, verify=True, record=True,
+            detector=DetectorConfig(enabled=detect)),
         faults=tuple(faults),
-        verify=True,
         strict_verify=False,
-        config_overrides=tuple(overrides),
     )
     return request.execute()
 

@@ -1,6 +1,7 @@
 """Harness experiments: figure shapes at reduced scale, plus the CLI."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +23,8 @@ SMALL = ExperimentOptions(
     checkpoint_interval=0.02,
     seed=1,
 )
+#: the ablations' defaults at the fast preset
+FAST = ExperimentOptions(preset="fast")
 
 
 @pytest.fixture(scope="module")
@@ -125,23 +128,24 @@ class TestFig8Shape:
 
 class TestAblations:
     def test_ckpt_interval_sensitivity(self):
-        fig = ablation_checkpoint_interval(nprocs=4, intervals=(0.005, 0.05),
-                                           preset="fast")
+        fig = ablation_checkpoint_interval(FAST, nprocs=4,
+                                           intervals=(0.005, 0.05))
         rows = {(r["protocol"], r["interval"]): r["value"] for r in fig.rows}
         # TDI flat; TAG grows with the interval
         assert rows[("tdi", 0.005)] == pytest.approx(rows[("tdi", 0.05)])
         assert rows[("tag", 0.05)] >= rows[("tag", 0.005)]
 
     def test_log_gc_bounds_memory(self):
-        fig = ablation_log_gc(nprocs=4, preset="fast", checkpoint_interval=0.002)
+        fig = ablation_log_gc(replace(FAST, checkpoint_interval=0.002),
+                              nprocs=4)
         rows = {r["protocol"]: r for r in fig.rows}
         assert rows["gc"]["released"] > 0
         assert rows["no-gc"]["released"] == 0
         assert rows["gc"]["value"] <= rows["no-gc"]["value"]
 
     def test_evlog_latency_widens_window(self):
-        fig = ablation_evlog_latency(nprocs=4, latencies=(1e-4, 1e-2),
-                                     preset="fast", checkpoint_interval=1.0)
+        fig = ablation_evlog_latency(replace(FAST, checkpoint_interval=1.0),
+                                     nprocs=4, latencies=(1e-4, 1e-2))
         values = [r["value"] for r in fig.rows]
         assert values[1] > values[0]
 

@@ -20,7 +20,8 @@ match the fixed-n run, with the oracle silent throughout.
 import pytest
 
 from repro.faults.injector import FaultSpec, JoinSpec, LeaveSpec
-from repro.harness.runner import Cell, RunRequest
+from repro.config import SimulationConfig
+from repro.harness.runner import RunRequest
 
 PROTOCOLS = ("tdi", "tag", "tel")
 
@@ -41,19 +42,16 @@ GOLDEN_COUNTERS = (
 
 def _summary(protocol, *, faults=(), compress=False, nprocs=6,
              comm_mode="nonblocking", seed=3):
-    overrides = [("record", True)]
-    if compress:
-        overrides.append(("compress_piggybacks", True))
     request = RunRequest(
         key=(protocol, comm_mode, compress, bool(faults)),
-        cell=Cell("lu", nprocs, protocol, comm_mode=comm_mode),
+        workload="lu",
         preset="fast",
-        checkpoint_interval=0.01,
-        seed=seed,
+        config=SimulationConfig(
+            nprocs=nprocs, protocol=protocol, comm_mode=comm_mode,
+            checkpoint_interval=0.01, seed=seed, verify=True, record=True,
+            compress_piggybacks=compress),
         faults=tuple(faults),
-        verify=True,
         strict_verify=False,
-        config_overrides=tuple(overrides),
     )
     return request.execute()
 

@@ -12,19 +12,22 @@ import json
 
 import pytest
 
+from repro.config import SimulationConfig
 from repro.harness import runner
 from repro.harness.cache import ResultCache
 from repro.harness.cli import main as cli_main
 from repro.harness.config import ExperimentOptions
 from repro.harness.executor import run_batch
 from repro.harness.experiments import fig6, fig8
-from repro.harness.runner import Cell, RunRequest
+from repro.harness.runner import RunRequest
 from repro.simnet.engine import SimulationError
 
 SMALL = ExperimentOptions(workloads=("lu",), scales=(4, 8), preset="fast",
                           checkpoint_interval=0.02, seed=1)
 TINY = ExperimentOptions(workloads=("lu",), scales=(4,), preset="fast",
                          checkpoint_interval=0.02, seed=1)
+LU4 = SimulationConfig(nprocs=4, protocol="tdi", checkpoint_interval=0.02,
+                       seed=1)
 
 
 class TestParallelEquivalence:
@@ -53,7 +56,7 @@ class TestResultCache:
         def boom(*args, **kwargs):
             raise AssertionError("simulated a cell despite a warm cache")
 
-        monkeypatch.setattr(runner, "run_cell", boom)
+        monkeypatch.setattr(runner, "run_simulation", boom)
         second = fig6(TINY, cache=cache)
         assert second.rows == first.rows
         assert second.execution.cells_simulated == 0
@@ -73,13 +76,13 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "cache")
         fig6(TINY, cache=cache)  # warm a cache that must then be ignored
         calls = []
-        original = runner.run_cell
+        original = runner.run_simulation
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(runner, "run_cell", counting)
+        monkeypatch.setattr(runner, "run_simulation", counting)
         result = fig6(TINY, cache=None)
         assert len(calls) == len(result.rows)
 
@@ -95,30 +98,30 @@ class TestResultCache:
 
 class TestFailurePropagation:
     def test_serial_figure_aborts_with_cell_named(self, monkeypatch):
-        original = runner.run_cell
+        original = runner.run_simulation
 
-        def failing(cell, **kwargs):
-            if cell.protocol == "tag":
+        def failing(config, *args):
+            if config.protocol == "tag":
                 raise SimulationError("synthetic invariant violation")
-            return original(cell, **kwargs)
+            return original(config, *args)
 
-        monkeypatch.setattr(runner, "run_cell", failing)
+        monkeypatch.setattr(runner, "run_simulation", failing)
         with pytest.raises(SimulationError) as err:
             fig6(TINY)
         message = str(err.value)
         assert "tag" in message and "lu" in message
 
     def test_worker_failure_aborts_batch_with_cell_named(self):
-        good = RunRequest(key=("good",), cell=Cell("lu", 4, "tdi"),
-                          preset="fast", checkpoint_interval=0.02, seed=1)
-        bad = RunRequest(key=("bad",), cell=Cell("no-such-workload", 4, "tdi"),
-                         preset="fast", checkpoint_interval=0.02, seed=1)
+        good = RunRequest(key=("good",), workload="lu", preset="fast",
+                          config=LU4)
+        bad = RunRequest(key=("bad",), workload="no-such-workload",
+                         preset="fast", config=LU4)
         with pytest.raises(SimulationError, match="no-such-workload"):
             run_batch([good, bad], jobs=2)
 
     def test_duplicate_request_keys_rejected(self):
-        request = RunRequest(key=("dup",), cell=Cell("lu", 4, "tdi"),
-                             preset="fast", checkpoint_interval=0.02, seed=1)
+        request = RunRequest(key=("dup",), workload="lu", preset="fast",
+                             config=LU4)
         with pytest.raises(ValueError, match="duplicate"):
             run_batch([request, request], jobs=1)
 

@@ -14,19 +14,23 @@ The original failing configuration is pinned here verbatim (TAG, LU,
 import pytest
 
 from repro import api
-from repro.harness.runner import Cell, run_cell
+from repro.mpi.cluster import run_simulation
+from repro.workloads.presets import workload_factory
+
+
+def run_lu8(protocol, faults=None):
+    config = api.SimulationConfig(nprocs=8, protocol=protocol,
+                                  checkpoint_interval=0.05, seed=1)
+    return run_simulation(config, workload_factory("lu", scale="paper"),
+                          faults)
 
 
 @pytest.mark.parametrize("protocol", ("tag", "tdi"))
 def test_overtaking_new_sends_during_recovery(protocol):
-    base = run_cell(Cell("lu", 8, "none"), preset="paper",
-                    checkpoint_interval=0.05, seed=1)
+    base = run_lu8("none")
     fault_time = min(1.95 * 0.05, 0.5 * base.accomplishment_time)
-    ref = run_cell(Cell("lu", 8, protocol), preset="paper",
-                   checkpoint_interval=0.05, seed=1)
-    faulted = run_cell(Cell("lu", 8, protocol), preset="paper",
-                       checkpoint_interval=0.05, seed=1,
-                       faults=[api.FaultSpec(rank=4, at_time=fault_time)])
+    ref = run_lu8(protocol)
+    faulted = run_lu8(protocol, [api.FaultSpec(rank=4, at_time=fault_time)])
     assert faulted.results == ref.results
 
 
@@ -35,7 +39,6 @@ def test_buffered_future_frames_are_not_discarded():
     per-sender sequence (a reduce contribution queued while next
     iteration's sweep frames arrive) must be deferred, not dropped —
     dropping them deadlocks even failure-free runs."""
-    r = run_cell(Cell("lu", 8, "tag"), preset="paper",
-                 checkpoint_interval=0.05, seed=1)
+    r = run_lu8("tag")
     assert r.results[0]["iterations"] == 20
     assert r.stats.total("duplicates_discarded") == 0

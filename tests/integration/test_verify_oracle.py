@@ -475,14 +475,17 @@ def test_violation_str_is_informative():
 
 
 def test_harness_run_cell_aborts_on_violation():
-    from repro.harness.runner import Cell, run_cell
+    from repro.harness.runner import RunRequest
     from repro.simnet.engine import SimulationError
 
+    request = RunRequest(
+        key=("broken",), workload="lu", preset="fast",
+        config=SimulationConfig(nprocs=4, protocol="tdi",
+                                checkpoint_interval=0.02, seed=0, verify=True))
     with mock.patch.object(DependIntervalVector, "merge",
                            lambda self, piggyback: 0):
         with pytest.raises(SimulationError, match="invariant verification"):
-            run_cell(Cell("lu", 4, "tdi"), preset="fast",
-                     checkpoint_interval=0.02, seed=0, verify=True)
+            request.execute()
 
 
 # ======================================================================

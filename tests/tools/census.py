@@ -178,9 +178,6 @@ KEPT: dict[str, str] = {
     "repro/verify/oracle.py:CausalOracle.summary": _PROBE,
     "repro/core/vectors.py:DependIntervalVector.dominates": _PENDING,
     "repro/faults/injector.py:staggered": _PENDING,
-    "repro/fuzz/scenario.py:save_scenario": _PENDING,
-    "repro/fuzz/scenario.py:load_scenario": _PENDING,
-    "repro/harness/tables.py:FigureResult.series": _PENDING,
     "repro/metrics/counters.py:RankMetrics.merge": _PENDING,
     "repro/protocols/checkpoint.py:CheckpointStore.read_time": _PENDING,
     "repro/protocols/partitioned.py:partitioned_protocol": _PENDING,
@@ -199,7 +196,7 @@ CONFIG_KEPT: dict[str, str] = {
     "detector.window": "micro: benchmarks/e2e/micro.py reads it",
     "detector.floor": "micro: benchmarks/e2e/micro.py reads it",
     "costs.*": "micro: benchmarks/e2e/micro.py builds a CostModel; the "
-               "overhead ablation varies evlog_latency by name",
+               "event-logger-latency ablation varies evlog_latency",
     "network.jitter_fraction":
         "tests: a jitter-free wire in tests and the heartbeat matrix",
     "network.partitions": "fuzzer: the lossy band draws windows from seed 8 "

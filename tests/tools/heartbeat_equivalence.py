@@ -147,7 +147,7 @@ def _fuzz_cells(seeds: range) -> list[Cell]:
             request = _request(scenario, protocol, faulted=True,
                                record=False, verify=False)
             cells.append(Cell(
-                f"gray-{seed}-{protocol}", request.config(),
+                f"gray-{seed}-{protocol}", request.config,
                 scenario.workload, scenario.preset,
                 tuple(scenario.workload_kwargs), tuple(request.faults)))
     return cells

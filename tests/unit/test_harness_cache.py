@@ -1,18 +1,28 @@
 """Unit tests for the content-addressed result cache and run summaries."""
 
 import json
+import shutil
 
 import pytest
 
-from repro.harness.cache import ResultCache, cache_key, request_fingerprint
-from repro.harness.runner import Cell, RunRequest, RunSummary, summarize
+from repro.config import SimulationConfig
+from repro.harness.cache import (PACKAGE_ROOT, ResultCache, cache_key,
+                                 request_fingerprint, source_digest)
+from repro.harness.runner import RunRequest, RunSummary, summarize
+from repro.metrics.costs import CostModel
 from repro.protocols.checkpoint import StorageConfig
 
+CONFIG = SimulationConfig(nprocs=4, protocol="tdi", checkpoint_interval=0.02,
+                          seed=1)
 
-def request(**overrides) -> RunRequest:
-    base = dict(key=("k",), cell=Cell("lu", 4, "tdi"), preset="fast",
-                checkpoint_interval=0.02, seed=1)
-    base.update(overrides)
+
+def config(**changes) -> SimulationConfig:
+    return CONFIG.with_(**changes)
+
+
+def request(**changes) -> RunRequest:
+    base = dict(key=("k",), workload="lu", preset="fast", config=CONFIG)
+    base.update(changes)
     return RunRequest(**base)
 
 
@@ -35,31 +45,42 @@ class TestCacheKey:
         assert cache_key(request(key=("a",))) == cache_key(request(key=("b",)))
 
     @pytest.mark.parametrize("changed", [
-        dict(seed=2),
-        dict(cell=Cell("lu", 4, "tag")),
-        dict(cell=Cell("bt", 4, "tdi")),
-        dict(cell=Cell("lu", 8, "tdi")),
-        dict(cell=Cell("lu", 4, "tdi", comm_mode="blocking")),
+        dict(config=config(seed=2)),
+        dict(config=config(protocol="tag")),
+        dict(workload="bt"),
+        dict(config=config(nprocs=8)),
+        dict(config=config(comm_mode="blocking")),
         dict(preset="paper"),
-        dict(checkpoint_interval=0.05),
-        dict(verify=True),
+        dict(config=config(checkpoint_interval=0.05)),
+        dict(config=config(verify=True)),
         dict(workload_kwargs=(("iterations", 3),)),
-        dict(cost_overrides=(("evlog_latency", 0.5),)),
-        dict(config_overrides=(("eager_threshold_bytes", 4096),)),
-        dict(config_overrides=(("max_events", 10_000),)),
-        dict(config_overrides=(("record", True),)),
-        dict(config_overrides=(("ckpt_history", 3),)),
-        dict(config_overrides=(("storage",
-                                StorageConfig(write_fail_prob=0.1)),)),
+        dict(config=config(costs=CostModel(evlog_latency=0.5))),
+        dict(config=config(eager_threshold_bytes=4096)),
+        dict(config=config(max_events=10_000)),
+        dict(config=config(record=True)),
+        dict(config=config(ckpt_history=3)),
+        dict(config=config(storage=StorageConfig(write_fail_prob=0.1))),
         dict(strict_verify=False),
     ])
     def test_key_covers_every_outcome_affecting_knob(self, changed):
         assert cache_key(request(**changed)) != cache_key(request())
 
-    def test_key_changes_on_version_bump(self, monkeypatch):
-        """A new release must never reuse numbers cached by an old one."""
+    def test_key_changes_with_the_package_source(self, monkeypatch, tmp_path):
+        """Numbers cached by one version of the simulator are never read
+        by another, even one that changed a single module constant."""
+        copies = []
+        for name in ("same", "edited"):
+            copies.append(tmp_path / name / "repro")
+            shutil.copytree(PACKAGE_ROOT, copies[-1],
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        network = copies[1] / "simnet" / "network.py"
+        network.write_text(network.read_text(encoding="utf-8").replace(
+            "HEADER_BYTES = 32\n", "HEADER_BYTES = 3200\n"), encoding="utf-8")
+        assert source_digest(copies[0]) == source_digest()
+        edited = source_digest(copies[1])
+        assert edited != source_digest()
         old = cache_key(request())
-        monkeypatch.setattr("repro.harness.cache.__version__", "99.0.0")
+        monkeypatch.setattr("repro.harness.cache.source_digest", lambda: edited)
         assert cache_key(request()) != old
 
     def test_fingerprint_covers_entire_config(self):
@@ -77,8 +98,8 @@ class TestCacheKey:
     def test_fingerprint_is_json_round_trippable(self):
         fp = request_fingerprint(request())
         assert json.loads(json.dumps(fp)) == fp
-        assert fp["cell"]["workload"] == "lu"
-        assert "version" in fp
+        assert fp["workload"] == "lu"
+        assert fp["source"] == source_digest()
 
 
 class TestResultCacheStore:

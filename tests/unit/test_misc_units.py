@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.runner import Cell, checkpoint_intervals_elapsed
+from repro.harness.runner import checkpoint_intervals_elapsed
 from repro.protocols.base import PeerCounts, VectorState
 from tests.conftest import dense
 
@@ -39,10 +39,6 @@ class TestVectorState:
 
 
 class TestRunnerHelpers:
-    def test_cell_defaults(self):
-        cell = Cell("lu", 4, "tdi")
-        assert cell.comm_mode == "nonblocking"
-
     def test_intervals_elapsed_floor(self):
         class FakeResult:
             accomplishment_time = 0.001
@@ -91,12 +87,3 @@ class TestTimelineFromSyntheticTrace:
         rank0 = [ln for ln in out.splitlines() if ln.startswith("rank 0")][0]
         assert "X" in rank0 and "C" not in rank0
 
-
-class TestFigureResultSeries:
-    def test_series_sorted_by_scale(self):
-        from repro.harness.tables import FigureResult
-
-        fig = FigureResult(figure="f", title="t", metric="m")
-        for n in (16, 4, 8):
-            fig.add(workload="lu", nprocs=n, protocol="tdi", value=float(n))
-        assert fig.series("lu", "tdi") == [(4, 4.0), (8, 8.0), (16, 16.0)]

@@ -55,7 +55,7 @@ def _streams(combo: str) -> tuple[str, str, str]:
     scenarios = [generate_scenario(seed, fault, net, compress == "on",
                                    storage) for seed in range(200)]
     requests = [
-        repr((r.key, r.cell.workload, r.preset, r.config(), r.faults,
+        repr((r.key, r.workload, r.preset, r.config, r.faults,
               r.workload_kwargs, r.strict_verify))
         for s in scenarios[:20] for r in scenario_requests(s, PROTOCOLS)]
     shrink = [

@@ -35,10 +35,6 @@ class TestFigureResult:
                             value=float(n if proto == "tdi" else n * 10))
         return fig
 
-    def test_series(self):
-        fig = self.make()
-        assert fig.series("lu", "tdi") == [(4, 4.0), (8, 8.0)]
-
     def test_value_lookup(self):
         fig = self.make()
         assert fig.value("sp", 8, "tag") == 80.0
