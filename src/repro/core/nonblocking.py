@@ -27,6 +27,8 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any
 
+from repro.metrics.costs import PER_SEND_BASE
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.primitives import SendOp
     from repro.simnet.proc import Task
@@ -45,7 +47,7 @@ class SendPump:
         self.host = host
         self.engine = host.engine
         #: queue-A append: the application's entire cost (Fig. 4b)
-        self._submit_cost = host.config.costs.per_send_base
+        self._submit_cost = PER_SEND_BASE
         self._queue: deque["SendOp"] = deque()
         self._busy = False
         #: bumped by :meth:`reset`; a callback scheduled under an older

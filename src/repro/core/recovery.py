@@ -56,6 +56,7 @@ from typing import Any
 
 from repro.core.log_store import SenderLog
 from repro.core.vectors import FrozenVector
+from repro.metrics.costs import IDENTIFIER_BYTES, PER_DELIVER_BASE, PER_SEND_BASE
 from repro.protocols.base import (
     MEMBER_JOIN,
     MEMBER_LEAVE,
@@ -128,7 +129,7 @@ class SenderLoggingProtocol(Protocol):
     def _track_delivery(self, src: int, send_index: int,
                         piggyback: Any) -> float:
         """Dependency tracking for one delivery; returns its CPU cost
-        beyond ``per_deliver_base``."""
+        beyond ``PER_DELIVER_BASE``."""
         raise NotImplementedError
 
     def _advance_cover(self) -> Any:
@@ -172,7 +173,7 @@ class SenderLoggingProtocol(Protocol):
         # .get: a miss through __missing__ is a Python call, per send here
         transmit = send_index > self.rollback_last_send_index.get(dest, 0)
         cost = (
-            self.costs.per_send_base
+            PER_SEND_BASE
             + self.costs.identifiers_cost(identifiers)
             + self.costs.log_append_cost(size_bytes)
             + extra_cost
@@ -189,7 +190,6 @@ class SenderLoggingProtocol(Protocol):
                 piggyback_identifiers=identifiers,
             )
         )
-        self.metrics.log_items_created += 1
         self.metrics.log_bytes_peak = max(self.metrics.log_bytes_peak, self.log.nbytes)
         wire_blob = None
         if transmit:
@@ -202,7 +202,7 @@ class SenderLoggingProtocol(Protocol):
             self.charge(
                 cost,
                 identifiers=identifiers,
-                pb_bytes=identifiers * self.costs.identifier_bytes,
+                pb_bytes=identifiers * IDENTIFIER_BYTES,
             )
         else:
             # suppressed duplicate during rolling forward: the log item is
@@ -258,7 +258,7 @@ class SenderLoggingProtocol(Protocol):
                 f"send_index={send_index}, expected {expected}"
             )
         self.vectors.last_deliver_index[src] = send_index
-        cost = self.costs.per_deliver_base + self._track_delivery(
+        cost = PER_DELIVER_BASE + self._track_delivery(
             src, send_index, frame_meta["pb"])
         self.charge(cost)
         return cost
@@ -355,7 +355,7 @@ class SenderLoggingProtocol(Protocol):
             "epoch": self.epoch,
             **self._rollback_fields(),
         }
-        size = (self.nprocs + 2) * self.costs.identifier_bytes
+        size = (self.nprocs + 2) * IDENTIFIER_BYTES
         for dst in sorted(targets):
             self.services.send_control(dst, ROLLBACK, payload, size)
         self.trace.emit("proto.rollback_bcast", self.rank, targets=sorted(targets))
@@ -417,7 +417,7 @@ class SenderLoggingProtocol(Protocol):
             identifiers += DET_IDENTIFIERS * len(dets)
             noted["dets"] = len(dets)
         self.services.send_control(
-            src, RESPONSE, response, identifiers * self.costs.identifier_bytes)
+            src, RESPONSE, response, identifiers * IDENTIFIER_BYTES)
         # A suppression index learned from the peer's *previous*
         # incarnation (its RESPONSE to our own earlier rollback) is stale
         # now: the peer has lost every delivery past its checkpoint, so

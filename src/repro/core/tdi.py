@@ -27,6 +27,7 @@ from repro.core.recovery import (
 )
 from repro.core.vectors import DependIntervalVector
 from repro.core.wire import encode_vector_full
+from repro.metrics.costs import IDENTIFIER_BYTES
 from repro.protocols.compression import (
     UndecodablePiggyback,
     VectorDeltaDecoder,
@@ -205,7 +206,7 @@ class TdiProtocol(SenderLoggingProtocol):
             delivered = cover[k]
             if delivered > self.last_ckpt_deliver_index[k]:
                 self.services.send_control(
-                    k, CHECKPOINT_ADVANCE, delivered, self.costs.identifier_bytes
+                    k, CHECKPOINT_ADVANCE, delivered, IDENTIFIER_BYTES
                 )
                 self.last_ckpt_deliver_index[k] = delivered
 

@@ -53,7 +53,7 @@ checksums, JSON or equality checks.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as _np
 
@@ -358,11 +358,6 @@ class DependIntervalVector:
         self._v[rank] = int(interval)
         self._set_epoch(rank, int(epoch))
         return True
-
-    def dominates(self, other: Iterable[int]) -> bool:
-        """Pointwise >= — the delivery-gate relation used in tests."""
-        return all(a >= b for a, b in zip(self._v.tolist(), other,
-                                          strict=True))
 
     def as_tuple(self) -> tuple[int, ...]:
         """Immutable copy of the interval values only."""

@@ -1,7 +1,7 @@
 """Wire format of the compressed piggybacks.
 
 The simulator ships piggybacks as Python objects and *accounts* their
-raw size as ``identifiers x CostModel.identifier_bytes`` — ``n + 1``
+raw size as ``identifiers x costs.IDENTIFIER_BYTES`` — ``n + 1``
 identifiers for a TDI vector plus send index (``2n + 1`` once a rollback
 has bumped an epoch and the epoch vector rides along), 4 per determinant
 for TAG/TEL — which is the quantity Fig. 6 plots.  With

@@ -12,7 +12,7 @@ The experiment harness derives every figure's y-axis from these counters:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -40,17 +40,14 @@ class RankMetrics:
     tracking_time: float = 0.0
     graph_nodes_scanned: int = 0
     # --- logging
-    log_items_created: int = 0
     log_items_released: int = 0
     log_bytes_peak: int = 0
     # --- checkpointing
     checkpoints_taken: int = 0
-    checkpoint_bytes: int = 0
     checkpoint_time: float = 0.0
     # --- stable storage (hostile-device model; all zero on a clean
     # device, and the read-side counters only move on incarnation)
     ckpt_read_time: float = 0.0      # simulated seconds reading generations back
-    ckpt_read_bytes: int = 0         # bytes read back (incl. failed candidates)
     ckpt_write_failures: int = 0     # visible write-attempt failures
     ckpt_write_retries: int = 0      # backoff retries of failed attempts
     ckpt_skipped: int = 0            # checkpoints abandoned after retry cap
@@ -77,13 +74,6 @@ class RankMetrics:
     rt_corrupt_rejects: int = 0      # checksum-mismatch frames rejected
     rt_acks_sent: int = 0            # standalone rt-ack frames emitted
     rt_channel_resets: int = 0       # send channels reset on peer re-attach
-
-    def merge(self, other: "RankMetrics") -> None:
-        """Accumulate ``other`` into ``self`` (numeric fields only)."""
-        for f in fields(self):
-            if f.name == "rank":
-                continue
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass

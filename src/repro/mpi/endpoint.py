@@ -51,6 +51,7 @@ from repro.core.blocking import BlockingSender
 from repro.core.nonblocking import SendPump
 from repro.core.watchdog import RecoveryWatchdog
 from repro.faults.gray import GrayGate
+from repro.metrics.costs import IDENTIFIER_BYTES
 from repro.mpi.context import ProcContext
 from repro.protocols.base import (
     DeliveryVerdict,
@@ -353,8 +354,7 @@ class Endpoint:
             if not resend:
                 self.metrics.piggyback_bytes_wire += pb_bytes
         else:
-            pb_bytes = (stamp.piggyback_identifiers
-                        * self.config.costs.identifier_bytes)
+            pb_bytes = stamp.piggyback_identifiers * IDENTIFIER_BYTES
             meta["pb"] = stamp.piggyback
         if "verify.send" in self.trace.wanted:
             self.trace.emit("verify.send", self.rank, dest=msg.dest, tag=msg.tag,
@@ -612,7 +612,6 @@ class Endpoint:
         self.incarnating = True
         result = self.cluster.checkpoints.read(self.rank)
         self.metrics.ckpt_read_time += result.read_time
-        self.metrics.ckpt_read_bytes += result.bytes_read
         self.metrics.storage_fallbacks += result.fallbacks
         self.engine.schedule(
             result.read_time, lambda: self._finish_incarnation(result.ckpt)

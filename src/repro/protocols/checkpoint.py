@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.core.watchdog import StorageLossError
-from repro.metrics.costs import CostModel
+from repro.metrics.costs import IDENTIFIER_BYTES, CostModel
 from repro.protocols.base import PeerCounts
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -166,7 +166,6 @@ class ReadResult:
 
     ckpt: Checkpoint
     read_time: float
-    bytes_read: int
     #: committed-but-unreadable generations skipped before this one
     fallbacks: int
 
@@ -334,7 +333,6 @@ class CheckpointStore:
         """
         chain = self._store.get(rank, [])
         read_time = 0.0
-        bytes_read = 0
         fallbacks = 0
         diagnosis: list[str] = []
         for gen in reversed(chain):
@@ -344,12 +342,11 @@ class CheckpointStore:
                     f"(torn by the failure)")
                 continue
             read_time += self.costs.ckpt_read_time(gen.ckpt.size_bytes)
-            bytes_read += gen.ckpt.size_bytes
             if gen.readable:
                 if fallbacks:
                     self._emit("storage.fallback", rank, to_seq=gen.ckpt.seq,
                                skipped=fallbacks)
-                return ReadResult(gen.ckpt, read_time, bytes_read, fallbacks)
+                return ReadResult(gen.ckpt, read_time, fallbacks)
             fallbacks += 1
             diagnosis.append(
                 f"seq {gen.ckpt.seq}: checksum mismatch "
@@ -371,13 +368,6 @@ class CheckpointStore:
             if gen.committed:
                 return gen.ckpt
         return None
-
-    def read_time(self, rank: int) -> float:
-        """Simulated time to read the latest checkpoint back."""
-        ckpt = self.latest(rank)
-        if ckpt is None:
-            return 0.0
-        return self.costs.ckpt_read_time(ckpt.size_bytes)
 
     def generations(self, rank: int) -> list[Generation]:
         """The retained chain, oldest first (inspection/testing)."""
@@ -461,7 +451,7 @@ class CheckpointWriter:
         size = (
             host.app.snapshot_size_bytes()
             + host.protocol.checkpoint_log_bytes()
-            + 3 * host.nprocs * host.config.costs.identifier_bytes
+            + 3 * host.nprocs * IDENTIFIER_BYTES
         )
         ckpt = Checkpoint(
             rank=host.rank,
@@ -486,7 +476,6 @@ class CheckpointWriter:
             host.later(duration, self._finish, gen, 1)
             host.metrics.checkpoint_time += duration
         host.metrics.checkpoints_taken += 1
-        host.metrics.checkpoint_bytes += size
         self.last_end = now + duration
         host.trace.emit("ckpt.write", host.rank, seq=self.seq, size=size)
         return duration

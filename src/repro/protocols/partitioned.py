@@ -44,7 +44,7 @@ class PartitionedProtocol(EventLoggerClient, TagProtocol):
     """Hybrid causal/pessimistic logging over fixed partitions."""
 
     name = "part"
-    #: partition width; override via subclassing or the factory below
+    #: partition width; override by subclassing
     group_size: int = 4
 
     # ------------------------------------------------------------------
@@ -74,14 +74,3 @@ class PartitionedProtocol(EventLoggerClient, TagProtocol):
         if not self.same_group(failed):
             return []  # its cross-group history lives at the logger
         return super()._determinants_for(failed, after_index)
-
-
-def partitioned_protocol(group_size: int) -> type[PartitionedProtocol]:
-    """A :class:`PartitionedProtocol` subclass with the given width."""
-    if group_size < 1:
-        raise ValueError("group_size must be >= 1")
-    return type(
-        f"PartitionedProtocol{group_size}",
-        (PartitionedProtocol,),
-        {"group_size": group_size, "__doc__": PartitionedProtocol.__doc__},
-    )

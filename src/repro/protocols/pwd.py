@@ -38,6 +38,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from typing import Any, NamedTuple
 
 from repro.core.recovery import CHECKPOINT_ADVANCE, SenderLoggingProtocol
+from repro.metrics.costs import IDENTIFIER_BYTES
 from repro.protocols.base import DeliveryVerdict, PeerCounts
 
 
@@ -213,7 +214,7 @@ class PwdCausalProtocol(SenderLoggingProtocol):
         a structural saving the comparison keeps honest), so the log
         release and the determinant pruning lag together under hostile
         storage."""
-        size = (self.nprocs + 1) * self.costs.identifier_bytes
+        size = (self.nprocs + 1) * IDENTIFIER_BYTES
         self.services.broadcast_control(CHECKPOINT_ADVANCE, cover, size)
         # our own pre-checkpoint deliveries can be pruned locally as well
         self._on_checkpoint_advance(self.rank, cover["stable_upto"])

@@ -48,10 +48,6 @@ class ReceivingQueue:
         """Buffer an arrived application frame (arrival order kept)."""
         self._frames.append(frame)
 
-    def clear(self) -> None:
-        """Volatile state: wiped when the hosting process fails."""
-        self._frames.clear()
-
     def frames(self) -> list[Frame]:
         """Snapshot of the queued frames, in arrival order."""
         return list(self._frames)

@@ -62,6 +62,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.recovery import DET_IDENTIFIERS
+from repro.metrics.costs import PER_GRAPH_NODE_SCAN
 from repro.protocols.pwd import (Determinant, Increment, PwdCausalProtocol,
                                  set_bits)
 
@@ -123,7 +124,7 @@ class TagProtocol(PwdCausalProtocol):
         scanned = self._size
         self.metrics.graph_nodes_scanned += scanned
         identifiers = DET_IDENTIFIERS * len(increment)
-        extra_cost = self.costs.per_graph_node_scan * scanned
+        extra_cost = PER_GRAPH_NODE_SCAN * scanned
         return {"dets": increment}, identifiers, extra_cost
 
     def _on_deliver_hook(self, det: Determinant, piggyback: Any, src: int) -> float:
@@ -157,7 +158,7 @@ class TagProtocol(PwdCausalProtocol):
         known[src] |= self._have[src]
         self._size += merged
         return self.costs.identifiers_cost(DET_IDENTIFIERS * merged) + (
-            self.costs.per_graph_node_scan * len(dets)
+            PER_GRAPH_NODE_SCAN * len(dets)
         )
 
     # ------------------------------------------------------------------

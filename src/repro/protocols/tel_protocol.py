@@ -30,8 +30,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.metrics.costs import CostModel
 from repro.core.recovery import DET_IDENTIFIERS
+from repro.metrics.costs import (IDENTIFIER_BYTES, PER_GRAPH_NODE_SCAN,
+                                 CostModel)
 from repro.protocols.pwd import Determinant, PwdCausalProtocol
 from repro.simnet.engine import Engine
 from repro.simnet.network import (BANDWIDTH_BYTES_PER_S, BASE_LATENCY, Frame,
@@ -61,13 +62,13 @@ class EventLoggerClient(PwdCausalProtocol):
     def _log_determinant(self, det: Determinant) -> None:
         self.services.send_control(
             self.logger_rank, EVLOG, det,
-            DET_IDENTIFIERS * self.costs.identifier_bytes,
+            DET_IDENTIFIERS * IDENTIFIER_BYTES,
         )
 
     def _sync_write_round_trip(self) -> float:
         """Deterministic upper estimate of the logger round trip a
         synchronous stable write blocks the application for."""
-        det_bytes = DET_IDENTIFIERS * self.costs.identifier_bytes
+        det_bytes = DET_IDENTIFIERS * IDENTIFIER_BYTES
         # the wire's latency and bandwidth, plus the default jitter bound
         # of half a base latency, which the write latency absorbs (see
         # the pessimistic module docstring's safety argument)
@@ -84,7 +85,7 @@ class EventLoggerClient(PwdCausalProtocol):
         self.services.send_control(
             self.logger_rank, EVLOG_PRUNE,
             {"owner": self.rank, "upto": self.deliver_total},
-            2 * self.costs.identifier_bytes,
+            2 * IDENTIFIER_BYTES,
         )
 
     # ------------------------------------------------------------------
@@ -92,7 +93,7 @@ class EventLoggerClient(PwdCausalProtocol):
         self._history_pending = True
         self.services.send_control(
             self.logger_rank, EVLOG_QUERY, {"after": self.deliver_total},
-            2 * self.costs.identifier_bytes,
+            2 * IDENTIFIER_BYTES,
         )
 
     def begin_recovery(self) -> None:
@@ -135,7 +136,7 @@ class TelProtocol(EventLoggerClient):
         self.metrics.graph_nodes_scanned += scanned
         # determinants + the n-entry stability vector
         identifiers = DET_IDENTIFIERS * len(dets) + self.nprocs
-        extra_cost = self.costs.per_graph_node_scan * scanned
+        extra_cost = PER_GRAPH_NODE_SCAN * scanned
         piggyback = {"dets": tuple(dets), "stable": tuple(self.stable_vector)}
         return piggyback, identifiers, extra_cost
 
@@ -154,7 +155,7 @@ class TelProtocol(EventLoggerClient):
                 merged += 1
         self._prune_unstable()
         return self.costs.identifiers_cost(DET_IDENTIFIERS * merged) + (
-            self.costs.per_graph_node_scan * len(piggyback["dets"])
+            PER_GRAPH_NODE_SCAN * len(piggyback["dets"])
         )
 
     def _prune_unstable(self) -> None:
@@ -252,7 +253,7 @@ class EventLoggerService:
                 ),
                 key=lambda d: d.deliver_index,
             )
-            size = (1 + DET_IDENTIFIERS * len(history)) * self.costs.identifier_bytes
+            size = (1 + DET_IDENTIFIERS * len(history)) * IDENTIFIER_BYTES
             reply = Frame(
                 "ctl", self.rank, frame.src, history, size, {"ctl": EVLOG_HISTORY}
             )
@@ -272,7 +273,7 @@ class EventLoggerService:
             self.rank,
             det.receiver,
             det.deliver_index,
-            self.costs.identifier_bytes,
+            IDENTIFIER_BYTES,
             {"ctl": EVLOG_ACK},
         )
         self.network.transmit(ack)

@@ -73,11 +73,6 @@ class Task:
         epoch = self.epoch
         self.engine.schedule(delay, lambda: self._step(value, epoch))
 
-    def throw(self, exc: BaseException, delay: float = 0.0) -> None:
-        """Resume the generator by raising ``exc`` inside it."""
-        epoch = self.epoch
-        self.engine.schedule(delay, lambda: self._step(None, epoch, exc=exc))
-
     def kill(self) -> None:
         """Terminate the task: close the generator, mark KILLED.
 
@@ -89,17 +84,14 @@ class Task:
         self.gen.close()
 
     # ------------------------------------------------------------------
-    def _step(self, value: Any, epoch: int | None, exc: BaseException | None = None) -> None:
+    def _step(self, value: Any, epoch: int | None) -> None:
         if self.state is not TaskState.WAITING:
             return  # stale resume (task finished or was killed)
         if epoch is not None and epoch != self.epoch:
             return  # resume from a previous incarnation
         self.state = TaskState.RUNNING
         try:
-            if exc is not None:
-                effect = self.gen.throw(exc)
-            else:
-                effect = self.gen.send(value)
+            effect = self.gen.send(value)
         except StopIteration as stop:
             self.state = TaskState.DONE
             self.result = stop.value
@@ -116,9 +108,5 @@ class Task:
         self.handler(self, effect)
 
     # ------------------------------------------------------------------
-    @property
-    def finished(self) -> bool:
-        return self.state in (TaskState.DONE, TaskState.FAILED, TaskState.KILLED)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Task {self.name} {self.state.value} epoch={self.epoch}>"

@@ -50,10 +50,6 @@ class TraceEvent:
     def __getitem__(self, key: str) -> Any:
         return self.fields[key]
 
-    def get(self, key: str, default: Any = None) -> Any:
-        """Field lookup with a default."""
-        return self.fields.get(key, default)
-
     def _astuple(self) -> tuple:
         return self.time, self.kind, self.rank, self.fields
 
@@ -107,11 +103,6 @@ class Trace:
         """Attach the simulated-time source stamped onto events."""
         self._clock = clock
 
-    def wants(self, kind: str) -> bool:
-        """Whether an event of ``kind`` would reach anyone: the trace
-        records, or a listener hears everything or subscribed to it."""
-        return self.active or kind in self.wanted
-
     def attach_listener(self, fn: Callable[[TraceEvent], None],
                         kinds: Iterable[str] | None = None) -> None:
         """Invoke ``fn`` on every future event, recording or not — or,
@@ -162,14 +153,3 @@ class Trace:
     def count(self, kind: str | None = None, rank: int | None = None) -> int:
         """Number of events matching the filters."""
         return sum(1 for _ in self.select(kind, rank))
-
-    def last(self, kind: str, rank: int | None = None) -> TraceEvent | None:
-        """Most recent matching event, or None."""
-        result = None
-        for ev in self.select(kind, rank):
-            result = ev
-        return result
-
-    def clear(self) -> None:
-        """Drop all recorded events."""
-        self.events.clear()

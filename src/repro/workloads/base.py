@@ -103,7 +103,3 @@ class ProcessGrid:
     @property
     def south(self) -> int | None:
         return self.at(self.ix, self.iy + 1) if self.iy < self.py - 1 else None
-
-    def neighbours(self) -> list[int]:
-        """Existing 4-neighbourhood ranks."""
-        return [r for r in (self.west, self.east, self.north, self.south) if r is not None]

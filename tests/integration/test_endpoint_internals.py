@@ -4,6 +4,7 @@ broadcast fan-out, resend framing, and describe_wait diagnostics."""
 import pytest
 
 from repro.config import SimulationConfig
+from repro.metrics.costs import IDENTIFIER_BYTES
 from repro.mpi.cluster import Cluster
 from repro.protocols.base import LoggedMessage
 from repro.workloads.presets import workload_factory
@@ -70,7 +71,7 @@ class TestResendFraming:
         assert frame.meta["pb"] == (0, 1, 2, 3)
         assert frame.meta["tag"] == 3
         # wire size includes the logged piggyback's identifiers
-        assert frame.size_bytes == 100 + 5 * cluster.config.costs.identifier_bytes
+        assert frame.size_bytes == 100 + 5 * IDENTIFIER_BYTES
 
     def test_resend_ack_mode_follows_size(self):
         cluster = make_cluster(comm_mode="blocking")

@@ -55,7 +55,7 @@ def test_blocking_mode_no_deadlock(workload):
 def test_mg_mixed_message_sizes():
     r = api.run_workload("mg", nprocs=4, protocol="tdi", seed=105, trace=True)
     sizes = {ev["size"] for ev in r.trace.select("net.transmit")
-             if ev.get("frame_kind") == "app"}
+             if ev["frame_kind"] == "app"}
     # V-cycle levels produce several distinct wire sizes
     assert len(sizes) >= 3
 

@@ -6,7 +6,7 @@ import pytest
 from repro import api
 from repro.config import SimulationConfig
 from repro.mpi.cluster import Cluster
-from repro.protocols.partitioned import PartitionedProtocol, partitioned_protocol
+from repro.protocols.partitioned import PartitionedProtocol
 from repro.workloads.presets import workload_factory
 from tests.conftest import app_meta, make_protocol
 
@@ -16,12 +16,6 @@ class TestGrouping:
         p, _ = make_protocol("part", rank=0, nprocs=8)
         assert [p.group_of(r) for r in range(8)] == [0, 0, 0, 0, 1, 1, 1, 1]
         assert p.same_group(3) and not p.same_group(4)
-
-    def test_factory_widths(self):
-        cls = partitioned_protocol(2)
-        assert cls.group_size == 2 and issubclass(cls, PartitionedProtocol)
-        with pytest.raises(ValueError):
-            partitioned_protocol(0)
 
 
 class TestHybridBehaviour:
@@ -81,12 +75,14 @@ class TestRecovery:
         assert r.results == ref
 
     def test_group_width_two(self):
+        class Narrow(PartitionedProtocol):
+            group_size = 2
+
         cfg = SimulationConfig(nprocs=8, protocol="part", seed=44)
         cluster = Cluster(cfg, workload_factory("synthetic", scale="fast"))
         # narrow the groups on every endpoint before starting
-        narrow = partitioned_protocol(2)
         for ep in cluster.endpoints:
-            ep.protocol.__class__ = narrow
+            ep.protocol.__class__ = Narrow
         ref = api.run_workload("synthetic", nprocs=8, protocol="tdi", seed=44)
         result = cluster.run([api.FaultSpec(rank=3, at_time=0.003)])
         assert result.results == ref.results

@@ -22,6 +22,7 @@ from typing import Any, Iterator
 from unittest import mock
 
 from repro.core.recovery import DET_IDENTIFIERS
+from repro.metrics.costs import PER_GRAPH_NODE_SCAN
 from repro.protocols import registry
 from repro.protocols.partitioned import PartitionedProtocol
 from repro.protocols.pwd import Determinant, PwdCausalProtocol
@@ -58,7 +59,7 @@ class ReferenceTagProtocol(PwdCausalProtocol):
         scanned = len(self.graph)
         self.metrics.graph_nodes_scanned += scanned
         identifiers = DET_IDENTIFIERS * len(increment)
-        extra_cost = self.costs.per_graph_node_scan * scanned
+        extra_cost = PER_GRAPH_NODE_SCAN * scanned
         return {"dets": tuple(increment)}, identifiers, extra_cost
 
     def _on_deliver_hook(self, det: Determinant, piggyback: Any, src: int) -> float:
@@ -74,7 +75,7 @@ class ReferenceTagProtocol(PwdCausalProtocol):
                 merged += 1
             known.add(key)
         return self.costs.identifiers_cost(DET_IDENTIFIERS * merged) + (
-            self.costs.per_graph_node_scan * len(piggyback["dets"])
+            PER_GRAPH_NODE_SCAN * len(piggyback["dets"])
         )
 
     # ------------------------------------------------------------------

@@ -36,6 +36,6 @@ def test_neighbour_relations_symmetric(nprocs):
 def test_neighbours_in_range_and_distinct(nprocs):
     for rank in range(nprocs):
         g = ProcessGrid.for_size(nprocs, rank)
-        ns = g.neighbours()
+        ns = [r for r in (g.west, g.east, g.north, g.south) if r is not None]
         assert all(0 <= n < nprocs and n != rank for n in ns)
         assert len(set(ns)) == len(ns)

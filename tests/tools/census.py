@@ -7,8 +7,10 @@ entry point enters.
 records each code object entered, then walks every function definition
 under ``src/repro`` and prints the ones never entered with their code
 lines and the ``KEPT`` decision that keeps each, the modules never
-imported, and the totals.  It takes no options and is not a gate: exit
-status 0 unless an entry point raised.
+imported, and the totals.  It takes no options.  It is a gate: the
+exit status is 1 when an entry point raised or when any unreached
+function or single-valued config field has no reason to stay
+(UNDECIDED), else 0.
 
 Everything runs in-process — the fuzzer with ``--jobs 1``, the harness
 with ``-j 1``, the examples and the benchmark child through ``runpy`` —
@@ -26,8 +28,7 @@ An unreached function stays only if a production path reaches it under
 inputs the census does not draw, if its module's ``__all__`` exports it
 and the README or DESIGN documents it, or if it is a state probe that a
 property test or equivalence tool compares against a reference.  The
-rest goes, with the tests that exercise only it; ``pending`` marks the
-ones whose deletion takes a tier-1 unit test of their own along.
+rest goes, with the tests that exercise only it.
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ _INTERFACE = "interface: a hook implementations override"
 _STALL = "stall: diagnoses a stalled recovery or a wedged run"
 _FINDING = "finding: shrinks, saves or parses a fuzz failure"
 _PROBE = "probe: a property test or equivalence tool compares it"
-_PENDING = "pending: test-only; its own tier-1 unit test goes with it"
 
 #: why an unreached function stays, as ``fnmatch`` patterns over
 #: ``file:qualname``; the first match wins, and a function no pattern
@@ -158,6 +158,8 @@ KEPT: dict[str, str] = {
         "inputs: a recovery escalation under the oracle",
     "repro/faults/schedules.py:weibull_schedule":
         "documented: repro.faults.__all__, README, DESIGN",
+    "repro/faults/injector.py:staggered":
+        "documented: repro.api.__all__, README's repro.faults row",
     "repro/mpi/collectives.py:*": "documented: the collectives README lists",
     "repro/mpi/context.py:ProcContext.*":
         "documented: the collectives README lists",
@@ -176,17 +178,9 @@ KEPT: dict[str, str] = {
     "repro/protocols/checkpoint.py:CheckpointStore.generations": _PROBE,
     "repro/simnet/rng.py:RngStreams.names": _PROBE,
     "repro/verify/oracle.py:CausalOracle.summary": _PROBE,
-    "repro/core/vectors.py:DependIntervalVector.dominates": _PENDING,
-    "repro/faults/injector.py:staggered": _PENDING,
-    "repro/metrics/counters.py:RankMetrics.merge": _PENDING,
-    "repro/protocols/checkpoint.py:CheckpointStore.read_time": _PENDING,
-    "repro/protocols/partitioned.py:partitioned_protocol": _PENDING,
-    "repro/protocols/queue.py:ReceivingQueue.clear": _PENDING,
-    "repro/simnet/proc.py:Task.throw": _PENDING,
-    "repro/simnet/proc.py:Task.finished": _PENDING,
-    "repro/simnet/trace.py:TraceEvent.get": _PENDING,
-    "repro/simnet/trace.py:Trace.*": _PENDING,
-    "repro/workloads/base.py:ProcessGrid.neighbours": _PENDING,
+    "repro/simnet/trace.py:Trace.detach_listener":
+        f"{_PROBE} (the unlisten step of tests/properties/"
+        f"test_network_fanout.py)",
 }
 
 #: why a config field that production runs with one value only stays a
@@ -195,8 +189,6 @@ CONFIG_KEPT: dict[str, str] = {
     "detector.heartbeat_interval": "micro: benchmarks/e2e/micro.py reads it",
     "detector.window": "micro: benchmarks/e2e/micro.py reads it",
     "detector.floor": "micro: benchmarks/e2e/micro.py reads it",
-    "costs.*": "micro: benchmarks/e2e/micro.py builds a CostModel; the "
-               "event-logger-latency ablation varies evlog_latency",
     "network.jitter_fraction":
         "tests: a jitter-free wire in tests and the heartbeat matrix",
     "network.partitions": "fuzzer: the lossy band draws windows from seed 8 "
@@ -406,14 +398,17 @@ def main() -> int:
     for name in single:
         print(f"  {name} = {next(iter(surface[name]))}: "
               f"{why_kept(name, CONFIG_KEPT)}")
-    undecided = sum(why_kept(name, CONFIG_KEPT) == "UNDECIDED"
-                    for name in single)
+    undecided = (
+        sum(why_kept(f"{fn.path}:{fn.qualname}") == "UNDECIDED"
+            for fn in unreached)
+        + sum(why_kept(name, CONFIG_KEPT) == "UNDECIDED" for name in single))
     lines = sum(fn.code_lines for fn in unreached)
     print(f"\ncensus: {len(unreached)} of {len(every)} functions unreached, "
           f"{lines} code lines; {len(single)} of {len(surface)} config "
-          f"fields single-valued, {undecided} undecided; in "
+          f"fields single-valued; {undecided} undecided; in "
           f"{time.perf_counter() - started:.0f} s")
-    return 1 if any("RAISED" in line for line in status) else 0
+    raised = any("RAISED" in line for line in status)
+    return 1 if raised or undecided else 0
 
 
 if __name__ == "__main__":

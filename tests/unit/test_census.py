@@ -98,8 +98,10 @@ def test_flatten_expands_nested_configs_and_keeps_tuples_whole():
 
 
 def test_config_kept_reasons_match_by_pattern():
-    assert census.why_kept("costs.evlog_latency", census.CONFIG_KEPT) \
+    assert census.why_kept("detector.window", census.CONFIG_KEPT) \
         .startswith("micro")
+    assert census.why_kept("costs.evlog_latency", census.CONFIG_KEPT) \
+        == "UNDECIDED"
     assert census.why_kept("nprocs", census.CONFIG_KEPT) == "UNDECIDED"
 
 

@@ -21,7 +21,6 @@ class TestCheckpointStore:
     def test_latest_missing_rank(self):
         store = CheckpointStore(CostModel())
         assert store.latest(3) is None
-        assert store.read_time(3) == 0.0
 
     def test_write_time_scales_with_size(self):
         costs = CostModel()
@@ -54,5 +53,8 @@ class TestCheckpointStore:
     def test_read_time_uses_latest_size(self):
         costs = CostModel()
         store = CheckpointStore(costs)
-        store.write(ckpt(seq=1, size=5000))
-        assert store.read_time(0) == costs.ckpt_read_time(5000)
+        store.write(ckpt(seq=1, size=1000))
+        store.write(ckpt(seq=2, size=5000))
+        result = store.read(0)
+        assert result.ckpt.seq == 2 and result.fallbacks == 0
+        assert result.read_time == costs.ckpt_read_time(5000)

@@ -1,15 +1,22 @@
 """Unit tests for the cost model and metric counters."""
 
+import dataclasses
+
 import pytest
 
+from repro.metrics import costs
 from repro.metrics.costs import CostModel
 from repro.metrics.counters import MetricsAggregate, RankMetrics, aggregate
 
 
 class TestCostModel:
+    def test_only_the_swept_latency_is_a_field(self):
+        assert [f.name for f in dataclasses.fields(CostModel)] == ["evlog_latency"]
+        assert CostModel(evlog_latency=0.5) != CostModel()
+
     def test_identifiers_cost_linear(self):
         c = CostModel()
-        assert c.identifiers_cost(10) == pytest.approx(10 * c.per_identifier)
+        assert c.identifiers_cost(10) == pytest.approx(10 * costs.PER_IDENTIFIER)
 
     def test_log_append_cost_has_size_term(self):
         c = CostModel()
@@ -17,24 +24,16 @@ class TestCostModel:
 
     def test_ckpt_times(self):
         c = CostModel()
-        assert c.ckpt_write_time(0) == c.ckpt_latency
-        assert c.ckpt_write_time(c.ckpt_bandwidth) == pytest.approx(c.ckpt_latency + 1.0)
-        assert c.ckpt_read_time(1000) > 0
+        assert c.ckpt_write_time(0) == costs.CKPT_LATENCY
+        assert c.ckpt_write_time(costs.CKPT_BANDWIDTH) \
+            == pytest.approx(costs.CKPT_LATENCY + 1.0)
+        assert c.ckpt_read_time(costs.CKPT_READ_BANDWIDTH) \
+            == pytest.approx(costs.CKPT_LATENCY + 1.0)
 
     def test_frozen(self):
         c = CostModel()
         with pytest.raises(Exception):
-            c.per_identifier = 1.0  # type: ignore[misc]
-
-
-class TestRankMetrics:
-    def test_merge_sums_numeric_fields(self):
-        a = RankMetrics(rank=0, app_sends=3, tracking_time=0.5)
-        b = RankMetrics(rank=1, app_sends=2, tracking_time=0.25)
-        a.merge(b)
-        assert a.app_sends == 5
-        assert a.tracking_time == 0.75
-        assert a.rank == 0  # identity untouched
+            c.evlog_latency = 1.0  # type: ignore[misc]
 
 
 class TestAggregate:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.nonblocking import SendPump
+from repro.metrics.costs import PER_SEND_BASE
 from repro.simnet.primitives import SendOp
 from tests.conftest import RecordingTask, SenderHost
 
@@ -28,7 +29,7 @@ class TestSendPump:
         pump.submit(task, op("a"))
         # nothing yet: the app thread returned, paying only the append
         assert host.prepared == []
-        assert task.resumed_at == [host.config.costs.per_send_base]
+        assert task.resumed_at == [PER_SEND_BASE]
         engine.run()
         assert host.prepared == ["a"]
         assert [(p, i) for _t, p, i in host.shipped] == [("a", 1)]

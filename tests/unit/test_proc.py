@@ -73,23 +73,6 @@ class TestTaskLifecycle:
         engine.run()
         assert done == ["x"]
 
-    def test_throw_into_generator(self, engine):
-        caught = []
-
-        def handler(task, effect):
-            task.throw(RuntimeError("injected"))
-
-        def gen():
-            try:
-                yield 1
-            except RuntimeError as e:
-                caught.append(str(e))
-            return 0
-
-        task = run_gen(engine, gen(), handler)
-        engine.run()
-        assert caught == ["injected"] and task.state is TaskState.DONE
-
 
 class TestKillAndEpochs:
     def test_kill_prevents_further_steps(self, engine):
@@ -144,13 +127,3 @@ class TestKillAndEpochs:
         task = run_gen(engine, gen())
         with pytest.raises(RuntimeError):
             task.start()
-
-    def test_finished_property(self, engine):
-        def gen():
-            yield 1
-
-        task = Task(engine, gen(), lambda t, e: t.resume(None))
-        assert not task.finished
-        task.start()
-        engine.run()
-        assert task.finished

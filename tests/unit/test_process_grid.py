@@ -28,7 +28,7 @@ class TestNeighbours:
 
     def test_interior_has_four(self):
         g = ProcessGrid.for_size(9, 4)  # 3x3 centre
-        assert sorted(g.neighbours()) == [1, 3, 5, 7]
+        assert (g.west, g.north, g.east, g.south) == (3, 1, 5, 7)
 
     def test_neighbour_symmetry(self):
         n = 12

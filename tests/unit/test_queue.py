@@ -91,12 +91,6 @@ class TestScan:
         q.scan(ANY_SOURCE, ANY_TAG, classify)
         assert calls == [0]  # the second frame was never classified
 
-    def test_clear_empties(self):
-        q = ReceivingQueue()
-        q.enqueue(frame())
-        q.clear()
-        assert len(q) == 0
-
     def test_empty_scan(self):
         q = ReceivingQueue()
         res = q.scan(ANY_SOURCE, ANY_TAG, classify_all(DeliveryVerdict.DELIVER))

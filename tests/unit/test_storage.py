@@ -153,7 +153,7 @@ class TestReadFallback:
         gen.pending = "corrupt"
         store.commit(gen)
         result = store.read(0)
-        assert result.bytes_read == 3000
+        assert result.fallbacks == 1
         assert result.read_time == pytest.approx(
             costs.ckpt_read_time(2000) + costs.ckpt_read_time(1000))
 

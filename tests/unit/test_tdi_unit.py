@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.recovery import CHECKPOINT_ADVANCE, RESPONSE, ROLLBACK
+from repro.metrics.costs import IDENTIFIER_BYTES
 from repro.protocols.base import DeliveryVerdict, PeerCounts
 from tests.conftest import (app_meta, make_protocol, response_payload,
                             rollback_payload)
@@ -109,7 +110,7 @@ class TestCheckpointing:
         p.on_deliver(app_meta(1, (0, 0, 0, 0)), src=1)
         p.after_checkpoint()
         advances = [c for c in svc.controls if c[1] == CHECKPOINT_ADVANCE]
-        assert advances == [(1, CHECKPOINT_ADVANCE, 1, p.costs.identifier_bytes)]
+        assert advances == [(1, CHECKPOINT_ADVANCE, 1, IDENTIFIER_BYTES)]
         # unchanged counts -> no repeat notification
         p.after_checkpoint()
         assert len([c for c in svc.controls if c[1] == CHECKPOINT_ADVANCE]) == 1
@@ -150,7 +151,7 @@ class TestRecovery:
         assert svc.sent(RESPONSE) == [(
             2, RESPONSE,
             {"delivered": 7, "epoch": 0, "for_epoch": 1},
-            3 * p.costs.identifier_bytes,
+            3 * IDENTIFIER_BYTES,
         )]
         assert [m.send_index for m in svc.resends] == [3, 4]
 

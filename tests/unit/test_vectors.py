@@ -65,11 +65,6 @@ class TestAdvanceAndMerge:
 
 
 class TestHelpers:
-    def test_dominates(self):
-        v = DependIntervalVector(3, owner=0, values=[2, 2, 2])
-        assert v.dominates([1, 2, 2])
-        assert not v.dominates([3, 0, 0])
-
     def test_as_tuple_is_snapshot(self):
         v = DependIntervalVector(2, owner=0)
         t = v.as_tuple()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import wire
+from repro.metrics.costs import IDENTIFIER_BYTES
 from repro.protocols.compression import (
     UndecodablePiggyback,
     VectorDeltaDecoder,
@@ -251,13 +252,13 @@ class TestVarintDeterminantCodec:
 
 class TestAccountingGrounded:
     """The raw piggyback accounting Fig. 6 plots, in identifiers of
-    ``CostModel.identifier_bytes`` each — arithmetic, whatever the wire
+    ``IDENTIFIER_BYTES`` each — arithmetic, whatever the wire
     ships."""
 
     def test_tdi_accounting_matches_codec(self):
         p, _ = make_protocol("tdi", nprocs=8)
         prepared = p.prepare_send(1, 0, "x", 64)
-        assert prepared.piggyback_identifiers * p.costs.identifier_bytes \
+        assert prepared.piggyback_identifiers * IDENTIFIER_BYTES \
             == (8 + 1) * 4
 
     def test_tdi_tagged_accounting_matches_codec(self):
@@ -266,7 +267,7 @@ class TestAccountingGrounded:
         p, _ = make_protocol("tdi", nprocs=8)
         p.depend_interval.observe_rollback(3, 5, epoch=1)
         prepared = p.prepare_send(1, 0, "x", 64)
-        assert prepared.piggyback_identifiers * p.costs.identifier_bytes \
+        assert prepared.piggyback_identifiers * IDENTIFIER_BYTES \
             == (2 * 8 + 1) * 4
 
     def test_tag_accounting_matches_codec(self):
