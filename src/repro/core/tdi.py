@@ -25,7 +25,7 @@ from repro.core.recovery import (
     RESPONSE,
     SenderLoggingProtocol,
 )
-from repro.core.vectors import DependIntervalVector
+from repro.core.vectors import DependIntervalVector, TaggedPiggyback
 from repro.core.wire import encode_vector_full
 from repro.metrics.costs import IDENTIFIER_BYTES
 from repro.protocols.compression import (
@@ -66,6 +66,12 @@ class TdiProtocol(SenderLoggingProtocol):
             if self.compress else None
         self._pb_decoder = VectorDeltaDecoder(self.nprocs) \
             if self.compress else None
+        #: compressed path: (vector, change clock, read-only value array,
+        #: frozen log form) of the latest send, which a send that finds
+        #: the vector unchanged reuses.  The receivers' channel bases and
+        #: the log hold those two anyway; the piggyback's n-entry tuple
+        #: is not kept (2 MB more at 512 ranks)
+        self._last_send: tuple[Any, ...] = (None, 0, None, None)
 
     # ------------------------------------------------------------------
     # Dynamic membership
@@ -82,7 +88,20 @@ class TdiProtocol(SenderLoggingProtocol):
     # Piggyback: the depend-interval vector (lines 8-12)
     # ------------------------------------------------------------------
     def _build_piggyback(self, dest: int) -> tuple[Any, int, float]:
-        piggyback = self.depend_interval.as_piggyback(prime=not self.compress)
+        vector = self.depend_interval
+        if not self.compress:
+            piggyback = vector.as_piggyback()
+        else:
+            # the clock ticks on every mutation once tracking is on
+            clock = vector.change_clock
+            last = self._last_send
+            if last[0] is vector and last[1] == clock:
+                piggyback = TaggedPiggyback(last[2].tolist(), vector.epochs)
+                piggyback._arr = last[2]
+            else:
+                piggyback = vector.as_piggyback()
+                self._last_send = (vector, clock, piggyback._arr,
+                                   vector.snapshot())
         # the horizon-length vector; once any entry refers to a
         # post-rollback incarnation the epoch vector rides along too
         # (2n + 1 with the send index) — see core.wire for the forms
@@ -99,8 +118,8 @@ class TdiProtocol(SenderLoggingProtocol):
         return wire_blob
 
     def _log_form(self, piggyback: Any) -> Any:
-        # the vector has not moved since the piggyback was taken from it
-        return self.depend_interval.snapshot()
+        # frozen with the piggyback, from the same unmoved vector
+        return self._last_send[3]
 
     # ------------------------------------------------------------------
     # Delivery gate (lines 15-31)

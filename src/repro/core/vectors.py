@@ -81,8 +81,9 @@ class TaggedPiggyback(tuple):
 
     ``_arr`` caches the values as an int64 array so a merge reads them
     without re-converting the tuple; whoever builds the piggyback from
-    an array primes it (a sender on the compressed path does not: its
-    receiver decodes an array of its own), and it is dropped on
+    an array primes it (the sender's array is read-only: on the
+    compressed wire an in-step receiver is handed the piggyback itself,
+    and keeps that array as its channel base), and it is dropped on
     pickling/deepcopy — it is a pure cache.
     """
 
@@ -363,11 +364,11 @@ class DependIntervalVector:
         """Immutable copy of the interval values only."""
         return tuple(self._v.tolist())
 
-    def as_piggyback(self, prime: bool = True) -> TaggedPiggyback:
-        """The piggyback payload of a send (``prime``: with ``_arr``)."""
+    def as_piggyback(self) -> TaggedPiggyback:
+        """The piggyback payload of a send, ``_arr`` primed read-only."""
         pb = TaggedPiggyback(self._v.tolist(), self._e)
-        if prime:
-            pb._arr = self._v.copy()  # snapshot: the vector keeps mutating
+        pb._arr = self._v.copy()  # snapshot: the vector keeps mutating
+        pb._arr.flags.writeable = False  # shared by whoever receives it
         return pb
 
     def snapshot(self) -> FrozenVector:

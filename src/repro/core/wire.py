@@ -63,11 +63,14 @@ record into its vector.
 A varint's length is a function of its value alone, so
 :func:`uvarints_size` gives a field list's packed length without the
 encode loop (the field count, when all are narrow).  Both size
-decisions are taken that way, so a full record is packed only when it
-is the one that ships: dense vs sparse in :func:`vector_full_fields`
-(where a count of the nonzero values rules sparse out before any entry
-is laid out), and delta vs full in :mod:`repro.protocols.compression`
-(where the full record is sized against the delta in hand).
+decisions are taken that way: dense vs sparse in
+:func:`vector_full_fields` (where a count of the nonzero values rules
+sparse out before any entry is laid out), and delta vs full in
+:mod:`repro.protocols.compression`, where neither candidate is laid out
+at all — :func:`vector_full_size` sizes the full record from the
+piggyback's ``int64`` array and :func:`vector_delta_size` the delta
+from its changed entries — and nothing is packed: a stream record packs
+itself only for a receiver that has to parse it.
 """
 
 from __future__ import annotations
@@ -75,6 +78,8 @@ from __future__ import annotations
 from itertools import chain, compress
 from operator import or_
 from typing import NamedTuple, Sequence
+
+import numpy as _np
 
 from repro.core.vectors import _zero_epochs
 from repro.protocols.pwd import Determinant
@@ -252,11 +257,67 @@ def vector_full_fields(values: Sequence[int], epochs: Sequence[int],
     return parts, size + uvarints_size((*head, send_index))
 
 
+def _gaps(indices: Sequence[int]) -> list[int]:
+    """The ``gap`` fields of ascending shipped ``indices``."""
+    return [k - prev - 1 for prev, k in zip((-1, *indices), indices)]
+
+
+def _uvarints_size_array(values: _np.ndarray) -> int:
+    """:func:`uvarints_size` of a non-negative ``int64`` array, in C: a
+    byte per value, and one more per value at or past each 7-bit step."""
+    size = len(values)
+    top = int(_np.maximum.reduce(values)) if size else 0
+    step = 0x80
+    while top >= step:
+        size += int(_np.count_nonzero(values >= step))
+        step <<= 7
+    return size
+
+
+def vector_full_size(values: _np.ndarray, epochs: Sequence[int],
+                     send_index: int, seq: int | None = None) -> int:
+    """``vector_full_fields(values, epochs, send_index, seq)[1]`` from the
+    ``int64`` value array, with a few array operations instead of the
+    field layout: the size of the record :func:`encode_vector_full`
+    would pack, known before (and without) packing it."""
+    n = len(values)
+    head = (n, send_index) if seq is None else (n, seq, send_index)
+    with_epochs = epochs is not _zero_epochs(n) and any(epochs)
+    epoch_arr = _np.array(epochs, dtype=_np.int64) if with_epochs else None
+    size = _uvarints_size_array(values)
+    if with_epochs:
+        size += _uvarints_size_array(epoch_arr)
+    # the dense-vs-sparse rule of vector_full_fields, shortcut included
+    if 1 + 2 * int(_np.count_nonzero(values)) < size:
+        hot = (values | epoch_arr if with_epochs else values).nonzero()[0]
+        sparse = [len(hot), *values[hot].tolist()]
+        if with_epochs:
+            sparse += epoch_arr[hot].tolist()
+        sparse += _gaps(hot.tolist())
+        size = min(size, uvarints_size(sparse))
+    return 1 + size + uvarints_size(head)  # the header byte is below 128
+
+
 def encode_vector_full(values: Sequence[int], epochs: Sequence[int],
                        send_index: int, *, seq: int | None = None) -> bytes:
     """:func:`vector_full_fields`, packed."""
     return b"".join(map(pack_uvarints, vector_full_fields(
         values, epochs, send_index, seq)[0]))
+
+
+def vector_delta_size(values: Sequence[int], epochs: Sequence[int],
+                      changed: Sequence[int], send_index: int,
+                      seq: int) -> int:
+    """``len(encode_vector_delta(...))`` for the delta of the ascending
+    ``changed`` entries of ``values`` / ``epochs``, without laying its
+    fields out: the field sizes add up in any order."""
+    fields = [seq, len(changed), send_index, *_gaps(changed)]
+    fields += [values[k] for k in changed]
+    if epochs is not _zero_epochs(len(epochs)):
+        shipped = [epochs[k] for k in changed]
+        if any(shipped):  # else they are left out, as _entry_fields does
+            fields += shipped
+    return 1 + uvarints_size(fields)  # the header byte is below 128
 
 
 def encode_vector_delta(changes: Sequence[tuple[int, int, int]],

@@ -348,7 +348,7 @@ class Endpoint:
         if wire is not None:
             # compressed piggyback: the receiver reconstructs meta["pb"]
             # from the wire record at arrival, and the frame pays for the
-            # bytes actually shipped
+            # record's length — exact, whether or not it is ever packed
             pb_bytes = len(wire)
             meta["pbw"] = wire
             if not resend:

@@ -261,17 +261,20 @@ class ReferenceVector:
 
 class ReferenceDecoder:
     """``VectorDeltaDecoder`` as it stood before the array bases,
-    verbatim: a base is two Python lists, a delta is applied entry by
-    entry, and the piggyback it returns has no array cache."""
+    verbatim but for one thing — it parses every record from its packed
+    bytes, in-step stream records included, so it is the parse-always
+    twin of the decoder's shortcut: a base is two Python lists, a delta
+    is applied entry by entry, and the piggyback it returns has no array
+    cache."""
 
     def __init__(self, nprocs: int) -> None:
         self.nprocs = nprocs
         #: src -> [next_expected_seq, values, epochs]
         self._channels: dict[int, list[Any]] = {}
 
-    def decode(self, src: int, blob: bytes) -> tuple[TaggedPiggyback, int]:
-        try:
-            rec = wire.decode_vector_record(blob, self.nprocs)
+    def decode(self, src: int, blob: Any) -> tuple[TaggedPiggyback, int]:
+        try:  # a stream record parsed from its packed bytes, always
+            rec = wire.decode_vector_record(bytes(blob), self.nprocs)
         except ValueError as exc:
             raise UndecodablePiggyback(f"malformed record: {exc}") from exc
         if rec.mode != wire.DELTA:

@@ -155,7 +155,9 @@ def test_resent_record_is_the_first_sends(sends, rolled_back):
     for item in protocol.log.all_items():
         original = originals[item.dest, item.send_index]
         assert type(item.piggyback) is FrozenVector
-        assert original._arr is None  # a compressed sender primes none
+        # primed read-only: an in-step receiver shares the array
+        assert original._arr.tolist() == list(original)
+        assert not original._arr.flags.writeable
         assert item.piggyback == FrozenVector(list(original), original.epochs)
     protocol._recover_peer(dest, 0)
     resends = [r for r in protocol.services.resends if r.dest == dest]

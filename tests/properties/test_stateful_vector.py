@@ -12,9 +12,11 @@ either has ever stood at, and byte-identical records out of a
 ``VectorDeltaEncoder`` over each.
 
 Every record is also decoded twice, by ``src/``'s array-based decoder
-and by the list-based reference, and merged into a receiving vector on
-each side; a decoded piggyback's array cache must equal its tuple for as
-long as anyone holds it, whatever later deltas do to the channel base.
+(which takes an in-step record without parsing it) and by the
+list-based reference (which parses its bytes), and merged into a
+receiving vector on each side; a decoded piggyback's array cache must
+equal its tuple for as long as anyone holds it, whatever later deltas
+do to the channel base.
 """
 
 from __future__ import annotations
@@ -127,12 +129,15 @@ class VectorMachine(RuleBasedStateMachine):
         pb_new, pb_ref = self.new.as_piggyback(), self.ref.as_piggyback()
         _same_piggyback(pb_new, pb_ref)
         assert pb_new._arr.tolist() == list(pb_new)
-        blob, fell_back = self.enc_new.encode(dest, pb_new, self.send_index)
-        assert (blob, fell_back) == self.enc_ref.encode(
+        record, fell_back = self.enc_new.encode(dest, pb_new, self.send_index)
+        ref_record, ref_fell_back = self.enc_ref.encode(
             dest, pb_ref, self.send_index)
+        assert (bytes(record), fell_back) \
+            == (bytes(ref_record), ref_fell_back)
+        assert len(record) == len(ref_record) == len(bytes(record))
         # one decoder channel per destination: each sees its own stream
-        got_new, index_new = self.dec_new.decode(dest, blob)
-        got_ref, index_ref = self.dec_ref.decode(dest, blob)
+        got_new, index_new = self.dec_new.decode(dest, record)
+        got_ref, index_ref = self.dec_ref.decode(dest, record)
         assert index_new == index_ref == self.send_index
         _same_piggyback(got_new, got_ref)
         _same_piggyback(got_new, pb_new)

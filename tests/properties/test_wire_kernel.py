@@ -12,6 +12,7 @@ capacity is malformed (the reference allocated whatever the wire said).
 
 from hypothesis import given, strategies as st
 
+import numpy as np
 import pytest
 
 from repro.core import wire
@@ -398,6 +399,8 @@ def test_full_record_bytes_and_decode(record, data):
     assert blob == (sparse if len(sparse) < len(dense) else dense)
     parts, size = wire.vector_full_fields(values, epochs, send_index, seq)
     assert size == sum(map(wire.uvarints_size, parts)) == len(blob)
+    assert wire.vector_full_size(np.array(values, dtype=np.int64), epochs,
+                                 send_index, seq) == len(blob)
     if not any(epochs):  # the shared zero tuple skips the epoch scan
         assert blob == wire.encode_vector_full(
             tuple(values), _zero_epochs(len(values)), send_index, seq=seq)
@@ -415,6 +418,11 @@ def test_delta_record_bytes_and_decode(record, data):
     changes, send_index, seq, n = record
     blob = wire.encode_vector_delta(changes, send_index, seq)
     assert blob == reference_delta(changes, send_index, seq)
+    values, epochs = [0] * n, [0] * n
+    for index, value, epoch in changes:
+        values[index], epochs[index] = value, epoch
+    assert wire.vector_delta_size(values, epochs, [k for k, _, _ in changes],
+                                  send_index, seq) == len(blob)
     for bad in mutations(data.draw, blob):
         assert outcome(wire.decode_vector_record, bad, n) \
             == outcome(reference_decode, bad, n)
@@ -446,8 +454,10 @@ def test_delta_vs_full_agrees_with_building_both(n, data):
             vector.observe_rollback(n - 1, data.draw(small), send_index)
         dest = data.draw(st.integers(0, 2))
         piggyback = vector.as_piggyback()
-        assert new.encode(dest, piggyback, send_index) \
+        record, fell_back = new.encode(dest, piggyback, send_index)
+        assert (bytes(record), fell_back) \
             == old.encode(dest, piggyback, send_index)
+        assert len(record) == len(bytes(record))
 
 
 # ----------------------------------------------------------------------

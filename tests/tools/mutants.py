@@ -28,6 +28,9 @@ _BASE = "protocols/base.py"
 _VECTOR_TESTS = ("tests/properties/test_wire_kernel.py",
                  "tests/properties/test_stateful_vector.py",
                  "tests/properties/test_compress_differential.py")
+#: the channel's: both decode paths side by side, then the vector's
+_SHORTCUT_TESTS = ("tests/properties/test_stateful_compression.py",)
+_CHANNEL_TESTS = (*_SHORTCUT_TESTS, *_VECTOR_TESTS)
 _TOUCHED = "tests/integration/test_touched_state.py"
 _ORACLE = "verify/oracle.py"
 _ORACLE_TESTS = "tests/integration/test_verify_oracle.py"
@@ -81,30 +84,53 @@ MUTANTS: dict[str, tuple] = {
         ("                and tuple(pb_epochs) != self._e[:m]):",
          "                and len(pb_epochs) != m):")),
     "decoder base aliased instead of copied into the piggyback": (
-        _VECTOR_TESTS, _COMPRESSION,
+        _CHANNEL_TESTS, _COMPRESSION,
         ("piggyback._arr = values.copy()  # the base moves",
          "piggyback._arr = values  # the base moves")),
     "full record's base aliased to its piggyback": (
-        _VECTOR_TESTS, _COMPRESSION,
-        ("rec.seq + 1, piggyback._arr.copy(), piggyback.epochs]",
-         "rec.seq + 1, piggyback._arr, piggyback.epochs]")),
+        _CHANNEL_TESTS, _COMPRESSION,
+        ("rec.seq + 1, piggyback._arr.copy(), piggyback.epochs, None]",
+         "rec.seq + 1, piggyback._arr, piggyback.epochs, None]")),
     "_arr primed from the pre-delta base": (
-        _VECTOR_TESTS, _COMPRESSION,
+        _CHANNEL_TESTS, _COMPRESSION,
         ("        moved = None\n",
          "        stale = values.copy()\n        moved = None\n"),
         ("piggyback._arr = values.copy()  # the base moves",
          "piggyback._arr = stale  # the base moves")),
     "decoder keeps the pre-delta epochs": (
-        _VECTOR_TESTS, _COMPRESSION,
+        _CHANNEL_TESTS, _COMPRESSION,
         ("        chan[2] = piggyback.epochs\n", "")),
     "a delta's floor overestimated (3k + 4)": (
-        _VECTOR_TESTS, _COMPRESSION,
-        ("size, full = 2 * len(changed) + 4, None",
-         "size, full = 3 * len(changed) + 4, None")),
+        _CHANNEL_TESTS, _COMPRESSION,
+        ("size, full_size = 2 * len(changed) + 4, None",
+         "size, full_size = 3 * len(changed) + 4, None")),
     "a full record that was sized ships, smaller or not": (
-        _VECTOR_TESTS, _COMPRESSION,
-        ("fell_back = full is not None and full_size <= size",
-         "fell_back = full is not None")),
+        _CHANNEL_TESTS, _COMPRESSION,
+        ("fell_back = full_size is not None and full_size <= size",
+         "fell_back = full_size is not None")),
+    # the receiver's shortcut: a record is handed over unparsed only onto
+    # a base that is, by provenance, the sender's previous piggyback
+    "shortcut: the previous-record token not checked": (
+        _SHORTCUT_TESTS, _COMPRESSION,
+        ("\n                    and record.prev == chan[3]):", "):")),
+    "shortcut: a parsed delta leaves the channel's token set": (
+        _SHORTCUT_TESTS, _COMPRESSION,
+        ("        chan[3] = None  # the base is no longer a record's piggyback\n",
+         "")),
+    "shortcut: tokens restart per encoder": (
+        _SHORTCUT_TESTS, _COMPRESSION,
+        ("        self._ever: set[int] = set()\n",
+         "        self._ever: set[int] = set()\n"
+         "        self._tokens = itertools.count(1)\n"),
+        ("token = next(_TOKENS)", "token = next(self._tokens)")),
+    "shortcut: a parsed delta writes into a shared base": (
+        _SHORTCUT_TESTS, _COMPRESSION,
+        ("            values = chan[1] = values.copy()\n",
+         "            values.flags.writeable = True\n")),
+    "shortcut: the sender's piggyback array left writable": (
+        _SHORTCUT_TESTS, _VECTORS,
+        ("        pb._arr.flags.writeable = False  # shared by whoever receives it\n",
+         "")),
     # the touched-peer maps and the shared membership set
     "peer map: a read of an untouched peer inserts it": (
         ("tests/properties/test_peer_counts.py",), _BASE,
